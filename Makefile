@@ -34,11 +34,7 @@ profile:
 	@echo "profile artifacts in ./profile"
 
 fuzz:
-	go test -run='^$$' -fuzz=FuzzParse -fuzztime=$${FUZZTIME:-5s} ./internal/logic
-	go test -run='^$$' -fuzz=FuzzParseFormula -fuzztime=$${FUZZTIME:-5s} ./internal/temporal
-	go test -run='^$$' -fuzz=FuzzReadJSON -fuzztime=$${FUZZTIME:-5s} ./internal/sysmodel
-	go test -run='^$$' -fuzz=FuzzCacheRecord -fuzztime=$${FUZZTIME:-5s} ./internal/store
-	go test -run='^$$' -fuzz=FuzzCheckpoint -fuzztime=$${FUZZTIME:-5s} ./internal/hazard
+	./scripts/fuzz.sh
 
 # chaos runs the crash-safety battery with a fixed seed set: fault
 # injection at every site, store corruption/self-heal, the crash matrix

@@ -428,7 +428,7 @@ func BenchmarkS3_ScenarioSpace(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("k=%d/sweep-seq", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, err := hazard.AnalyzeParallel(eng, muts, k, reqs, 1)
+				a, err := hazard.AnalyzeSweep(eng, muts, k, reqs, hazard.SweepConfig{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -439,7 +439,7 @@ func BenchmarkS3_ScenarioSpace(b *testing.B) {
 		})
 		b.Run(fmt.Sprintf("k=%d/sweep-par", k), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				a, err := hazard.AnalyzeParallel(eng, muts, k, reqs, 0)
+				a, err := hazard.AnalyzeSweep(eng, muts, k, reqs, hazard.SweepConfig{Parallelism: 0})
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -189,7 +189,8 @@ func runParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget,
 		}
 		endLevel := func(err error) error { lspan.End(); return err }
 		reg.Counter("cegar.levels").Inc()
-		analysis, err := hazard.AnalyzeParallelBudget(level.Engine, level.Mutations, maxCard, level.Requirements, lbud, parallelism)
+		analysis, err := hazard.AnalyzeSweep(level.Engine, level.Mutations, maxCard, level.Requirements,
+			hazard.SweepConfig{Budget: lbud, Parallelism: parallelism})
 		if err != nil {
 			return nil, endLevel(fmt.Errorf("cegar: level %q: %w", level.Name, err))
 		}

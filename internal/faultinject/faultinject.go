@@ -47,6 +47,9 @@ const (
 	SiteStoreRead = "store.read"
 	// SiteOracle fires before every CEGAR oracle check.
 	SiteOracle = "cegar.oracle"
+	// SiteSolverWorker fires before every solver engine runs a query: the
+	// primary engine and each raced portfolio helper.
+	SiteSolverWorker = "solver.worker"
 	// SiteStagePrefix prefixes per-stage sites in core ("core.stage.hazard").
 	SiteStagePrefix = "core.stage."
 )

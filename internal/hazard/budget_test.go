@@ -98,7 +98,7 @@ func TestAnalyzeBudgetNilBudgetIsExhaustive(t *testing.T) {
 
 func TestAnalyzeASPBudgetPopulatesSolverStats(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := AnalyzeASPBudget(eng, muts, 1, reqs, nil)
+	a, err := AnalyzeASPOpts(eng, muts, 1, reqs, ASPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,7 +116,7 @@ func TestAnalyzeASPBudgetPopulatesSolverStats(t *testing.T) {
 func TestAnalyzeASPBudgetGroundCapAborts(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	bud := budget.New(context.Background(), budget.Limits{MaxGroundRules: 3})
-	_, err := AnalyzeASPBudget(eng, muts, 1, reqs, bud)
+	_, err := AnalyzeASPOpts(eng, muts, 1, reqs, ASPOptions{Budget: bud})
 	ex, ok := budget.Exhausted(err)
 	if !ok {
 		t.Fatalf("err = %v", err)
@@ -129,7 +129,7 @@ func TestAnalyzeASPBudgetGroundCapAborts(t *testing.T) {
 func TestAnalyzeASPBudgetScenarioCapTruncates(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 3})
-	a, err := AnalyzeASPBudget(eng, muts, -1, reqs, bud)
+	a, err := AnalyzeASPOpts(eng, muts, -1, reqs, ASPOptions{Budget: bud})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"cpsrisk/internal/budget"
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/logic"
@@ -49,7 +50,9 @@ func MinimalCutsASP(eng *epa.Engine, muts []faults.Mutation, req Requirement, ma
 // many diversified engines, sharing learned clauses and racing the
 // cardinality bound. The enumerated cut set is identical for any worker
 // count (each round's optimum and its complete optimal model set are
-// unique); only wall-clock time changes.
+// unique); only wall-clock time changes. A budget that trips mid-round
+// aborts with an *budget.ExhaustedError (stage "hazard-cuts"): a partial
+// cut set would be indistinguishable from a complete one.
 func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int, o ASPOptions) ([]epa.Scenario, error) {
 	base, err := cutsBase(eng, muts, req)
 	if err != nil {
@@ -72,6 +75,14 @@ func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement
 		res, err := sess.SolveAssuming(nil, solver.Options{Optimize: true})
 		if err != nil {
 			return nil, err
+		}
+		if res.Interrupted {
+			// The round's models are at best a non-optimal incumbent: not
+			// minimal cuts, and blocking them would skip real ones.
+			return nil, &budget.ExhaustedError{
+				Stage: "hazard-cuts", Reason: res.InterruptReason,
+				Detail: fmt.Sprintf("%d minimal cuts found before interruption", len(cuts)),
+			}
 		}
 		if len(res.Models) == 0 {
 			return cuts, nil // space exhausted

@@ -1,10 +1,12 @@
 package hazard
 
 import (
+	"context"
 	"sort"
 	"strings"
 	"testing"
 
+	"cpsrisk/internal/budget"
 	"cpsrisk/internal/epa"
 )
 
@@ -39,6 +41,36 @@ func TestMinimalCutsASPAgreesWithNative(t *testing.T) {
 		if strings.Join(got, "|") != strings.Join(want, "|") {
 			t.Errorf("%s: ASP cuts %v != native %v", req.ID, got, want)
 		}
+	}
+}
+
+// A decision cap that trips mid-enumeration must surface as budget
+// exhaustion, never as a shorter cut list: an interrupted round holds at
+// best a non-optimal incumbent, which is not a minimal cut.
+func TestMinimalCutsASPInterruptedIsExhausted(t *testing.T) {
+	eng, muts, reqs := setup(t)
+	want, err := MinimalCutsASP(eng, muts, reqs[0], 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tripped := 0
+	for cap := int64(1); cap <= 40; cap++ {
+		bud := budget.New(context.Background(), budget.Limits{MaxDecisions: cap})
+		got, err := MinimalCutsASPOpts(eng, muts, reqs[0], 0, ASPOptions{Budget: bud})
+		if err != nil {
+			ex, ok := budget.Exhausted(err)
+			if !ok || ex.Stage != "hazard-cuts" || ex.Reason != budget.ReasonDecisions {
+				t.Fatalf("cap %d: err = %v, want a hazard-cuts decision-cap exhaustion", cap, err)
+			}
+			tripped++
+			continue
+		}
+		if strings.Join(cutKeys(got), "|") != strings.Join(cutKeys(want), "|") {
+			t.Fatalf("cap %d: cuts %v, want %v or an exhaustion error", cap, cutKeys(got), cutKeys(want))
+		}
+	}
+	if tripped == 0 {
+		t.Fatal("no decision cap tripped the enumeration")
 	}
 }
 

@@ -360,28 +360,10 @@ func scenarioLikelihoods(sc epa.Scenario, idx map[epa.Activation]qual.Level) []q
 // assigned after sorting models into the native enumeration order so the
 // two paths are directly comparable.
 func AnalyzeASP(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement) (*Analysis, error) {
-	return AnalyzeASPBudget(eng, muts, maxCard, reqs, nil)
+	return AnalyzeASPOpts(eng, muts, maxCard, reqs, ASPOptions{})
 }
 
-// AnalyzeASPBudget is AnalyzeASP under resource governance. The budget
-// caps grounding (aborting with *budget.ExhaustedError — callers fall
-// back to the native engine) and the answer-set search (returning the
-// answer sets found so far with Analysis.Truncation set). MaxScenarios
-// bounds the number of enumerated answer sets.
-//
-// The analysis is multi-shot: the encoding is grounded once with an
-// unbounded fault choice, then one persistent solver session sweeps the
-// cardinality levels 0..maxCard, each level selected by exactly-k count
-// assumptions on the active/2 predicate. Assumptions only filter stable
-// models, so the union over the sweep equals the single bounded solve it
-// replaces, while learned clauses and branching heuristics carry from one
-// cardinality to the next and an interruption keeps a clean
-// cardinality-ordered prefix.
-func AnalyzeASPBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, bud *budget.Budget) (*Analysis, error) {
-	return AnalyzeASPOpts(eng, muts, maxCard, reqs, ASPOptions{Budget: bud})
-}
-
-// ASPOptions parameterizes the ASP analysis beyond the budget.
+// ASPOptions parameterizes the ASP analysis.
 type ASPOptions struct {
 	// Budget governs grounding and search effort (nil = unlimited).
 	Budget *budget.Budget
@@ -409,10 +391,23 @@ type ASPOptions struct {
 	KeepSession func(*solver.Session)
 }
 
-// AnalyzeASPOpts is AnalyzeASPBudget with solver portfolio control: the
-// multi-shot session races SolverWorkers diversified engines per
-// cardinality query. The answer-set union is identical for any worker
-// count; only wall-clock time changes.
+// AnalyzeASPOpts is AnalyzeASP under resource governance and solver
+// portfolio control. The budget caps grounding (aborting with
+// *budget.ExhaustedError — callers fall back to the native engine) and
+// the answer-set search (returning the answer sets found so far with
+// Analysis.Truncation set). MaxScenarios bounds the number of enumerated
+// answer sets.
+//
+// The analysis is multi-shot: the encoding is grounded once with an
+// unbounded fault choice, then one persistent solver session sweeps the
+// cardinality levels 0..maxCard, each level selected by exactly-k count
+// assumptions on the active/2 predicate. Assumptions only filter stable
+// models, so the union over the sweep equals the single bounded solve it
+// replaces, while learned clauses and branching heuristics carry from one
+// cardinality to the next and an interruption keeps a clean
+// cardinality-ordered prefix. The session races SolverWorkers
+// diversified engines per cardinality query; the answer-set union is
+// identical for any worker count, only wall-clock time changes.
 func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, o ASPOptions) (*Analysis, error) {
 	bud := o.Budget
 	if err := validateReqs(reqs); err != nil {

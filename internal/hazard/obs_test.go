@@ -29,7 +29,7 @@ func TestParallelSweepObservabilityRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			bud := budget.New(ctx, budget.Limits{})
-			a, err := AnalyzeParallelBudget(eng, muts, -1, reqs, bud, 4)
+			a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: 4})
 			if err != nil {
 				t.Error(err)
 				return

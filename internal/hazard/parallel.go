@@ -113,25 +113,15 @@ type producerOutcome struct {
 	trunc   *budget.Truncation
 }
 
-// AnalyzeParallel is Analyze with a worker pool of the given size
-// sweeping the scenario space. parallelism <= 0 uses
-// runtime.GOMAXPROCS(0); parallelism == 1 is exactly the sequential
-// path. The output is deterministic and identical to Analyze.
-func AnalyzeParallel(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, parallelism int) (*Analysis, error) {
-	return AnalyzeParallelBudget(eng, muts, maxCard, reqs, nil, parallelism)
-}
-
-// AnalyzeParallelBudget is AnalyzeParallel under resource governance,
-// with AnalyzeBudget's degradation semantics: the budget is polled per
-// scenario (producer and workers), exhaustion truncates to the largest
-// fully completed cardinality, and MaxScenarios caps the analyzed
-// prefix deterministically.
-func AnalyzeParallelBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, bud *budget.Budget, parallelism int) (*Analysis, error) {
-	return AnalyzeSweep(eng, muts, maxCard, reqs, SweepConfig{Budget: bud, Parallelism: parallelism})
-}
-
-// AnalyzeSweep is the full sweep engine: AnalyzeParallelBudget plus the
-// optional persistent result cache and checkpoint/resume. A resumed
+// AnalyzeSweep is the full sweep engine: Analyze with a worker pool of
+// cfg.Parallelism workers sweeping the scenario space (<= 0 uses
+// runtime.GOMAXPROCS(0); 1 with no other option set is exactly the
+// sequential AnalyzeBudget), plus the optional persistent result cache
+// and checkpoint/resume. The output is deterministic and identical to
+// Analyze. Under a budget it keeps AnalyzeBudget's degradation
+// semantics: the budget is polled per scenario (producer and workers),
+// exhaustion truncates to the largest fully completed cardinality, and
+// MaxScenarios caps the analyzed prefix deterministically. A resumed
 // sweep replays enumeration from rank 0 — cached scenarios become
 // lookups, uncached ones recompute — so the final Analysis is identical
 // to an uninterrupted run; Analysis.Resume records the provenance.

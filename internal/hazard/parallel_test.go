@@ -34,7 +34,7 @@ func TestParallelSweepMatchesSequential(t *testing.T) {
 	}
 	want := canonical(t, seq)
 	for _, par := range []int{2, 4, runtime.NumCPU() + 2} {
-		got, err := AnalyzeParallel(eng, muts, -1, reqs, par)
+		got, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -60,7 +60,7 @@ func TestParallelSweepScenarioCapMatchesSequential(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, par := range []int{2, 4} {
-		got, err := AnalyzeParallelBudget(eng, muts, -1, reqs, mk(), par)
+		got, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: mk(), Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -78,7 +78,7 @@ func TestParallelSweepCancelledContext(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	a, err := AnalyzeParallelBudget(eng, muts, -1, reqs, budget.New(ctx, budget.Limits{}), 4)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: budget.New(ctx, budget.Limits{}), Parallelism: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -94,14 +94,14 @@ func TestParallelSweepUnknownActivationFails(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	bad := muts[:1:1]
 	bad[0].Component = "ghost"
-	if _, err := AnalyzeParallel(eng, bad, -1, reqs, 4); err == nil {
+	if _, err := AnalyzeSweep(eng, bad, -1, reqs, SweepConfig{Parallelism: 4}); err == nil {
 		t.Fatal("expected an error for an unknown component")
 	}
 }
 
 func TestParallelSweepDefaultsToGOMAXPROCS(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := AnalyzeParallel(eng, muts, 1, reqs, 0)
+	a, err := AnalyzeSweep(eng, muts, 1, reqs, SweepConfig{Parallelism: 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,7 +112,7 @@ func TestParallelSweepDefaultsToGOMAXPROCS(t *testing.T) {
 
 func TestViolatedSortedAndBinarySearch(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := AnalyzeParallel(eng, muts, -1, reqs, 2)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,12 +16,20 @@ import (
 // constraints, and choice rules (plus a first-order template so the
 // grounder join/dedup path is exercised too). The generator is seeded,
 // so every run checks the same program battery.
+//
+// The optimize arm gives a seeded share of the programs #minimize
+// statements (mixed-sign weights, several priorities, duplicate tuples)
+// and checks the lexicographic optimum and the full optimal-model set
+// computed by brute force against single-shot Solve, a Session query,
+// and a 4-worker portfolio.
 func TestDifferentialCDCLvsBruteForce(t *testing.T) {
 	const programs = 600
 	const maxBruteAtoms = 14
 
 	rng := rand.New(rand.NewSource(20260806))
-	checked := 0
+	// A separate stream, so the base battery stays the same programs.
+	optRng := rand.New(rand.NewSource(20261017))
+	checked, optimized := 0, 0
 	for i := 0; i < programs; i++ {
 		src := randomDiffProgram(rng, i)
 		prog, err := logic.Parse(src)
@@ -46,10 +54,174 @@ func TestDifferentialCDCLvsBruteForce(t *testing.T) {
 				i, src, len(got), got, len(want), want)
 		}
 		checked++
+		if optRng.Intn(3) == 0 {
+			checkOptimizeArm(t, i, src+randomMinimize(optRng, i))
+			optimized++
+		}
 	}
 	if checked < 500 {
 		t.Fatalf("only %d programs checked, want >= 500", checked)
 	}
+	if optimized < 150 {
+		t.Fatalf("only %d programs optimized, want >= 150", optimized)
+	}
+}
+
+// randomMinimize builds one or two #minimize statements over the
+// program's visible atoms: weights in -3..5 (zero and negative
+// included), priorities 0..2, and tuples drawn from a tiny pool so equal
+// (weight, priority, tuple) elements collapse into one counted guard.
+func randomMinimize(rng *rand.Rand, i int) string {
+	conds := []string{"a", "b", "c", "d", "e", "not a", "b, not c"}
+	if i%4 == 3 {
+		conds = []string{"pick(1)", "pick(2)", "q(1)", "not q(2)", "pick(X)", "q(X)"}
+	}
+	tuples := []string{"t", "u", "X"}
+	stmts := 1 + rng.Intn(2)
+	if i%4 == 3 {
+		stmts = 1 // X-tuples ground to one guard per domain element
+	}
+	var sb strings.Builder
+	for s := stmts; s > 0; s-- {
+		var elems []string
+		for e := 1 + rng.Intn(3); e > 0; e-- {
+			cond := conds[rng.Intn(len(conds))]
+			tuple := tuples[rng.Intn(2)]
+			if strings.Contains(cond, "X") {
+				tuple = tuples[rng.Intn(3)]
+			}
+			elems = append(elems, fmt.Sprintf("%d@%d,%s : %s", rng.Intn(9)-3, rng.Intn(3), tuple, cond))
+		}
+		fmt.Fprintf(&sb, "#minimize { %s }.\n", strings.Join(elems, "; "))
+	}
+	return sb.String()
+}
+
+// checkOptimizeArm compares the brute-force lexicographic optimum and
+// optimal-model set of src against every optimizing entry point.
+func checkOptimizeArm(t *testing.T, i int, src string) {
+	t.Helper()
+	const maxBruteAtoms = 18
+	prog, err := logic.Parse(src)
+	if err != nil {
+		t.Fatalf("program %d: generated unparsable source:\n%s\n%v", i, src, err)
+	}
+	gp, err := Ground(prog)
+	if err != nil {
+		t.Fatalf("program %d: ground: %v\n%s", i, err, src)
+	}
+	if gp.NumAtoms() > maxBruteAtoms {
+		t.Fatalf("program %d: %d ground atoms exceeds brute-force budget:\n%s", i, gp.NumAtoms(), src)
+	}
+	want, wantCost := bruteForceOptimal(gp)
+	// Elements whose condition can never hold ground away; a program left
+	// with no minimize statement is solved as a plain enumeration.
+	wantOptimal := len(want) > 0 && len(gp.Minimize) > 0
+
+	check := func(arm string, res *Result) {
+		t.Helper()
+		got := renderModelSet(res.Models)
+		if !equalStringSets(got, want) {
+			t.Fatalf("program %d (%s): optimal model sets disagree\nprogram:\n%s\nCDCL (%d): %v\nbrute force (%d): %v",
+				i, arm, src, len(got), got, len(want), want)
+		}
+		if res.Satisfiable != (len(want) > 0) || res.Optimal != wantOptimal {
+			t.Fatalf("program %d (%s): Satisfiable=%v Optimal=%v, want %v/%v\n%s",
+				i, arm, res.Satisfiable, res.Optimal, len(want) > 0, wantOptimal, src)
+		}
+		for _, m := range res.Models {
+			if fmt.Sprint(m.Cost) != fmt.Sprint(wantCost) {
+				t.Fatalf("program %d (%s): model cost %v, brute-force optimum %v\n%s", i, arm, m.Cost, wantCost, src)
+			}
+		}
+	}
+	res, err := Solve(gp, Options{Optimize: true})
+	if err != nil {
+		t.Fatalf("program %d: solve: %v\n%s", i, err, src)
+	}
+	check("Solve", res)
+	sess, err := NewSession(prog, Options{})
+	if err != nil {
+		t.Fatalf("program %d: NewSession: %v\n%s", i, err, src)
+	}
+	res, err = sess.SolveAssuming(nil, Options{Optimize: true})
+	sess.Close()
+	if err != nil {
+		t.Fatalf("program %d: SolveAssuming: %v\n%s", i, err, src)
+	}
+	check("Session", res)
+	res, err = Solve(gp, Options{Optimize: true, Workers: 4})
+	if err != nil {
+		t.Fatalf("program %d: portfolio solve: %v\n%s", i, err, src)
+	}
+	check("Workers=4", res)
+}
+
+// bruteForceOptimal enumerates the stable truth assignments like
+// bruteForceModels and keeps those whose cost vector (one sum per
+// priority over the true minimize guards, highest priority first) is
+// lexicographically least. It returns the optimal models rendered like
+// renderModelSet and the optimal cost vector.
+func bruteForceOptimal(gp *GroundProgram) ([]string, []PriorityCost) {
+	var prios []int
+	seen := map[int]bool{}
+	for _, m := range gp.Minimize {
+		if !seen[m.Priority] {
+			seen[m.Priority] = true
+			prios = append(prios, m.Priority)
+		}
+	}
+	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
+	n := gp.NumAtoms()
+	truth := make([]bool, n+1)
+	derived := make([]bool, n+1)
+	var best []PriorityCost
+	var out []string
+	for mask := 0; mask < 1<<n; mask++ {
+		for id := 1; id <= n; id++ {
+			truth[id] = mask&(1<<(id-1)) != 0
+		}
+		if !isStableTruth(gp, truth, derived) {
+			continue
+		}
+		cost := make([]PriorityCost, len(prios))
+		for k, p := range prios {
+			cost[k].Priority = p
+			for _, m := range gp.Minimize {
+				if m.Priority == p && truth[m.Guard] {
+					cost[k].Cost += m.Weight
+				}
+			}
+		}
+		cmp := -1 // against no model yet, every model is better
+		if best != nil {
+			cmp = 0
+			for k := 0; k < len(cost) && cmp == 0; k++ {
+				switch {
+				case cost[k].Cost < best[k].Cost:
+					cmp = -1
+				case cost[k].Cost > best[k].Cost:
+					cmp = 1
+				}
+			}
+		}
+		if cmp > 0 {
+			continue
+		}
+		if cmp < 0 {
+			best, out = cost, nil
+		}
+		atoms := make([]string, 0, n)
+		for id := AtomID(1); id <= AtomID(n); id++ {
+			if truth[id] && !gp.IsInternal(id) {
+				atoms = append(atoms, gp.AtomName(id))
+			}
+		}
+		sort.Strings(atoms)
+		out = append(out, strings.Join(atoms, ","))
+	}
+	sort.Strings(out)
+	return out, best
 }
 
 // renderModelSet renders each model as its sorted atom list joined by

@@ -1,14 +1,13 @@
 package solver
 
 import (
-	"context"
 	"fmt"
 	"sort"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"cpsrisk/internal/budget"
+	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/logic"
 	"cpsrisk/internal/obs"
 )
@@ -18,7 +17,8 @@ import (
 // once, incremental deltas are grounded only against the new frontier of
 // the persistent atom pool, and a stream of queries is answered under
 // assumptions while learned clauses, EVSIDS activities, and saved phases
-// carry over from query to query.
+// carry over from query to query. Single-shot Solve is a one-query
+// session, so every search runs through SolveAssuming.
 //
 // A Session is strictly single-goroutine: concurrent use panics. Callers
 // that parallelize (hazard sweeps, CEGAR oracles) keep one session per
@@ -32,23 +32,18 @@ import (
 // learned for the next query. The Session API is unchanged and remains
 // single-goroutine from the caller's perspective.
 type Session struct {
-	gr   *grounder
-	tr   *translation
+	gr   *grounder // nil for Solve's one-query session, which never Adds
 	opts Options
 
 	inUse  atomic.Bool
 	broken error // set when an Add/solve error leaves the state inconsistent
 	closed bool
 
-	// Cached cardinality circuits: predicate -> at-least-k literal
-	// function over the predicate's ground atoms. Dropped whenever an Add
-	// emits non-constraint rules (the predicate's atom set may grow).
-	cardFns map[string]func(int) lit
-
-	// Portfolio state: helper engines kept in lockstep with the primary,
-	// the clause exchange they share, and cumulative race counters.
-	// helpers is empty for single-worker sessions.
-	helpers        []*sessHelper
+	// engines are kept in lockstep: engines[0] is the primary, the rest
+	// are portfolio helpers (none for single-worker sessions). exch is
+	// the clause exchange the helpers share with the primary; race
+	// counters are cumulative.
+	engines        []*sessHelper
 	exch           *exchange
 	helperLaunches int64
 	helperWins     int64
@@ -61,10 +56,12 @@ type Session struct {
 	accum                       Stats
 }
 
-// sessHelper is one portfolio engine of a session: its translation plus
-// its own cardinality-circuit cache (circuits allocate variables, so each
-// engine builds its own, in lockstep with the primary to keep the
-// variable spaces aligned).
+// sessHelper is one engine of a session: its translation plus its own
+// cardinality-circuit cache (predicate -> at-least-k literal function
+// over the predicate's ground atoms). Circuits allocate variables, so
+// each engine builds its own, in lockstep with the primary to keep the
+// variable spaces aligned; the caches are dropped whenever an Add emits
+// non-constraint rules (the predicate's atom set may grow).
 type sessHelper struct {
 	id      int
 	tr      *translation
@@ -138,30 +135,28 @@ func NewSession(prog *logic.Program, opts Options) (*Session, error) {
 	if err := gr.groundMinimize(prog.Minimize); err != nil {
 		return nil, err
 	}
-	tr, err := translate(gr.out)
-	if err != nil {
-		return nil, err
-	}
-	sess := &Session{
-		gr:      gr,
-		tr:      tr,
-		opts:    opts,
-		cardFns: map[string]func(int) lit{},
-	}
-	if n := effectiveWorkers(opts); n > 1 {
+	return newSession(gr, gr.out, opts)
+}
+
+// newSession translates gp into the session's engines: the primary plus,
+// for a portfolio, diversified helpers wired to one clause exchange. gr
+// is the grounder Add extends; Solve passes nil.
+func newSession(gr *grounder, gp *GroundProgram, opts Options) (*Session, error) {
+	n := effectiveWorkers(opts)
+	sess := &Session{gr: gr, opts: opts}
+	if n > 1 {
 		sess.exch = newExchange(exchangeSlots)
-		wireWorker(tr.s, 0, sess.exch, nil)
-		for i := 1; i < n; i++ {
-			htr, err := translate(gr.out)
-			if err != nil {
-				return nil, err
-			}
-			diversify(htr.s, i, true)
-			wireWorker(htr.s, i, sess.exch, nil)
-			sess.helpers = append(sess.helpers, &sessHelper{
-				id: i, tr: htr, cardFns: map[string]func(int) lit{},
-			})
+	}
+	for i := 0; i < n; i++ {
+		tr, err := translate(gp)
+		if err != nil {
+			return nil, err
 		}
+		if sess.exch != nil {
+			diversify(tr.s, i, true)
+			wireWorker(tr.s, i, sess.exch)
+		}
+		sess.engines = append(sess.engines, &sessHelper{id: i, tr: tr, cardFns: map[string]func(int) lit{}})
 	}
 	return sess, nil
 }
@@ -191,9 +186,7 @@ func (s *Session) Close() {
 	defer s.release()
 	s.closed = true
 	s.gr = nil
-	s.tr = nil
-	s.cardFns = nil
-	s.helpers = nil
+	s.engines = nil
 	s.exch = nil
 }
 
@@ -229,7 +222,8 @@ func (s *Session) Add(prog *logic.Program) error {
 	asp := startSpan(s.opts.Budget, "add#%d", s.adds)
 	defer asp.End()
 	s.groundReused += s.gr.numPossible
-	prevKnown := s.tr.knownAtoms
+	primary := s.engines[0].tr
+	prevKnown := primary.knownAtoms
 	retracted, err := s.gr.addRules(prog.Rules)
 	if err != nil {
 		s.fail(err)
@@ -244,7 +238,7 @@ func (s *Session) Add(prog *logic.Program) error {
 		return nil
 	}
 	constraintsOnly, freshHeads := true, true
-	for _, r := range s.tr.gp.Rules[s.tr.translatedRules:] {
+	for _, r := range primary.gp.Rules[primary.translatedRules:] {
 		switch r.Kind {
 		case KindBasic:
 			if r.Head != 0 {
@@ -265,22 +259,16 @@ func (s *Session) Add(prog *logic.Program) error {
 		}
 	}
 	if constraintsOnly {
-		s.tr.addConstraintsInSearch()
-		for _, h := range s.helpers {
-			h.tr.addConstraintsInSearch()
+		for _, e := range s.engines {
+			e.tr.addConstraintsInSearch()
 		}
 		return nil
 	}
 	s.clearCardFns()
 	if freshHeads {
-		s.tr.s.cancelUntil(0)
-		if err := s.tr.extendTranslation(); err != nil {
-			s.fail(err)
-			return err
-		}
-		for _, h := range s.helpers {
-			h.tr.s.cancelUntil(0)
-			if err := h.tr.extendTranslation(); err != nil {
+		for _, e := range s.engines {
+			e.tr.s.cancelUntil(0)
+			if err := e.tr.extendTranslation(); err != nil {
 				s.fail(err)
 				return err
 			}
@@ -296,9 +284,8 @@ func (s *Session) Add(prog *logic.Program) error {
 
 // clearCardFns drops every engine's cached cardinality circuits.
 func (s *Session) clearCardFns() {
-	s.cardFns = map[string]func(int) lit{}
-	for _, h := range s.helpers {
-		h.cardFns = map[string]func(int) lit{}
+	for _, e := range s.engines {
+		e.cardFns = map[string]func(int) lit{}
 	}
 }
 
@@ -310,26 +297,21 @@ func (s *Session) clearCardFns() {
 // rebuilt and the clause exchange is replaced wholesale — clauses learned
 // before the retraction are no longer safe to share either.
 func (s *Session) rebuildTranslation() error {
-	ntr, err := s.rebuildOne(s.tr)
-	if err != nil {
-		return err
+	if s.exch != nil {
+		s.exch = newExchange(exchangeSlots)
 	}
-	s.tr = ntr
-	if len(s.helpers) == 0 {
-		return nil
-	}
-	s.exch = newExchange(exchangeSlots)
-	wireWorker(s.tr.s, 0, s.exch, nil)
-	for _, h := range s.helpers {
-		nh, err := s.rebuildOne(h.tr)
+	for _, e := range s.engines {
+		ntr, err := s.rebuildOne(e.tr)
 		if err != nil {
 			return err
 		}
-		h.tr = nh
-		// The carried phases already encode this engine's personality;
-		// re-apply only the search-schedule knobs.
-		diversify(nh.s, h.id, false)
-		wireWorker(nh.s, h.id, s.exch, nil)
+		e.tr = ntr
+		if s.exch != nil {
+			// The carried phases already encode this engine's personality;
+			// re-apply only the search-schedule knobs.
+			diversify(ntr.s, e.id, false)
+			wireWorker(ntr.s, e.id, s.exch)
+		}
 	}
 	return nil
 }
@@ -380,16 +362,11 @@ func addEngineStats(dst, src *Stats) {
 // countFn returns (building and caching on first use) the at-least-k
 // literal function over the predicate's ground atoms, in atom-id order.
 // Must be called at decision level 0.
-func (s *Session) countFn(pred string) func(int) lit {
-	return countFnFor(s.tr, s.cardFns, pred)
-}
-
-// countFnFor is countFn against an explicit engine and circuit cache, so
-// portfolio helpers build their circuits in lockstep with the primary.
-func countFnFor(tr *translation, cache map[string]func(int) lit, pred string) func(int) lit {
-	if fn, ok := cache[pred]; ok {
+func (e *sessHelper) countFn(pred string) func(int) lit {
+	if fn, ok := e.cardFns[pred]; ok {
 		return fn
 	}
+	tr := e.tr
 	gp := tr.gp
 	var lits []lit
 	for id := AtomID(1); id <= AtomID(gp.NumAtoms()); id++ {
@@ -403,7 +380,7 @@ func countFnFor(tr *translation, cache map[string]func(int) lit, pred string) fu
 		}
 	}
 	fn := tr.seqCounter(lits, len(lits))
-	cache[pred] = fn
+	e.cardFns[pred] = fn
 	return fn
 }
 
@@ -411,23 +388,19 @@ func countFnFor(tr *translation, cache map[string]func(int) lit, pred string) fu
 // false when the assumption names an atom absent from the ground program:
 // such an atom is false in every answer set, so assuming it false is
 // vacuous and assuming it true is immediately unsatisfiable.
-func (s *Session) assumptionLit(a Assumption) (l lit, known bool) {
-	return assumptionLitFor(s.tr, s.cardFns, a)
-}
-
-func assumptionLitFor(tr *translation, cache map[string]func(int) lit, a Assumption) (l lit, known bool) {
+func (e *sessHelper) assumptionLit(a Assumption) (l lit, known bool) {
 	if a.Count != "" {
-		l = countFnFor(tr, cache, a.Count)(a.K)
+		l = e.countFn(a.Count)(a.K)
 		if !a.True {
 			l = -l
 		}
 		return l, true
 	}
-	id, ok := tr.gp.LookupAtom(a.Atom)
+	id, ok := e.tr.gp.LookupAtom(a.Atom)
 	if !ok {
 		return 0, false
 	}
-	l = tr.atomLit(id)
+	l = e.tr.atomLit(id)
 	if !a.True {
 		l = -l
 	}
@@ -450,11 +423,6 @@ func (s *Session) SolveAssuming(assumptions []Assumption, opts Options) (*Result
 	if opts.Budget == nil {
 		opts.Budget = s.opts.Budget
 	}
-	if len(s.helpers) > 0 {
-		return s.solveAssumingPortfolio(assumptions, opts, start)
-	}
-	st := s.tr.s
-	st.applyBudget(opts.Budget)
 	s.queries++
 	qsp := startSpan(opts.Budget, "query#%d", s.queries)
 	defer qsp.End()
@@ -462,70 +430,14 @@ func (s *Session) SolveAssuming(assumptions []Assumption, opts Options) (*Result
 		obs.RegistryFromContext(opts.Budget.Context()).
 			Histogram("solver.query_us").Observe(time.Since(start).Microseconds())
 	}()
-	s.learnedReused += int64(len(st.learnts))
-	res := &Result{}
-	if st.unsatRoot {
-		s.finishStats(res, start)
-		return res, nil
-	}
-	st.cancelUntil(0)
-	lits := make([]lit, 0, len(assumptions)+1)
-	names := map[lit]string{}
-	for _, a := range assumptions {
-		l, known := s.assumptionLit(a)
-		if !known {
-			if a.True {
-				res.Core = []string{a.describe()}
-				s.finishStats(res, start)
-				return res, nil
-			}
-			continue
-		}
-		lits = append(lits, l)
-		if _, ok := names[l]; !ok {
-			names[l] = a.describe()
-		}
-	}
-	qg := lit(st.newVar())
-	st.assumps = append([]lit{-qg}, lits...)
-	st.assumpFailed = false
-	st.finalCore = nil
-
-	var err error
-	if opts.Optimize && len(s.tr.gp.Minimize) > 0 {
-		qg, err = s.solveOptimizeSession(opts, res, qg)
-	} else {
-		err = s.enumerate(opts, res, -1, qg)
-	}
-
-	// Wind the query down: clear the assumption state, drop any leftover
-	// objective bound, and retire this query's guarded clauses by fixing
-	// the guard true (restoring the enumeration space for later queries).
-	core, failed := st.finalCore, st.assumpFailed
-	st.assumps = nil
-	st.assumpFailed = false
-	st.finalCore = nil
-	st.pruning = false
-	st.bound = 1 << 62
-	st.costGuard = 0
-	st.addClause([]lit{qg})
+	res, err := s.query(assumptions, opts)
 	if err != nil {
 		s.fail(err)
 		return nil, err
 	}
-	if len(res.Models) == 0 && failed {
-		for _, l := range core {
-			if l.variable() == qg.variable() {
-				continue
-			}
-			if n, ok := names[l]; ok {
-				res.Core = append(res.Core, n)
-			}
-		}
-		sort.Strings(res.Core)
-	}
 	res.Satisfiable = len(res.Models) > 0
-	s.finishStats(res, start)
+	res.Stats = s.stats()
+	res.Stats.Duration = time.Since(start)
 	return res, nil
 }
 
@@ -536,68 +448,54 @@ type queryPrep struct {
 	qg, qg2 lit
 }
 
-// solveAssumingPortfolio is SolveAssuming for portfolio sessions: every
-// engine is prepared for the query in lockstep (cancel to level 0, build
-// assumption circuits, allocate guards), then the primary plus as many
-// helpers as the worker-pool governor grants race under a shared cancel.
-// The first engine to answer wins; the rest are cancelled but keep their
-// learned clauses, activities, and phases for the next query.
-func (s *Session) solveAssumingPortfolio(assumptions []Assumption, opts Options, start time.Time) (*Result, error) {
-	s.queries++
-	qsp := startSpan(opts.Budget, "query#%d", s.queries)
-	defer qsp.End()
-	defer func() {
-		obs.RegistryFromContext(opts.Budget.Context()).
-			Histogram("solver.query_us").Observe(time.Since(start).Microseconds())
-	}()
-
-	workers := make([]*sessHelper, 0, 1+len(s.helpers))
-	workers = append(workers, &sessHelper{id: 0, tr: s.tr, cardFns: s.cardFns})
-	workers = append(workers, s.helpers...)
-	for _, w := range workers {
-		s.learnedReused += int64(len(w.tr.s.learnts))
+// query is the solver's one search driver. Every engine is prepared in
+// lockstep (cancel to level 0, build assumption circuits, allocate
+// guards), so literals carry the same meaning in every engine — the basis
+// for clause sharing and for reading any engine's unsat core. The primary
+// then runs alone under the caller's budget or, when the worker-pool
+// governor grants helpers, races them (see race). Afterwards every engine
+// is wound down, granted or not: the guards must be retired everywhere to
+// keep the engines aligned and the enumeration space whole for later
+// queries.
+func (s *Session) query(assumptions []Assumption, opts Options) (*Result, error) {
+	for _, e := range s.engines {
+		s.learnedReused += int64(len(e.tr.s.learnts))
 	}
-
+	primary := s.engines[0]
 	res := &Result{}
-	if s.tr.s.unsatRoot {
-		s.finishStats(res, start)
-		return res, nil
-	}
-	optimize := opts.Optimize && len(s.tr.gp.Minimize) > 0
+	optimize := opts.Optimize && len(primary.tr.gp.Minimize) > 0
 
-	// Per-engine query prep, in lockstep: assumption circuits and guard
-	// variables allocate in the same order everywhere, so the literals
-	// carry the same meaning in every engine (the basis for clause
-	// sharing and for reading any worker's unsat core).
-	for _, w := range workers {
-		w.tr.s.cancelUntil(0)
+	for _, e := range s.engines {
+		e.tr.s.cancelUntil(0)
 	}
 	names := map[lit]string{}
-	rawLits := make([][]lit, len(workers))
+	lits := make([][]lit, len(s.engines))
 	for _, a := range assumptions {
-		l0, known := assumptionLitFor(workers[0].tr, workers[0].cardFns, a)
+		l, known := primary.assumptionLit(a)
 		if !known {
 			// Unknown atoms allocate nothing anywhere, so the lockstep
-			// short-circuit keeps the var spaces aligned.
+			// short-circuit keeps the var spaces aligned. A program that
+			// is unsatisfiable outright reports no core.
 			if a.True {
-				res.Core = []string{a.describe()}
-				s.finishStats(res, start)
+				if !primary.tr.s.unsatRoot {
+					res.Core = []string{a.describe()}
+				}
 				return res, nil
 			}
 			continue
 		}
-		rawLits[0] = append(rawLits[0], l0)
-		if _, ok := names[l0]; !ok {
-			names[l0] = a.describe()
+		lits[0] = append(lits[0], l)
+		if _, ok := names[l]; !ok {
+			names[l] = a.describe()
 		}
-		for i := 1; i < len(workers); i++ {
-			li, _ := assumptionLitFor(workers[i].tr, workers[i].cardFns, a)
-			rawLits[i] = append(rawLits[i], li)
+		for i, e := range s.engines[1:] {
+			li, _ := e.assumptionLit(a)
+			lits[i+1] = append(lits[i+1], li)
 		}
 	}
-	preps := make([]queryPrep, len(workers))
-	for i, w := range workers {
-		st := w.tr.s
+	preps := make([]queryPrep, len(s.engines))
+	for i, e := range s.engines {
+		st := e.tr.s
 		p := &preps[i]
 		p.qg = lit(st.newVar())
 		if optimize {
@@ -605,80 +503,35 @@ func (s *Session) solveAssumingPortfolio(assumptions []Assumption, opts Options,
 			// branched on while unused (a free variable would perturb the
 			// search and the model count).
 			p.qg2 = lit(st.newVar())
-			st.assumps = append([]lit{-p.qg, -p.qg2}, rawLits[i]...)
+			st.assumps = append([]lit{-p.qg, -p.qg2}, lits[i]...)
 		} else {
-			st.assumps = append([]lit{-p.qg}, rawLits[i]...)
+			st.assumps = append([]lit{-p.qg}, lits[i]...)
 		}
 		st.assumpFailed = false
 		st.finalCore = nil
 	}
-	var shared *raceShared
-	if optimize {
-		shared = newRaceShared()
-	}
-	for _, w := range workers {
-		w.tr.shared = shared
-		if shared != nil {
-			w.tr.s.sharedBound = &shared.bound
-		} else {
-			w.tr.s.sharedBound = nil
-		}
-	}
 
-	// Race: the primary runs on the calling goroutine (progress is
-	// guaranteed even with zero governor grants); granted helpers race it.
 	gov := opts.Budget.Governor()
-	granted := gov.AcquireUpTo(len(s.helpers))
+	granted := gov.AcquireUpTo(len(s.engines) - 1)
 	s.helperLaunches += int64(granted)
-	active := 1 + granted
-	raceCtx, cancelRace := context.WithCancel(opts.Budget.Context())
-	defer cancelRace()
-	limits := opts.Budget.Limits()
-
-	outs := make([]sessOutcome, active)
-	var winner atomic.Int32
-	winner.Store(-1)
-	finish := func(i int) {
-		out := &outs[i]
-		if out.err == nil && out.res != nil {
-			out.lost = raceLost(out.res, opts.Budget, raceCtx)
-			if !out.lost && winner.CompareAndSwap(-1, int32(i)) {
-				cancelRace()
-			}
-		}
+	outs := make([]sessOutcome, 1+granted)
+	w := 0
+	if granted == 0 {
+		outs[0] = runQueryWorker(primary, preps[0], opts, opts.Budget, optimize)
+	} else {
+		w = s.race(outs, preps, opts, optimize)
 	}
-	var wg sync.WaitGroup
-	for i := 1; i < active; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			outs[i] = s.runQueryWorker(workers[i], preps[i], opts, budget.New(raceCtx, limits), optimize)
-			finish(i)
-		}(i)
-	}
-	outs[0] = s.runQueryWorker(workers[0], preps[0], opts, budget.New(raceCtx, limits), optimize)
-	finish(0)
-	wg.Wait()
 	gov.Release(granted)
-
 	for _, out := range outs {
 		if out.err != nil {
-			s.fail(out.err)
 			return nil, out.err
 		}
 	}
-	w := int(winner.Load())
-	if w < 0 {
-		w = 0
-	}
-	winSt := workers[w].tr.s
+	winSt := s.engines[w].tr.s
 	core, failed := winSt.finalCore, winSt.assumpFailed
 
-	// Wind every engine down — including helpers that were prepped but not
-	// granted a slot: the guards must be retired everywhere to keep the
-	// engines aligned and the enumeration space whole for later queries.
-	for i, wk := range workers {
-		st := wk.tr.s
+	for i, e := range s.engines {
+		st := e.tr.s
 		st.assumps = nil
 		st.assumpFailed = false
 		st.finalCore = nil
@@ -686,7 +539,7 @@ func (s *Session) solveAssumingPortfolio(assumptions []Assumption, opts Options,
 		st.bound = 1 << 62
 		st.costGuard = 0
 		st.sharedBound = nil
-		wk.tr.shared = nil
+		e.tr.shared = nil
 		st.addClause([]lit{preps[i].qg})
 		if optimize {
 			st.addClause([]lit{preps[i].qg2})
@@ -700,8 +553,7 @@ func (s *Session) solveAssumingPortfolio(assumptions []Assumption, opts Options,
 	s.lastWinner = w
 	if len(res.Models) == 0 && failed {
 		for _, l := range core {
-			v := l.variable()
-			if v == preps[w].qg.variable() || (optimize && v == preps[w].qg2.variable()) {
+			if v := l.variable(); v == preps[w].qg.variable() || v == preps[w].qg2.variable() {
 				continue
 			}
 			if n, ok := names[l]; ok {
@@ -710,32 +562,29 @@ func (s *Session) solveAssumingPortfolio(assumptions []Assumption, opts Options,
 		}
 		sort.Strings(res.Core)
 	}
-	res.Satisfiable = len(res.Models) > 0
-	s.finishStats(res, start)
 	return res, nil
 }
 
-// sessOutcome is one engine's result in a session query race.
+// sessOutcome is one engine's result for a query.
 type sessOutcome struct {
-	res  *Result
-	err  error
-	lost bool
+	res *Result
+	err error
 }
 
-// runQueryWorker runs one engine's query under the race budget,
-// converting panics into errors; a panicked engine's clause database is
-// suspect, so the caller poisons the whole session.
-func (s *Session) runQueryWorker(w *sessHelper, p queryPrep, opts Options, bud *budget.Budget, optimize bool) (out sessOutcome) {
+// runQueryWorker runs one engine's query under bud, converting panics
+// into errors; a panicked engine's clause database is suspect, so the
+// caller poisons the whole session.
+func runQueryWorker(e *sessHelper, p queryPrep, opts Options, bud *budget.Budget, optimize bool) (out sessOutcome) {
 	defer func() {
 		if r := recover(); r != nil {
-			out.err = fmt.Errorf("solver: portfolio worker %d panicked: %v", w.id, r)
+			out.err = fmt.Errorf("solver: engine %d panicked: %v", e.id, r)
 		}
 	}()
-	if err := bud.Injector().Fire("solver.worker"); err != nil {
+	if err := bud.Injector().Fire(faultinject.SiteSolverWorker); err != nil {
 		out.err = err
 		return out
 	}
-	st := w.tr.s
+	st := e.tr.s
 	st.applyBudget(bud)
 	res := &Result{}
 	if st.unsatRoot {
@@ -745,23 +594,25 @@ func (s *Session) runQueryWorker(w *sessHelper, p queryPrep, opts Options, bud *
 	}
 	var err error
 	if optimize {
-		err = s.optimizeQueryWorker(w, p, opts, res)
+		err = optimizeQueryWorker(e.tr, p, opts, res)
 	} else {
-		err = enumerateOn(w.tr, opts, res, -1, p.qg)
+		err = enumerateOn(e.tr, opts, res, -1, p.qg)
 	}
 	out.res, out.err = res, err
 	return out
 }
 
-// optimizeQueryWorker is solveOptimizeSession for one racing engine:
-// branch-and-bound under the first guard, with incumbents published to
-// (and bounds adopted from) the race-wide shared state, then exact-cost
-// re-enumeration under the pre-allocated second guard. Pass-1 exhaustion
-// proves no model beats the final bound — even when that bound was
-// adopted from a peer — so the best incumbent race-wide at or below it is
-// the optimum.
-func (s *Session) optimizeQueryWorker(w *sessHelper, p queryPrep, opts Options, res *Result) error {
-	tr := w.tr
+// optimizeQueryWorker runs one engine's optimizing query: branch-and-
+// bound under the first guard, then exact-cost re-enumeration under the
+// pre-allocated second guard. Both passes are query-local: pass 1's bound
+// clauses carry the first guard and are retired before pass 2 (they would
+// otherwise prune the optimum itself). In a race, incumbents are
+// published to (and bounds adopted from) the race-wide shared state;
+// pass-1 exhaustion proves no model beats the final bound — even when
+// that bound was adopted from a peer — so the best incumbent race-wide at
+// or below it is the optimum. On budget exhaustion the best model found
+// so far is returned with Interrupted set (anytime optimization).
+func optimizeQueryWorker(tr *translation, p queryPrep, opts Options, res *Result) error {
 	st := tr.s
 	st.pruning = true
 	st.bound = 1 << 62
@@ -839,17 +690,13 @@ func (s *Session) optimizeQueryWorker(w *sessHelper, p queryPrep, opts Options, 
 	return nil
 }
 
-// enumerate is the session counterpart of solveEnumerate: blocking
-// clauses (and, when exactCost >= 0, objective-bound clauses) carry the
-// query guard so they can be retired afterwards.
-func (s *Session) enumerate(opts Options, res *Result, exactCost int64, qg lit) error {
-	return enumerateOn(s.tr, opts, res, exactCost, qg)
-}
-
-// enumerateOn runs the guarded enumeration on one engine. Guarded
-// blocking clauses are engine-local: the guard variable is aligned across
-// portfolio workers, but the clause itself is a per-engine axiom, not a
-// program consequence, so it must never be exported.
+// enumerateOn enumerates stable models on one engine. If exactCost >= 0
+// only models whose combined objective equals exactCost are kept (with
+// pruning above it). Blocking clauses (and, when exactCost >= 0,
+// objective-bound clauses) carry the query guard qg so they can be
+// retired afterwards. They are engine-local: the guard variable is
+// aligned across portfolio workers, but the clause itself is a per-engine
+// axiom, not a program consequence, so it must never be exported.
 func enumerateOn(tr *translation, opts Options, res *Result, exactCost int64, qg lit) error {
 	st := tr.s
 	if exactCost >= 0 {
@@ -891,112 +738,28 @@ func enumerateOn(tr *translation, opts Options, res *Result, exactCost int64, qg
 	return searchErr
 }
 
-// solveOptimizeSession runs in-session branch-and-bound, then
-// re-enumerates at exactly the optimal cost. Both passes are query-local:
-// pass 1's bound clauses are guarded by qg and retired before pass 2 runs
-// under a fresh guard (they would otherwise prune the optimum itself).
-// Returns the guard active at the end, for final retirement.
-func (s *Session) solveOptimizeSession(opts Options, res *Result, qg lit) (lit, error) {
-	tr := s.tr
-	st := tr.s
-	st.pruning = true
-	st.bound = 1 << 62
-	st.costGuard = qg
-	var best int64
-	var incumbent Model
-	found := false
-	var searchErr error
-	onTotal := func() bool {
-		if err := st.validateTotal(); err != nil {
-			searchErr = err
-			return true
-		}
-		if u := tr.unfoundedSet(); len(u) > 0 {
-			tr.loopAdds++
-			tr.addSearchClause(tr.loopClause(u))
-			return false
-		}
-		found = true
-		best = st.curCost
-		incumbent = tr.extractModel()
-		st.bound = best // require strictly better from now on
-		return false
-	}
-	err := st.search(onTotal)
-	if ex, ok := budget.Exhausted(err); ok {
-		res.Interrupted = true
-		res.InterruptReason = ex.Reason
-		if found {
-			res.Models = []Model{incumbent}
-		}
-		return qg, nil
-	}
-	if err != nil {
-		return qg, err
-	}
-	if searchErr != nil {
-		return qg, searchErr
-	}
-	if !found {
-		// Unsatisfiable under the assumptions; finalCore (if any) is
-		// harvested by the caller.
-		return qg, nil
-	}
-	// Optimum proven. Retire pass 1's bound clauses and re-enumerate all
-	// models at exactly the optimal cost under a fresh guard.
-	st.pruning = false
-	st.costGuard = 0
-	st.bound = 1 << 62
-	st.addClause([]lit{qg})
-	qg2 := lit(st.newVar())
-	st.assumps[0] = -qg2
-	st.assumpFailed = false
-	st.finalCore = nil
-	if err := s.enumerate(opts, res, best, qg2); err != nil {
-		return qg2, err
-	}
-	if res.Interrupted && len(res.Models) == 0 {
-		// Enumeration could not rediscover the optimum in the leftover
-		// budget: fall back to the incumbent.
-		res.Models = []Model{incumbent}
-	}
-	res.Optimal = !res.Interrupted
-	return qg2, nil
-}
-
-func (s *Session) finishStats(res *Result, start time.Time) {
-	s.tr.fillStats(&res.Stats)
-	addEngineStats(&res.Stats, &s.accum)
-	for _, h := range s.helpers {
-		var tmp Stats
-		h.tr.fillStats(&tmp)
-		addEngineStats(&res.Stats, &tmp)
-	}
-	res.Stats.Duration = time.Since(start)
-	res.Stats.Sessions = 1
-	res.Stats.Queries = s.queries
-	res.Stats.Adds = s.adds
-	res.Stats.GroundAtomsReused = s.groundReused
-	res.Stats.LearnedReused = s.learnedReused
-	res.Stats.PortfolioWorkers = s.helperLaunches
-	res.Stats.PortfolioWins = s.helperWins
-	res.Stats.PortfolioWinner = s.lastWinner
-}
-
 // Stats returns a cumulative snapshot of the session's effort counters.
 func (s *Session) Stats() Stats {
 	s.acquire()
 	defer s.release()
+	return s.stats()
+}
+
+// stats is Stats for callers already holding the session: program sizes
+// from the primary, effort summed over every engine and the banked
+// counters of rebuilt ones.
+func (s *Session) stats() Stats {
 	var st Stats
-	if s.tr != nil {
-		s.tr.fillStats(&st)
-	}
-	addEngineStats(&st, &s.accum)
-	for _, h := range s.helpers {
+	for i, e := range s.engines {
+		if i == 0 {
+			e.tr.fillStats(&st)
+			continue
+		}
 		var tmp Stats
-		h.tr.fillStats(&tmp)
+		e.tr.fillStats(&tmp)
 		addEngineStats(&st, &tmp)
 	}
+	addEngineStats(&st, &s.accum)
 	st.Sessions = 1
 	st.Queries = s.queries
 	st.Adds = s.adds

@@ -2,13 +2,10 @@ package solver
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"cpsrisk/internal/budget"
-	"cpsrisk/internal/obs"
 )
 
 // Portfolio search: N diversified CDCL engines race on the same ground
@@ -280,25 +277,17 @@ func diversify(s *sat, id int, resetPhases bool) {
 	}
 }
 
-// wireWorker connects one engine to the race: the clause exchange and
-// (for optimizing solves) the shared bound. The read cursor starts at
-// the current head so pre-wiring publications are not replayed.
-func wireWorker(s *sat, id int, e *exchange, bound *atomicInt64) {
+// wireWorker connects one engine to the session's clause exchange. The
+// read cursor starts at the current head so pre-wiring publications are
+// not replayed.
+func wireWorker(s *sat, id int, e *exchange) {
 	s.exch = e
 	s.exchID = id
 	s.exchCursor = e.head.Load()
 	s.importTick = 0
-	s.sharedBound = bound
 }
 
-// ---- single-shot portfolio solve -------------------------------------
-
-// raceOutcome is one worker's result in a portfolio race.
-type raceOutcome struct {
-	res  *Result
-	err  error
-	lost bool // interrupted by the race being decided, not by the budget
-}
+// ---- the race ----------------------------------------------------------
 
 // raceLost reports whether a worker's interruption came from the race
 // cancel rather than the caller's own budget: the race context is dead
@@ -307,114 +296,46 @@ func raceLost(res *Result, parent *budget.Budget, raceCtx context.Context) bool 
 	return res.Interrupted && raceCtx.Err() != nil && parent.Context().Err() == nil
 }
 
-// runRaceWorker runs one engine to completion under the race context,
-// converting panics into errors (the engine is corrupt afterwards; the
-// caller poisons what owns it).
-func runRaceWorker(tr *translation, id int, opts Options, raceBud *budget.Budget) (out raceOutcome) {
-	defer func() {
-		if r := recover(); r != nil {
-			out.err = fmt.Errorf("solver: portfolio worker %d panicked: %v", id, r)
+// race runs one prepared query on the first len(outs) engines under a
+// shared cancel and returns the winner: the first engine to answer, or
+// the primary when the caller's own budget stopped everyone. The primary
+// runs on the calling goroutine, the granted helpers on their own; the
+// losers are cancelled but keep their learned clauses, activities, and
+// phases for the next query.
+func (s *Session) race(outs []sessOutcome, preps []queryPrep, opts Options, optimize bool) int {
+	racers := s.engines[:len(outs)]
+	if optimize {
+		shared := newRaceShared()
+		for _, e := range racers {
+			e.tr.shared = shared
+			e.tr.s.sharedBound = &shared.bound
 		}
-	}()
-	if err := raceBud.Injector().Fire("solver.worker"); err != nil {
-		out.err = err
-		return out
 	}
-	tr.s.applyBudget(raceBud)
-	res := &Result{}
-	var err error
-	if opts.Optimize && len(tr.gp.Minimize) > 0 {
-		err = tr.solveOptimize(opts, res)
-	} else {
-		err = tr.solveEnumerate(opts, res, -1)
-	}
-	res.Satisfiable = len(res.Models) > 0
-	out.res, out.err = res, err
-	return out
-}
-
-// solvePortfolio is Solve with Workers > 1: build one diversified engine
-// per worker, race them under a shared cancel, first finisher wins. The
-// worker-pool governor (when present on the budget) throttles how many
-// helpers actually launch; zero grants degrade to the single-threaded
-// path.
-func solvePortfolio(gp *GroundProgram, opts Options) (*Result, error) {
-	start := time.Now()
-	want := effectiveWorkers(opts)
-	gov := opts.Budget.Governor()
-	granted := gov.AcquireUpTo(want - 1)
-	defer gov.Release(granted)
-	n := 1 + granted
-
-	exch := newExchange(exchangeSlots)
-	shared := newRaceShared()
-	trs := make([]*translation, n)
-	for i := 0; i < n; i++ {
-		tr, err := translate(gp)
-		if err != nil {
-			return nil, err
-		}
-		tr.shared = shared
-		wireWorker(tr.s, i, exch, &shared.bound)
-		diversify(tr.s, i, true)
-		trs[i] = tr
-	}
-
 	raceCtx, cancelRace := context.WithCancel(opts.Budget.Context())
 	defer cancelRace()
 	limits := opts.Budget.Limits()
-
-	outs := make([]raceOutcome, n)
 	var winner atomic.Int32
 	winner.Store(-1)
+	run := func(i int) {
+		out := runQueryWorker(racers[i], preps[i], opts, budget.New(raceCtx, limits), optimize)
+		outs[i] = out
+		if out.err == nil && !raceLost(out.res, opts.Budget, raceCtx) &&
+			winner.CompareAndSwap(-1, int32(i)) {
+			cancelRace()
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 1; i < len(racers); i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			raceBud := budget.New(raceCtx, limits)
-			out := runRaceWorker(trs[i], i, opts, raceBud)
-			if out.err == nil && out.res != nil {
-				out.lost = raceLost(out.res, opts.Budget, raceCtx)
-			}
-			outs[i] = out
-			if out.err == nil && !out.lost {
-				if winner.CompareAndSwap(-1, int32(i)) {
-					cancelRace()
-				}
-			}
+			run(i)
 		}(i)
 	}
+	run(0)
 	wg.Wait()
-
-	for _, out := range outs {
-		if out.err != nil {
-			return nil, out.err
-		}
+	if w := winner.Load(); w >= 0 {
+		return int(w)
 	}
-	w := int(winner.Load())
-	if w < 0 {
-		// Everyone was cancelled from outside the race (caller's budget
-		// died before any worker finished): the primary's partial result
-		// is the canonical answer.
-		w = 0
-	}
-	res := outs[w].res
-	trs[w].fillStats(&res.Stats)
-	for i, tr := range trs {
-		if i == w {
-			continue
-		}
-		var tmp Stats
-		tr.fillStats(&tmp)
-		addEngineStats(&res.Stats, &tmp)
-	}
-	res.Stats.PortfolioWorkers = int64(n - 1)
-	res.Stats.PortfolioWinner = w
-	if w != 0 {
-		res.Stats.PortfolioWins = 1
-	}
-	res.Stats.Duration = time.Since(start)
-	PublishStats(obs.RegistryFromContext(opts.Budget.Context()), &res.Stats)
-	return res, nil
+	return 0
 }

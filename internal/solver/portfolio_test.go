@@ -248,35 +248,38 @@ func TestPortfolioCancellationPrompt(t *testing.T) {
 	}
 }
 
-// TestSessionPortfolioPanicPoisons injects a panic into the first racing
-// worker and requires the session to surface it as an error and refuse
+// TestSessionPortfolioPanicPoisons injects a panic into the first engine
+// run and requires the session to surface it as an error and refuse
 // further use: a panicked engine's clause database cannot be trusted, so
-// the whole portfolio session is poisoned, diagnosably.
+// the whole session is poisoned, diagnosably. The single-engine session
+// runs through the same fault site as a racing portfolio.
 func TestSessionPortfolioPanicPoisons(t *testing.T) {
-	inj, err := faultinject.New(1, "solver.worker=panic@1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx := faultinject.ContextWith(context.Background(), inj)
-	bud := budget.New(ctx, budget.Limits{})
-	prog, err := logic.Parse("{ a; b }.\n:- a, b.\n")
-	if err != nil {
-		t.Fatal(err)
-	}
-	sess, err := NewSession(prog, Options{Workers: 3, Budget: bud})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sess.Close()
-	if _, err := sess.SolveAssuming(nil, Options{}); err == nil {
-		t.Fatal("expected the injected worker panic to surface as an error")
-	} else if !strings.Contains(err.Error(), "panicked") {
-		t.Fatalf("error does not identify the panic: %v", err)
-	}
-	if _, err := sess.SolveAssuming(nil, Options{}); err == nil {
-		t.Fatal("session must be poisoned after a worker panic")
-	} else if !strings.Contains(err.Error(), "unusable") {
-		t.Fatalf("poisoned session error not diagnosable: %v", err)
+	for _, workers := range []int{3, 1} {
+		inj, err := faultinject.New(1, faultinject.SiteSolverWorker+"=panic@1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx := faultinject.ContextWith(context.Background(), inj)
+		bud := budget.New(ctx, budget.Limits{})
+		prog, err := logic.Parse("{ a; b }.\n:- a, b.\n")
+		if err != nil {
+			t.Fatal(err)
+		}
+		sess, err := NewSession(prog, Options{Workers: workers, Budget: bud})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sess.SolveAssuming(nil, Options{}); err == nil {
+			t.Fatalf("workers=%d: expected the injected worker panic to surface as an error", workers)
+		} else if !strings.Contains(err.Error(), "panicked") {
+			t.Fatalf("workers=%d: error does not identify the panic: %v", workers, err)
+		}
+		if _, err := sess.SolveAssuming(nil, Options{}); err == nil {
+			t.Fatalf("workers=%d: session must be poisoned after a worker panic", workers)
+		} else if !strings.Contains(err.Error(), "unusable") {
+			t.Fatalf("workers=%d: poisoned session error not diagnosable: %v", workers, err)
+		}
+		sess.Close()
 	}
 }
 

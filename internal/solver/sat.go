@@ -850,9 +850,13 @@ func (s *sat) costConflict() bool {
 			}
 		}
 	}
-	if s.costGuard != 0 {
+	if s.costGuard != 0 && s.value(s.costGuard) != 0 {
 		// Session query: the bound clause is only valid while this query's
 		// guard is assumed false; the guard literal makes it retirable.
+		// At level 0, before the assumptions are re-asserted, a bound
+		// adopted from a racing peer can already be violated; the guard
+		// is then unassigned and its recorded level stale, so level-0
+		// cost alone decides the conflict.
 		c.lits = append(c.lits, s.costGuard)
 		if lv := s.level[s.costGuard.variable()]; lv > ml {
 			ml = lv

@@ -96,9 +96,8 @@ type Stats struct {
 	Propagations int64
 	LoopClauses  int64
 	StableChecks int64
-	// Restarts counts level-0 restarts: Luby scheduled restarts, unit
-	// clauses learned mid-search, plus the optimization re-enumeration
-	// pass.
+	// Restarts counts level-0 restarts: Luby scheduled restarts and unit
+	// clauses learned mid-search.
 	Restarts int64
 	// LearnedClauses counts clauses learned from first-UIP conflict
 	// analysis (units excluded).
@@ -112,10 +111,10 @@ type Stats struct {
 	// search).
 	Duration time.Duration
 
-	// Multi-shot counters, zero for single-shot solves. Sessions counts
-	// persistent solver sessions opened; Queries counts SolveAssuming
-	// calls answered across them; Adds counts incremental program deltas
-	// grounded into live sessions.
+	// Multi-shot counters. They count what ran: Sessions counts solver
+	// sessions opened; Queries counts SolveAssuming calls answered across
+	// them (a single-shot Solve is one session answering one query); Adds
+	// counts incremental program deltas grounded into live sessions.
 	Sessions int64
 	Queries  int64
 	Adds     int64
@@ -182,31 +181,21 @@ func SolveSource(src string, opts Options) (*Result, error) {
 	return SolveProgram(prog, opts)
 }
 
-// Solve computes stable models of a ground program. With a budget in
+// Solve computes stable models of a ground program: a one-query session
+// that answers with no assumptions and is then closed. With a budget in
 // opts, an exhausted cap does not error: the models found so far are
 // returned with Result.Interrupted set and the final Stats filled in.
 func Solve(gp *GroundProgram, opts Options) (*Result, error) {
-	if effectiveWorkers(opts) > 1 {
-		return solvePortfolio(gp, opts)
-	}
 	start := time.Now()
-	tr, err := translate(gp)
+	sess, err := newSession(nil, gp, opts)
 	if err != nil {
 		return nil, err
 	}
-	tr.s.applyBudget(opts.Budget)
-	res := &Result{}
-	if opts.Optimize && len(gp.Minimize) > 0 {
-		if err := tr.solveOptimize(opts, res); err != nil {
-			return nil, err
-		}
-	} else {
-		if err := tr.solveEnumerate(opts, res, -1); err != nil {
-			return nil, err
-		}
+	defer sess.Close()
+	res, err := sess.SolveAssuming(nil, opts)
+	if err != nil {
+		return nil, err
 	}
-	res.Satisfiable = len(res.Models) > 0
-	tr.fillStats(&res.Stats)
 	res.Stats.Duration = time.Since(start)
 	PublishStats(obs.RegistryFromContext(opts.Budget.Context()), &res.Stats)
 	return res, nil
@@ -993,149 +982,4 @@ func (tr *translation) blockingClause() []lit {
 		}
 	}
 	return clause
-}
-
-// solveEnumerate enumerates stable models. If exactCost >= 0 only models
-// whose combined objective equals exactCost are kept (with pruning above
-// it).
-func (tr *translation) solveEnumerate(opts Options, res *Result, exactCost int64) error {
-	if exactCost >= 0 {
-		tr.s.pruning = true
-		tr.s.bound = exactCost + 1
-	}
-	var searchErr error
-	onTotal := func() bool {
-		if err := tr.s.validateTotal(); err != nil {
-			searchErr = err
-			return true
-		}
-		if u := tr.unfoundedSet(); len(u) > 0 {
-			tr.loopAdds++
-			tr.addSearchClause(tr.loopClause(u))
-			return false
-		}
-		if exactCost >= 0 && tr.s.curCost != exactCost {
-			tr.addLocalSearchClause(tr.blockingClause())
-			return false
-		}
-		res.Models = append(res.Models, tr.extractModel())
-		if opts.MaxModels > 0 && len(res.Models) >= opts.MaxModels {
-			return true
-		}
-		tr.addLocalSearchClause(tr.blockingClause())
-		return false
-	}
-	err := tr.s.search(onTotal)
-	if ex, ok := budget.Exhausted(err); ok {
-		res.Interrupted = true
-		res.InterruptReason = ex.Reason
-		err = nil
-	}
-	if err != nil {
-		return err
-	}
-	return searchErr
-}
-
-// solveOptimize runs branch-and-bound to the optimum, then re-enumerates
-// the optimal models. On budget exhaustion the best model found so far
-// is returned with Interrupted set (anytime optimization): it is the
-// incumbent of the interrupted branch-and-bound, not a proven optimum.
-func (tr *translation) solveOptimize(opts Options, res *Result) error {
-	tr.s.pruning = true
-	tr.s.bound = 1 << 62
-	var best int64 = -1
-	var incumbent Model
-	found := false
-	var searchErr error
-	onTotal := func() bool {
-		if err := tr.s.validateTotal(); err != nil {
-			searchErr = err
-			return true
-		}
-		if u := tr.unfoundedSet(); len(u) > 0 {
-			tr.loopAdds++
-			tr.addSearchClause(tr.loopClause(u))
-			return false
-		}
-		found = true
-		best = tr.s.curCost
-		incumbent = tr.extractModel()
-		tr.s.bound = best // require strictly better from now on
-		if tr.shared != nil {
-			tr.shared.publish(best, incumbent)
-		}
-		return false
-	}
-	err := tr.s.search(onTotal)
-	if ex, ok := budget.Exhausted(err); ok {
-		res.Interrupted = true
-		res.InterruptReason = ex.Reason
-		if m, c, ok := tr.harvestShared(); ok && (!found || c < best) {
-			found, best, incumbent = true, c, m
-		}
-		if found {
-			res.Models = []Model{incumbent}
-		}
-		return nil
-	}
-	if err != nil {
-		return err
-	}
-	if searchErr != nil {
-		return searchErr
-	}
-	// Exhaustion under pruning proves no model costs less than the final
-	// bound; the race-wide incumbent at that bound may live in another
-	// worker (its published cost tightened our pruning past our own best).
-	if m, c, ok := tr.harvestShared(); ok && (!found || c < best) {
-		found, best, incumbent = true, c, m
-	}
-	if !found {
-		return nil
-	}
-	// Re-enumerate models at exactly the optimal cost on a fresh engine
-	// (the first pass consumed the search space). The second pass runs
-	// under whatever decision/conflict budget the first pass left over.
-	tr2, err := translate(tr.gp)
-	if err != nil {
-		return err
-	}
-	tr2.s.pruning = true
-	tr2.s.ctx = tr.s.ctx
-	tr2.s.ctxPolls = ctxPollInterval
-	tr2.s.maxDecisions = remainingCap(tr.s.maxDecisions, tr.s.decisions)
-	tr2.s.maxConflicts = remainingCap(tr.s.maxConflicts, tr.s.conflicts)
-	if err := tr2.solveEnumerate(opts, res, best); err != nil {
-		return err
-	}
-	if res.Interrupted && len(res.Models) == 0 {
-		// Enumeration could not rediscover the optimum in the leftover
-		// budget: fall back to the incumbent from the first pass.
-		res.Models = []Model{incumbent}
-	}
-	res.Optimal = !res.Interrupted
-	// Merge stats from both passes; the re-enumeration is one restart.
-	tr.loopAdds += tr2.loopAdds
-	tr.stableCks += tr2.stableCks
-	tr.s.decisions += tr2.s.decisions
-	tr.s.conflicts += tr2.s.conflicts
-	tr.s.propagations += tr2.s.propagations
-	tr.s.restarts += tr2.s.restarts + 1
-	tr.s.learned += tr2.s.learned
-	tr.s.backjumps += tr2.s.backjumps
-	tr.s.dbReductions += tr2.s.dbReductions
-	return nil
-}
-
-// remainingCap returns the unspent part of a cap (minimum 1 so a capped
-// second pass still terminates immediately rather than running free).
-func remainingCap(limit, spent int64) int64 {
-	if limit <= 0 {
-		return 0
-	}
-	if left := limit - spent; left > 1 {
-		return left
-	}
-	return 1
 }

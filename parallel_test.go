@@ -53,7 +53,7 @@ func TestParallelSweep_DeterministicOnTableII(t *testing.T) {
 		t.Fatal("empty sequential sweep; fixture broken")
 	}
 	for _, par := range []int{1, 4, runtime.NumCPU()} {
-		got, err := hazard.AnalyzeParallel(eng, muts, -1, reqs, par)
+		got, err := hazard.AnalyzeSweep(eng, muts, -1, reqs, hazard.SweepConfig{Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
@@ -90,7 +90,7 @@ func TestParallelSweep_DeterministicUnderTightBudget(t *testing.T) {
 	}
 	want := canonicalAnalysis(t, seq)
 	for _, par := range []int{1, 4, runtime.NumCPU()} {
-		got, err := hazard.AnalyzeParallelBudget(eng, muts, -1, reqs, mk(), par)
+		got, err := hazard.AnalyzeSweep(eng, muts, -1, reqs, hazard.SweepConfig{Budget: mk(), Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}

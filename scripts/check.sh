@@ -6,8 +6,6 @@ set -eu
 
 cd "$(dirname "$0")/.."
 
-fuzztime="${FUZZTIME:-5s}"
-
 echo "== go vet =="
 go vet ./...
 
@@ -42,9 +40,11 @@ go test -race -cpu=1,4 -count=1 -run 'TestDelta|TestArtifact' ./internal/core
 
 # Differential check: CDCL answer sets vs a brute-force stable-model
 # enumerator over a seeded random program battery, always re-run fresh.
-# The battery covers both the single-shot entry point and the incremental
-# Session arm (assumption queries and incremental Add against fresh
-# ground-truth re-solves).
+# The battery covers the single-shot entry point, an optimize arm
+# (brute-force lexicographic optimum and optimal-model set vs Solve, a
+# Session query and a 4-worker portfolio), and the incremental Session
+# arm (assumption queries and incremental Add against fresh ground-truth
+# re-solves).
 echo "== go test -run TestDifferential (solver) =="
 go test -run TestDifferential -count=1 ./internal/solver
 
@@ -83,12 +83,6 @@ fi
 echo "== chaos (scripts/chaos.sh) =="
 ./scripts/chaos.sh
 
-echo "== fuzz (${fuzztime} each) =="
-go test -run='^$' -fuzz=FuzzParse -fuzztime="$fuzztime" ./internal/logic
-go test -run='^$' -fuzz=FuzzParseFormula -fuzztime="$fuzztime" ./internal/temporal
-go test -run='^$' -fuzz=FuzzReadJSON -fuzztime="$fuzztime" ./internal/sysmodel
-go test -run='^$' -fuzz=FuzzCacheRecord -fuzztime="$fuzztime" ./internal/store
-go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime="$fuzztime" ./internal/hazard
-go test -run='^$' -fuzz=FuzzRankUnrank -fuzztime="$fuzztime" ./internal/faults
+./scripts/fuzz.sh
 
 echo "OK"
