@@ -15,7 +15,8 @@ vet:
 	go vet ./...
 
 # bench runs the perf-tracked suite (S1-S7, the pruned-sweep arms,
-# Fig. 1, obs overhead) and files the numbers into BENCH_PR10.json, with
+# Fig. 1, obs overhead) and files the numbers into bench.local.json (an
+# untracked scratch ledger; BENCH_OUT picks another file), with
 # the S5 portfolio race additionally pinned to -cpu=1 and -cpu=4. Set
 # BENCH_LABEL/BENCHTIME to override defaults.
 bench:

@@ -2,7 +2,7 @@
 // into a JSON benchmark ledger, merging the run under a label so that
 // before/after snapshots of the same suite can live in one file:
 //
-//	go test -bench=. -benchmem ./... | benchjson -label after -out BENCH_PR3.json
+//	go test -bench=. -benchmem ./... | benchjson -label after -out bench.local.json
 //
 // The output maps label -> benchmark name -> {nsPerOp, bytesPerOp,
 // allocsPerOp}. Existing labels in -out are preserved; re-running with
@@ -36,7 +36,7 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+\d+\s+([\d.]+) n
 
 func main() {
 	label := flag.String("label", "run", "label to file this run under")
-	out := flag.String("out", "BENCH_PR3.json", "ledger file to merge into")
+	out := flag.String("out", "bench.local.json", "ledger file to merge into")
 	flag.Parse()
 	if err := run(os.Stdin, os.Stdout, *label, *out); err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)

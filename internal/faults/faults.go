@@ -334,11 +334,29 @@ func nextCombo(n int, idx []int) bool {
 // space and still sees globally consistent ranks, which is what keeps
 // scenario IDs and checkpoint frontiers shard-mergeable. yield may stop
 // the stream early by returning false.
+func EnumerateRange(muts []Mutation, maxCard int, lo, hi int64, yield func(sc epa.Scenario) bool) {
+	EnumerateRangeIndex(len(muts), maxCard, lo, hi, func(idx []int) bool {
+		return yield(ScenarioOf(muts, idx))
+	})
+}
+
+// ScenarioOf builds the scenario that activates the candidates at the
+// given indices, in index order.
+func ScenarioOf(muts []Mutation, idx []int) epa.Scenario {
+	sc := make(epa.Scenario, len(idx))
+	for i, j := range idx {
+		sc[i] = muts[j].Activation
+	}
+	return sc
+}
+
+// EnumerateRangeIndex is EnumerateRange over n candidates, yielding each
+// scenario as its strictly increasing candidate-index combination. idx
+// is reused between calls: yield must copy what it keeps.
 //
 // Seeking costs one combinatorial unrank per cardinality level touched;
-// iteration within the range is successor-based and allocation-light.
-func EnumerateRange(muts []Mutation, maxCard int, lo, hi int64, yield func(sc epa.Scenario) bool) {
-	n := len(muts)
+// iteration within the range is successor-based and allocation-free.
+func EnumerateRangeIndex(n, maxCard int, lo, hi int64, yield func(idx []int) bool) {
 	if maxCard < 0 || maxCard > n {
 		maxCard = n
 	}
@@ -349,6 +367,7 @@ func EnumerateRange(muts []Mutation, maxCard int, lo, hi int64, yield func(sc ep
 		lo = 0
 	}
 	var base int64
+	idx := make([]int, 0, maxCard)
 	for card := 0; card <= maxCard; card++ {
 		size, ok := Binomial64(n, card)
 		if !ok {
@@ -371,14 +390,10 @@ func EnumerateRange(muts []Mutation, maxCard int, lo, hi int64, yield func(sc ep
 		if hi-base < localHi {
 			localHi = hi - base
 		}
-		idx := make([]int, card)
+		idx = idx[:card]
 		comboUnrank(n, card, localLo, idx)
 		for r := localLo; r < localHi; r++ {
-			sc := make(epa.Scenario, card)
-			for i, j := range idx {
-				sc[i] = muts[j].Activation
-			}
-			if !yield(sc) {
+			if !yield(idx) {
 				return
 			}
 			if r+1 < localHi && !nextCombo(n, idx) {

@@ -77,3 +77,136 @@ func BenchmarkSweepCached(b *testing.B) {
 		}
 	}
 }
+
+// setupStar is the sweep-star plant of the repository benchmark:
+// setupSymmetric's 10-sensor star (21 candidates) watched by the hub
+// integrity requirement alone, swept at k = starMaxCard — 27,896 rows,
+// of which a dozen execute when pruned.
+func setupStar(t testing.TB) (*epa.Engine, []faults.Mutation, []Requirement) {
+	eng, muts, reqs := setupSymmetric(t, 10)
+	return eng, muts, reqs[:1]
+}
+
+const starMaxCard = 5
+
+var (
+	sinkScenario epa.Scenario
+	sinkBytes    []byte
+	sinkRow      ScenarioResult
+	sinkRows     []ScenarioResult
+	sinkKnown    bool
+)
+
+// BenchmarkSweepRow splits a pruned sweep row on the star plant into its
+// stages, each op one row (cycling through the k=5 space) against the
+// pruning state a finished sweep leaves: enumerate (next combination and
+// its scenario), mask, lookup (dominance, then the orbit memo), orbitKey,
+// record (the read-locked no-op path), row (synthesizeResult), and Ranked, whose op ranks the
+// whole analysis and which reports ns/row besides.
+func BenchmarkSweepRow(b *testing.B) {
+	eng, muts, reqs := setupStar(b)
+	a, err := AnalyzeSweep(eng, muts, starMaxCard, reqs, SweepConfig{Parallelism: 1, Prune: true})
+	if err != nil {
+		b.Fatal(err)
+	}
+	rows := len(a.Scenarios)
+	maskLen := (len(muts) + 7) / 8
+	var idxs [][]int
+	var masks [][]byte
+	faults.EnumerateRangeIndex(len(muts), starMaxCard, 0, -1, func(idx []int) bool {
+		idxs = append(idxs, append([]int(nil), idx...))
+		masks = append(masks, appendMask(nil, idx, maskLen))
+		return true
+	})
+	pr := newPruner(eng, muts, reqs)
+	var ks orbitScratch
+	keys := make([][]byte, rows)
+	for i, sr := range a.Scenarios {
+		if key := pr.orbitKey(masks[i], &ks); key != nil {
+			keys[i] = append([]byte(nil), key...)
+		}
+		pr.record(masks[i], keys[i], sr.Violated)
+	}
+
+	b.Run("enumerate", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; {
+			faults.EnumerateRange(muts, starMaxCard, 0, int64(min(b.N-n, rows)), func(sc epa.Scenario) bool {
+				sinkScenario = sc
+				n++
+				return true
+			})
+		}
+	})
+	b.Run("mask", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			sinkBytes = appendMask(sinkBytes[:0], idxs[n%rows], maskLen)
+		}
+	})
+	b.Run("lookup", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			i := n % rows
+			_, _, sinkKnown = pr.lookup(masks[i], keys[i])
+		}
+	})
+	b.Run("orbitKey", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			sinkBytes = pr.orbitKey(masks[n%rows], &ks)
+		}
+	})
+	b.Run("record", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			i := n % rows
+			pr.record(masks[i], keys[i], a.Scenarios[i].Violated)
+		}
+	})
+	b.Run("row", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			i := n % rows
+			sr := &a.Scenarios[i]
+			sinkRow = synthesizeResult(i, sr.Scenario, masks[i], sr.Violated, muts, reqs)
+		}
+	})
+	b.Run("Ranked", func(b *testing.B) {
+		b.ReportAllocs()
+		for n := 0; n < b.N; n++ {
+			sinkRows = a.Ranked()
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+	})
+}
+
+// maxAllocsPerRow bounds a pruned one-worker star sweep's heap
+// allocations per row: measured 3.12 with go1.24 on linux/amd64 (the
+// row's scenario slice, ID string and Violated slice, plus per-chunk
+// buffers), plus a margin of 0.5 — less than the one allocation per row
+// any per-row regression adds.
+const maxAllocsPerRow = 3.62
+
+// TestPrunedSweepAllocsPerRow is the per-row allocation gate: a
+// regression in the row path (a map or a string built per row) shows as
+// a whole allocation per row.
+func TestPrunedSweepAllocsPerRow(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector allocates")
+	}
+	eng, muts, reqs := setupStar(t)
+	rows := 0
+	allocs := testing.AllocsPerRun(3, func() {
+		a, err := AnalyzeSweep(eng, muts, starMaxCard, reqs, SweepConfig{Parallelism: 1, Prune: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows = len(a.Scenarios)
+	})
+	perRow := allocs / float64(rows)
+	t.Logf("%.0f allocations over %d rows: %.3f per row", allocs, rows, perRow)
+	if perRow > maxAllocsPerRow {
+		t.Fatalf("%.3f allocations per row, bound %.1f", perRow, maxAllocsPerRow)
+	}
+}

@@ -1,9 +1,13 @@
 package hazard
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"time"
 
@@ -148,9 +152,10 @@ func AnalyzeBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []
 		return nil, err
 	}
 	start := time.Now()
-	likelihoods := faults.LikelihoodIndex(muts)
 	limits := bud.Limits()
 	out := &Analysis{Requirements: reqs}
+	maskLen := (len(muts) + 7) / 8
+	var mask []byte
 
 	// Observability: one span around the whole sweep, counters batched
 	// after the loop — the per-scenario hot path is untouched.
@@ -161,7 +166,7 @@ func AnalyzeBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []
 	var trunc *budget.Truncation
 	var runErr error
 	processed := 0
-	faults.EnumerateStream(muts, maxCard, func(sc epa.Scenario) bool {
+	faults.EnumerateRangeIndex(len(muts), maxCard, 0, -1, func(idx []int) bool {
 		if limits.MaxScenarios > 0 && processed >= limits.MaxScenarios {
 			trunc = &budget.Truncation{Stage: "hazard", Reason: budget.ReasonScenarios}
 			trunc.Stamp(obsCtx)
@@ -173,6 +178,7 @@ func AnalyzeBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []
 			trunc.Stamp(obsCtx)
 			return false
 		}
+		sc := faults.ScenarioOf(muts, idx)
 		res, err := eng.RunBudget(sc, bud)
 		if err != nil {
 			if ex, ok := budget.Exhausted(err); ok {
@@ -185,7 +191,8 @@ func AnalyzeBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []
 		}
 		// The stream never skips, so the 1-based scenario ID is the
 		// stream position — the invariant the parallel sweep relies on.
-		out.Scenarios = append(out.Scenarios, scoreResult(processed, sc, res, reqs, likelihoods))
+		mask = appendMask(mask[:0], idx, maskLen)
+		out.Scenarios = append(out.Scenarios, scoreResult(processed, sc, mask, res, muts, reqs))
 		processed++
 		return true
 	})
@@ -238,25 +245,61 @@ func publishSweep(reg *obs.Registry, sw *SweepStats, epaRuns int) {
 // the scenario risk. seq is the 0-based enumeration position; the
 // scenario ID is S<seq+1> (S1 = fault-free), identical for the
 // sequential and parallel sweeps.
-func scoreResult(seq int, sc epa.Scenario, res *epa.Result, reqs []Requirement, likelihoods map[epa.Activation]qual.Level) ScenarioResult {
-	sr := ScenarioResult{
-		ID:       fmt.Sprintf("S%d", seq+1),
-		Scenario: sc,
-	}
-	var severities []qual.Level
-	for _, r := range reqs {
-		if Eval(r.Condition, sc, res) {
-			sr.Violated = append(sr.Violated, r.ID)
-			severities = append(severities, r.Severity)
+func scoreResult(seq int, sc epa.Scenario, mask []byte, res *epa.Result, muts []faults.Mutation, reqs []Requirement) ScenarioResult {
+	return newRow(seq, sc, mask, muts, reqs, 0, func(i int) bool {
+		return Eval(reqs[i].Condition, sc, res)
+	})
+}
+
+// newRow is the one row constructor: the executed, synthesized and ASP
+// rows all come from it, which is what keeps their IDs, Violated order
+// and risk scores byte-identical. mask is the scenario's candidate
+// bitmask over muts (see appendMask); violated reports whether
+// requirement reqs[i] is violated; hint sizes Violated (0 = unknown).
+// Violated stays nil when nothing is violated.
+func newRow(seq int, sc epa.Scenario, mask []byte, muts []faults.Mutation, reqs []Requirement, hint int, violated func(i int) bool) ScenarioResult {
+	sr := ScenarioResult{ID: scenarioID(seq), Scenario: sc}
+	var maxSeverity qual.Level
+	for i := range reqs {
+		if !violated(i) {
+			continue
 		}
+		if sr.Violated == nil {
+			sr.Violated = make([]string, 0, max(hint, 1))
+			maxSeverity = reqs[i].Severity
+		}
+		maxSeverity = max(maxSeverity, reqs[i].Severity)
+		sr.Violated = append(sr.Violated, reqs[i].ID)
 	}
 	sort.Strings(sr.Violated)
-	sr.Risk = risk.ScoreScenario(risk.ScenarioInput{
-		ID:                 sr.ID,
-		FaultLikelihoods:   scenarioLikelihoods(sc, likelihoods),
-		ViolatedSeverities: severities,
-	})
+	minLikelihood, first := qual.VeryLow, true
+	for j, b := range mask {
+		for ; b != 0; b &= b - 1 {
+			l := muts[j*8+bits.TrailingZeros8(b)].Likelihood
+			if first || l < minLikelihood {
+				minLikelihood, first = l, false
+			}
+		}
+	}
+	sr.Risk = risk.Score(sr.ID, len(sc), minLikelihood, len(sr.Violated), maxSeverity)
 	return sr
+}
+
+// appendMask renders a candidate-index combination as a bitmask over the
+// candidate set — the persistent cache key — into dst, which it returns.
+func appendMask(dst []byte, idx []int, maskLen int) []byte {
+	n := len(dst)
+	dst = append(dst, make([]byte, maskLen)...)
+	for _, j := range idx {
+		dst[n+j/8] |= 1 << (j % 8)
+	}
+	return dst
+}
+
+// scenarioID renders the ID of the row at 0-based stream position seq.
+func scenarioID(seq int) string {
+	var b [24]byte
+	return string(strconv.AppendInt(append(b[:0], 'S'), int64(seq)+1, 10))
 }
 
 // truncateToCompletedCardinality implements the graceful-degradation
@@ -340,18 +383,6 @@ func validateReqs(reqs []Requirement) error {
 		}
 	}
 	return nil
-}
-
-func scenarioLikelihoods(sc epa.Scenario, idx map[epa.Activation]qual.Level) []qual.Level {
-	out := make([]qual.Level, 0, len(sc))
-	for _, a := range sc {
-		if l, ok := idx[a]; ok {
-			out = append(out, l)
-		} else {
-			out = append(out, faults.DefaultLikelihood)
-		}
-	}
-	return out
 }
 
 // AnalyzeASP performs the same exhaustive analysis through the embedded
@@ -492,41 +523,33 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 		}
 	}
 
-	likelihoods := faults.LikelihoodIndex(muts)
-	sevByID := map[string]qual.Level{}
-	for _, r := range reqs {
-		sevByID[r.ID] = r.Severity
+	// Rows take the native enumeration order — cardinality, then the
+	// candidate-index tuple — so both paths give a scenario the same S<n>.
+	type aspRow struct {
+		m   *solver.Model
+		sc  epa.Scenario
+		idx []int
 	}
-
-	results := make([]ScenarioResult, 0, len(models))
-	for _, m := range models {
-		sc := scenarioFromModel(&m, muts)
-		sr := ScenarioResult{Scenario: sc}
-		for _, r := range reqs {
-			if m.Contains(logic.A("violated", logic.Sym(r.ID)).Key()) {
-				sr.Violated = append(sr.Violated, r.ID)
-			}
-		}
-		sort.Strings(sr.Violated)
-		results = append(results, sr)
+	rows := make([]aspRow, len(models))
+	for i := range models {
+		sc, idx := scenarioFromModel(&models[i], muts)
+		rows[i] = aspRow{m: &models[i], sc: sc, idx: idx}
 	}
-	// Deterministic order: by cardinality, then by scenario key.
-	sort.Slice(results, func(i, j int) bool {
-		if len(results[i].Scenario) != len(results[j].Scenario) {
-			return len(results[i].Scenario) < len(results[j].Scenario)
+	slices.SortFunc(rows, func(a, b aspRow) int {
+		if c := cmp.Compare(len(a.idx), len(b.idx)); c != 0 {
+			return c
 		}
-		return results[i].Scenario.Key() < results[j].Scenario.Key()
+		return slices.Compare(a.idx, b.idx)
 	})
-	for i := range results {
-		results[i].ID = fmt.Sprintf("S%d", i+1)
-		var severities []qual.Level
-		for _, v := range results[i].Violated {
-			severities = append(severities, sevByID[v])
-		}
-		results[i].Risk = risk.ScoreScenario(risk.ScenarioInput{
-			ID:                 results[i].ID,
-			FaultLikelihoods:   scenarioLikelihoods(results[i].Scenario, likelihoods),
-			ViolatedSeverities: severities,
+	violatedAtoms := make([]string, len(reqs))
+	for i, r := range reqs {
+		violatedAtoms[i] = logic.A("violated", logic.Sym(r.ID)).Key()
+	}
+	maskLen := (len(muts) + 7) / 8
+	results := make([]ScenarioResult, len(rows))
+	for i, row := range rows {
+		results[i] = newRow(i, row.sc, appendMask(nil, row.idx, maskLen), muts, reqs, 0, func(j int) bool {
+			return row.m.Contains(violatedAtoms[j])
 		})
 	}
 	out := &Analysis{Requirements: reqs, Scenarios: results, Truncation: trunc}
@@ -541,14 +564,18 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 	return out, nil
 }
 
-func scenarioFromModel(m *solver.Model, muts []faults.Mutation) epa.Scenario {
+// scenarioFromModel reads the active candidates of an answer set, in
+// candidate-set order, with their candidate indices.
+func scenarioFromModel(m *solver.Model, muts []faults.Mutation) (epa.Scenario, []int) {
 	var sc epa.Scenario
-	for _, mu := range muts {
+	var idx []int
+	for i, mu := range muts {
 		if m.Contains(epa.ActiveAtom(mu.Component, mu.Fault).Key()) {
 			sc = append(sc, mu.Activation)
+			idx = append(idx, i)
 		}
 	}
-	return sc
+	return sc, idx
 }
 
 // Hazards returns the hazardous scenarios (at least one violation).
@@ -574,18 +601,23 @@ func (a *Analysis) ByScenario(sc epa.Scenario) (ScenarioResult, bool) {
 }
 
 // Ranked returns the scenarios ordered by risk (paper §IV: prioritize by
-// severity and potential impact).
+// severity and potential impact), in risk.Rank's order.
 func (a *Analysis) Ranked() []ScenarioResult {
-	risks := make([]risk.ScenarioRisk, len(a.Scenarios))
-	byID := make(map[string]ScenarioResult, len(a.Scenarios))
-	for i, s := range a.Scenarios {
-		risks[i] = s.Risk
-		byID[s.ID] = s
+	order := make([]int, len(a.Scenarios))
+	for i := range order {
+		order[i] = i
 	}
-	ranked := risk.Rank(risks)
-	out := make([]ScenarioResult, len(ranked))
-	for i, r := range ranked {
-		out[i] = byID[r.ID]
+	// The index tiebreak makes the unstable sort reproduce risk.Rank's
+	// stable one.
+	slices.SortFunc(order, func(i, j int) int {
+		if c := risk.Compare(a.Scenarios[i].Risk, a.Scenarios[j].Risk); c != 0 {
+			return c
+		}
+		return cmp.Compare(i, j)
+	})
+	out := make([]ScenarioResult, len(order))
+	for k, i := range order {
+		out[k] = a.Scenarios[i]
 	}
 	return out
 }

@@ -1,12 +1,15 @@
 package hazard
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/qual"
+	"cpsrisk/internal/risk"
 	"cpsrisk/internal/sysmodel"
 )
 
@@ -114,30 +117,38 @@ func TestAnalyzeCardinalityBound(t *testing.T) {
 }
 
 // The central cross-check: the ASP path and the native path produce the
-// same scenario -> violation mapping over the whole space.
+// same rows — same S<n> IDs, scenarios and violations — over the whole
+// space, for every order of the candidate set (IDs follow it).
 func TestASPAgreesWithNative(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	native, err := Analyze(eng, muts, -1, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	asp, err := AnalyzeASP(eng, muts, -1, reqs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(native.Scenarios) != len(asp.Scenarios) {
-		t.Fatalf("scenario counts differ: native %d vs asp %d",
-			len(native.Scenarios), len(asp.Scenarios))
-	}
-	for _, ns := range native.Scenarios {
-		as, ok := asp.ByScenario(ns.Scenario)
-		if !ok {
-			t.Fatalf("ASP missing scenario %s", ns.Scenario)
-		}
-		if strings.Join(ns.Violated, ",") != strings.Join(as.Violated, ",") {
-			t.Errorf("scenario %s: native %v vs asp %v",
-				ns.Scenario, ns.Violated, as.Violated)
-		}
+	for _, perm := range [][]int{{0, 1, 2}, {0, 2, 1}, {1, 0, 2}, {1, 2, 0}, {2, 0, 1}, {2, 1, 0}} {
+		t.Run(fmt.Sprint(perm), func(t *testing.T) {
+			pm := make([]faults.Mutation, len(perm))
+			for i, j := range perm {
+				pm[i] = muts[j]
+			}
+			native, err := Analyze(eng, pm, -1, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			asp, err := AnalyzeASP(eng, pm, -1, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(native.Scenarios) != len(asp.Scenarios) {
+				t.Fatalf("scenario counts differ: native %d vs asp %d",
+					len(native.Scenarios), len(asp.Scenarios))
+			}
+			for i, ns := range native.Scenarios {
+				as := asp.Scenarios[i]
+				if ns.ID != as.ID || ns.Scenario.Key() != as.Scenario.Key() {
+					t.Errorf("row %d: native %s %s vs asp %s %s", i, ns.ID, ns.Scenario, as.ID, as.Scenario)
+				}
+				if strings.Join(ns.Violated, ",") != strings.Join(as.Violated, ",") || ns.Risk != as.Risk {
+					t.Errorf("%s: native %v %+v vs asp %v %+v", ns.ID, ns.Violated, ns.Risk, as.Violated, as.Risk)
+				}
+			}
+		})
 	}
 }
 
@@ -159,6 +170,61 @@ func TestRanked(t *testing.T) {
 	// The top scenario must be hazardous.
 	if !ranked[0].IsHazardous() {
 		t.Errorf("top ranked = %+v", ranked[0])
+	}
+}
+
+// TestRankedTies pins Ranked on rows that tie at every level of the
+// order: risk, severity, likelihood, fault count, and finally the ID as a
+// plain string, so S10 ranks before S2.
+func TestRankedTies(t *testing.T) {
+	rows := []risk.ScenarioRisk{
+		{ID: "S1", Risk: qual.Low, Severity: qual.Low, Likelihood: qual.Low, Faults: 1},
+		{ID: "S2", Risk: qual.High, Severity: qual.High, Likelihood: qual.Low, Faults: 2},
+		{ID: "S3", Risk: qual.High, Severity: qual.Medium, Likelihood: qual.High, Faults: 1},
+		{ID: "S4", Risk: qual.High, Severity: qual.High, Likelihood: qual.Medium, Faults: 3},
+		{ID: "S5", Risk: qual.High, Severity: qual.High, Likelihood: qual.Low, Faults: 1},
+		{ID: "S10", Risk: qual.High, Severity: qual.High, Likelihood: qual.Low, Faults: 2},
+		{ID: "S11", Risk: qual.VeryHigh, Severity: qual.Low, Likelihood: qual.Low, Faults: 4},
+	}
+	a := &Analysis{}
+	for _, r := range rows {
+		a.Scenarios = append(a.Scenarios, ScenarioResult{ID: r.ID, Risk: r})
+	}
+	var got []string
+	for _, s := range a.Ranked() {
+		got = append(got, s.ID)
+	}
+	want := "S11 S4 S5 S10 S2 S3 S1"
+	if strings.Join(got, " ") != want {
+		t.Fatalf("Ranked = %v, want %s", got, want)
+	}
+}
+
+// TestRankedMatchesRiskRank: Ranked orders rows exactly as risk.Rank
+// orders their risks, on random sets dense in ties.
+func TestRankedMatchesRiskRank(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for trial := 0; trial < 50; trial++ {
+		n := rng.Intn(300)
+		a := &Analysis{}
+		risks := make([]risk.ScenarioRisk, n)
+		for i, id := range rng.Perm(n) {
+			risks[i] = risk.ScenarioRisk{
+				ID:         fmt.Sprintf("S%d", id+1),
+				Risk:       qual.Level(rng.Intn(3)),
+				Severity:   qual.Level(rng.Intn(3)),
+				Likelihood: qual.Level(rng.Intn(3)),
+				Faults:     rng.Intn(3),
+				Violations: rng.Intn(3),
+			}
+			a.Scenarios = append(a.Scenarios, ScenarioResult{ID: risks[i].ID, Risk: risks[i]})
+		}
+		ranked := a.Ranked()
+		for i, r := range risk.Rank(risks) {
+			if ranked[i].Risk != r {
+				t.Fatalf("trial %d position %d: Ranked %+v, risk.Rank %+v", trial, i, ranked[i].Risk, r)
+			}
+		}
 	}
 }
 

@@ -86,10 +86,12 @@ type SweepConfig struct {
 }
 
 // sweepChunk is a contiguous run of scenarios starting at stream
-// position baseSeq.
+// position baseSeq, with their candidate bitmasks laid end to end
+// (maskLen bytes each, see appendMask).
 type sweepChunk struct {
 	baseSeq int
 	scs     []epa.Scenario
+	masks   []byte
 }
 
 // sweepOutcome is one worker's verdict on a chunk: the results of the
@@ -101,7 +103,8 @@ type sweepOutcome struct {
 	baseSeq int
 	n       int
 	srs     []ScenarioResult
-	badSeq  int // first failed seq in the chunk, or -1
+	masks   []byte // the chunk's masks, for the cap accountant
+	badSeq  int    // first failed seq in the chunk, or -1
 	trunc   *budget.Truncation
 	err     error
 }
@@ -168,7 +171,6 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	defer gov.Release(grantedWorkers)
 	parallelism = 1 + grantedWorkers
 	start := time.Now()
-	likelihoods := faults.LikelihoodIndex(muts)
 	limits := bud.Limits()
 	inj := bud.Injector()
 	cfg.Checkpoint.SetInjector(inj)
@@ -181,10 +183,6 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 
 	// Cache keys are bitmasks over the candidate-set index; the candidate
 	// set is part of the cache namespace, so the index is stable.
-	mutIdx := make(map[epa.Activation]int, len(muts))
-	for i, m := range muts {
-		mutIdx[m.Activation] = i
-	}
 	maskLen := (len(muts) + 7) / 8
 
 	// Pruning state: dominance index, symmetry orbits, synthesized-result
@@ -220,8 +218,6 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			limit:      limits.MaxScenarios,
 			resumeFrom: resumeFrom,
 			reuse:      cfg.Reuse,
-			mutIdx:     mutIdx,
-			maskLen:    maskLen,
 			cut:        math.MaxInt,
 			stop:       &prodStop,
 		}
@@ -260,7 +256,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				chunk = sweepChunk{}
 			}
 		}
-		faults.EnumerateRange(muts, maxCard, int64(shardLo), int64(shardHi), func(sc epa.Scenario) bool {
+		faults.EnumerateRangeIndex(len(muts), maxCard, int64(shardLo), int64(shardHi), func(idx []int) bool {
 			if acct == nil {
 				charged := seq - resumeFrom
 				if limits.MaxScenarios > 0 && charged >= limits.MaxScenarios {
@@ -282,8 +278,10 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			if len(chunk.scs) == 0 {
 				chunk.baseSeq = seq
 				chunk.scs = make([]epa.Scenario, 0, sweepChunkSize)
+				chunk.masks = make([]byte, 0, sweepChunkSize*maskLen)
 			}
-			chunk.scs = append(chunk.scs, sc)
+			chunk.scs = append(chunk.scs, faults.ScenarioOf(muts, idx))
+			chunk.masks = appendMask(chunk.masks, idx, maskLen)
 			if len(chunk.scs) == sweepChunkSize {
 				flush()
 			}
@@ -303,8 +301,9 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	// killing the process.
 	var cacheHits, cacheMisses, retries atomic.Int64
 	var executed, prunedCnt, orbitHits, reused atomic.Int64
-	runChunk := func(jb sweepChunk, wCtx context.Context) (o sweepOutcome) {
-		o = sweepOutcome{baseSeq: jb.baseSeq, n: len(jb.scs), badSeq: -1}
+	runChunk := func(jb sweepChunk, wCtx context.Context, keys *orbitScratch) (o sweepOutcome) {
+		o = sweepOutcome{baseSeq: jb.baseSeq, n: len(jb.scs), badSeq: -1,
+			srs: make([]ScenarioResult, 0, len(jb.scs)), masks: jb.masks}
 		defer func() {
 			if r := recover(); r != nil {
 				o.badSeq = jb.baseSeq + len(o.srs)
@@ -330,9 +329,10 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				return o
 			}
 			var res *epa.Result
-			var mask []byte
-			if cfg.Cache != nil || pr != nil {
-				mask = scenarioMask(sc, mutIdx, maskLen)
+			var key []byte
+			mask := jb.masks[i*maskLen : (i+1)*maskLen]
+			if pr != nil {
+				key = pr.orbitKey(mask, keys)
 			}
 			// Delta re-assessment: a row the oracle can answer is carried
 			// over from the cached parent analysis without touching the
@@ -342,13 +342,13 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			if cfg.Reuse != nil {
 				if violated, known := cfg.Reuse(sc); known {
 					reused.Add(1)
-					if pr != nil && mask != nil {
-						pr.record(sc, mask, violated)
+					if pr != nil {
+						pr.record(mask, key, violated)
 						if cfg.Cache != nil {
 							cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 						}
 					}
-					o.srs = append(o.srs, synthesizeResult(seq, sc, violated, reqs, likelihoods))
+					o.srs = append(o.srs, synthesizeResult(seq, sc, mask, violated, muts, reqs))
 					continue
 				}
 			}
@@ -357,31 +357,37 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			// synthesized-result record persisted by an earlier run.
 			// Synthesized rows flow through the frontier and the merge
 			// exactly like executed ones.
-			if pr != nil && mask != nil {
-				var violated []string
-				var known bool
-				if violated, known = pr.tryDominate(mask); known {
+			if pr != nil {
+				violated, v, learns := pr.lookup(mask, key)
+				known := v != unknown
+				switch v {
+				case dominated:
 					prunedCnt.Add(1)
-				} else if violated, known = pr.tryOrbit(sc); known {
+				case orbitHit:
 					orbitHits.Add(1)
-				} else if cfg.Cache != nil {
-					if b, ok := cfg.Cache.Get(synthKey(mask)); ok {
-						if violated, known = pr.decodeSynth(b); known {
-							cacheHits.Add(1)
-							prunedCnt.Add(1)
+				default:
+					if cfg.Cache != nil {
+						if b, ok := cfg.Cache.Get(synthKey(mask)); ok {
+							if violated, known = pr.decodeSynth(b); known {
+								cacheHits.Add(1)
+								prunedCnt.Add(1)
+								learns = true
+							}
 						}
 					}
 				}
 				if known {
-					pr.record(sc, mask, violated)
+					if learns {
+						pr.record(mask, key, violated)
+					}
 					if cfg.Cache != nil {
 						cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 					}
-					o.srs = append(o.srs, synthesizeResult(seq, sc, violated, reqs, likelihoods))
+					o.srs = append(o.srs, synthesizeResult(seq, sc, mask, violated, muts, reqs))
 					continue
 				}
 			}
-			if cfg.Cache != nil && mask != nil {
+			if cfg.Cache != nil {
 				if v, ok := cfg.Cache.Get(mask); ok {
 					if r, err := eng.ResultFromStates(v); err == nil {
 						res = r
@@ -392,7 +398,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				}
 			}
 			if res == nil {
-				if cfg.Cache != nil && mask != nil {
+				if cfg.Cache != nil {
 					cacheMisses.Add(1)
 				}
 				attempts := 0
@@ -415,14 +421,14 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 					}
 					return o
 				}
-				if cfg.Cache != nil && mask != nil {
+				if cfg.Cache != nil {
 					cfg.Cache.Put(mask, res.StateVector())
 				}
 			}
 			executed.Add(1)
-			sr := scoreResult(seq, sc, res, reqs, likelihoods)
-			if pr != nil && mask != nil {
-				pr.record(sc, mask, sr.Violated)
+			sr := scoreResult(seq, sc, mask, res, muts, reqs)
+			if pr != nil {
+				pr.record(mask, key, sr.Violated)
 			}
 			o.srs = append(o.srs, sr)
 		}
@@ -441,13 +447,14 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				wCtx = obs.ContextWithSpan(obsCtx, wSpan)
 			}
 			defer wSpan.End()
+			var keys orbitScratch
 			for jb := range jobs {
 				var cSpan *obs.Span
 				if wSpan != nil {
 					cSpan = wSpan.StartChild(fmt.Sprintf("chunk[%d+%d]", jb.baseSeq, len(jb.scs)))
 				}
 				chunkStart := time.Now()
-				o := runChunk(jb, wCtx)
+				o := runChunk(jb, wCtx, &keys)
 				cChunks.Inc()
 				hChunk.Observe(time.Since(chunkStart).Microseconds())
 				cSpan.End()
@@ -509,7 +516,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			// exists during a parallel sweep.
 			if acct != nil {
 				for i, sr := range o.srs {
-					acct.row(o.baseSeq+i, sr)
+					acct.row(o.baseSeq+i, sr, o.masks[i*maskLen:(i+1)*maskLen])
 				}
 			}
 			frontier += len(o.srs)
@@ -564,7 +571,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		// resumable.
 		return nil, badErr
 	}
-	out := &Analysis{Requirements: reqs}
+	out := &Analysis{Requirements: reqs, Scenarios: make([]ScenarioResult, 0, max(cut-shardLo, 0))}
 	if resumeFrom > shardLo {
 		out.Resume = &ResumeInfo{FromRank: resumeFrom}
 	}
@@ -651,31 +658,27 @@ type capAccountant struct {
 	resumeFrom int
 	reuse      func(sc epa.Scenario) ([]string, bool)
 	shadow     *pruner // nil when pruning is off (reuse-only accounting)
-	mutIdx     map[epa.Activation]int
-	maskLen    int
+	keys       orbitScratch
 	charged    int
 	cut        int // math.MaxInt until the cap is reached
 	stop       *atomic.Bool
 }
 
-func (a *capAccountant) row(seq int, sr ScenarioResult) {
+func (a *capAccountant) row(seq int, sr ScenarioResult, mask []byte) {
 	if a.cut != math.MaxInt {
 		return
 	}
-	var mask []byte
+	var key []byte
 	if a.shadow != nil {
-		mask = scenarioMask(sr.Scenario, a.mutIdx, a.maskLen)
+		key = a.shadow.orbitKey(mask, &a.keys)
 	}
 	exempt := seq < a.resumeFrom
 	if !exempt && a.reuse != nil {
 		_, exempt = a.reuse(sr.Scenario)
 	}
-	if !exempt && a.shadow != nil && mask != nil {
-		if _, ok := a.shadow.tryDominate(mask); ok {
-			exempt = true
-		} else if _, ok := a.shadow.tryOrbit(sr.Scenario); ok {
-			exempt = true
-		}
+	if !exempt && a.shadow != nil {
+		_, v, _ := a.shadow.lookup(mask, key)
+		exempt = v != unknown
 	}
 	if !exempt {
 		if a.charged >= a.limit {
@@ -685,22 +688,7 @@ func (a *capAccountant) row(seq int, sr ScenarioResult) {
 		}
 		a.charged++
 	}
-	if a.shadow != nil && mask != nil {
-		a.shadow.record(sr.Scenario, mask, sr.Violated)
+	if a.shadow != nil {
+		a.shadow.record(mask, key, sr.Violated)
 	}
-}
-
-// scenarioMask renders a scenario as a bitmask over the candidate-set
-// index — the persistent cache key. Returns nil (uncacheable) if any
-// activation is outside the candidate set.
-func scenarioMask(sc epa.Scenario, idx map[epa.Activation]int, maskLen int) []byte {
-	mask := make([]byte, maskLen)
-	for _, a := range sc {
-		i, ok := idx[a]
-		if !ok {
-			return nil
-		}
-		mask[i/8] |= 1 << (i % 8)
-	}
-	return mask
 }

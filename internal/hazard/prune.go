@@ -36,14 +36,14 @@ package hazard
 import (
 	"encoding/binary"
 	"math/bits"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faults"
-	"cpsrisk/internal/qual"
-	"cpsrisk/internal/risk"
 	"cpsrisk/internal/store"
 )
 
@@ -65,7 +65,9 @@ type pruner struct {
 	dominance bool
 
 	classes []int // sizes only, for stats
-	classOf map[string]int
+	// cands maps each candidate index to its place in the symmetry
+	// classes; orbitKey reads nothing else.
+	cands []orbitCand
 
 	mu        sync.RWMutex
 	violating [][]string // per requirement: minimal violating masks
@@ -81,7 +83,7 @@ func newPruner(eng *epa.Engine, muts []faults.Mutation, reqs []Requirement) *pru
 		reqIdx:    make(map[string]int, len(reqs)),
 		reqsHash:  hashReqs(reqs),
 		dominance: eng.Monotone(),
-		classOf:   map[string]int{},
+		cands:     make([]orbitCand, len(muts)),
 		violating: make([][]string, len(reqs)),
 		orbits:    map[string][]string{},
 	}
@@ -104,16 +106,18 @@ func newPruner(eng *epa.Engine, muts []faults.Mutation, reqs []Requirement) *pru
 	}
 	profile := map[string][]string{}
 	for _, m := range muts {
-		profile[m.Component] = append(profile[m.Component],
-			m.Fault+"\x00"+itoa(int(m.Likelihood)))
+		profile[m.Component] = append(profile[m.Component], profileEntry(m))
 	}
+	for _, pr := range profile {
+		sort.Strings(pr)
+	}
+	type slot struct{ class, member int32 }
+	classOf := map[string]slot{}
 	for _, cl := range eng.InterchangeableClasses(protected) {
 		byProfile := map[string][]string{}
 		var order []string
 		for _, comp := range cl {
-			pr := append([]string(nil), profile[comp]...)
-			sort.Strings(pr)
-			key := strings.Join(pr, "\x01")
+			key := strings.Join(profile[comp], "\x01")
 			if _, seen := byProfile[key]; !seen {
 				order = append(order, key)
 			}
@@ -124,14 +128,31 @@ func newPruner(eng *epa.Engine, muts []faults.Mutation, reqs []Requirement) *pru
 			if len(members) < 2 {
 				continue
 			}
-			id := len(p.classes)
+			id := int32(len(p.classes))
 			p.classes = append(p.classes, len(members))
-			for _, comp := range members {
-				p.classOf[comp] = id
+			for j, comp := range members {
+				classOf[comp] = slot{class: id, member: int32(j)}
 			}
 		}
 	}
+	// Members of a class share one sorted profile, so a fault's position
+	// in its member's profile names the same fault in every member.
+	for i, m := range muts {
+		s, ok := classOf[m.Component]
+		if !ok {
+			p.cands[i] = orbitCand{class: -1}
+			continue
+		}
+		fault := sort.SearchStrings(profile[m.Component], profileEntry(m))
+		p.cands[i] = orbitCand{class: s.class, member: s.member, fault: int32(fault)}
+	}
 	return p
+}
+
+// profileEntry is one mutation's entry in its component's mutation
+// profile: fault and likelihood.
+func profileEntry(m faults.Mutation) string {
+	return m.Fault + "\x00" + strconv.Itoa(int(m.Likelihood))
 }
 
 // conditionMonotone reports whether the condition is monotone in the
@@ -187,43 +208,62 @@ func collectConditionComponents(c Condition, out map[string]bool) {
 // numClasses reports how many refined symmetry classes the sweep uses.
 func (p *pruner) numClasses() int { return len(p.classes) }
 
-// tryDominate reports whether the scenario mask has a recorded
-// violating subset for every requirement; if so it returns the full
-// (sorted) requirement ID list — by monotonicity the scenario violates
-// everything.
-func (p *pruner) tryDominate(mask []byte) ([]string, bool) {
-	if !p.dominance || len(p.reqs) == 0 {
-		return nil, false
-	}
+// verdict says how the pruning state answered a row.
+type verdict int
+
+const (
+	unknown   verdict = iota
+	dominated         // a recorded violating subset for every requirement
+	orbitHit          // an orbit sibling was already evaluated
+)
+
+// lookup answers a row from the pruning state, under one read lock. The
+// row is dominated when its mask has a recorded violating subset for
+// every requirement — by monotonicity it then violates all of them, and
+// violated is the full (sorted) requirement ID list. Otherwise it may hit
+// the memoized violated set of its orbit (key from orbitKey). learns
+// reports whether record would still change the state for the answered
+// row; when it is false the caller skips record and its second lock.
+func (p *pruner) lookup(mask, key []byte) (violated []string, v verdict, learns bool) {
 	p.mu.RLock()
 	defer p.mu.RUnlock()
-	for i := range p.reqs {
-		if !hasViolatingSubset(p.violating[i], mask) {
-			return nil, false
+	if p.dominance && len(p.reqs) > 0 && p.dominates(mask) {
+		return p.allViolated, dominated, p.learns(mask, key, p.allViolated)
+	}
+	if key != nil {
+		if v, hit := p.orbits[string(key)]; hit {
+			return v, orbitHit, p.learns(mask, key, v)
 		}
 	}
-	return p.allViolated, true
+	return nil, unknown, false
 }
 
-// tryOrbit returns the memoized violated set of the scenario's symmetry
-// orbit, if another member of the orbit has already been evaluated.
-func (p *pruner) tryOrbit(sc epa.Scenario) ([]string, bool) {
-	key, ok := p.orbitKey(sc)
-	if !ok {
-		return nil, false
+// dominates reports whether every requirement has a recorded violating
+// subset of mask. The caller holds p.mu.
+func (p *pruner) dominates(mask []byte) bool {
+	for i := range p.reqs {
+		if !hasViolatingSubset(p.violating[i], mask) {
+			return false
+		}
 	}
-	p.mu.RLock()
-	v, hit := p.orbits[key]
-	p.mu.RUnlock()
-	return v, hit
+	return true
 }
 
 // record feeds one evaluated (or synthesized) scenario back into the
 // pruning state: its mask into the per-requirement dominance index when
-// it violates, and its violated set into the orbit memo.
-func (p *pruner) record(sc epa.Scenario, mask []byte, violated []string) {
-	key, hasOrbit := p.orbitKey(sc)
-	if !p.dominance && !hasOrbit {
+// it violates, and its violated set into the orbit memo under key (from
+// orbitKey; nil = singleton orbit). Most rows teach nothing new — their
+// violations are already dominated and their orbit already memoized —
+// so that check runs under the read lock and the write lock is taken
+// only to insert.
+func (p *pruner) record(mask, key []byte, violated []string) {
+	if !p.dominance && key == nil {
+		return
+	}
+	p.mu.RLock()
+	learns := p.learns(mask, key, violated)
+	p.mu.RUnlock()
+	if !learns {
 		return
 	}
 	p.mu.Lock()
@@ -238,12 +278,31 @@ func (p *pruner) record(sc epa.Scenario, mask []byte, violated []string) {
 			p.violating[i] = insertMinimalMask(p.violating[i], ms)
 		}
 	}
-	if hasOrbit {
-		if _, seen := p.orbits[key]; !seen {
+	if key != nil {
+		if _, seen := p.orbits[string(key)]; !seen {
 			// Copy: the caller's slice may alias a ScenarioResult.
-			p.orbits[key] = append([]string(nil), violated...)
+			p.orbits[string(key)] = append([]string(nil), violated...)
 		}
 	}
+}
+
+// learns reports whether record would change the pruning state: some
+// violation lacks a recorded violating subset, or the orbit is new. The
+// caller holds p.mu.
+func (p *pruner) learns(mask, key []byte, violated []string) bool {
+	if p.dominance {
+		for _, id := range violated {
+			if i, ok := p.reqIdx[id]; ok && !hasViolatingSubset(p.violating[i], mask) {
+				return true
+			}
+		}
+	}
+	if key != nil {
+		if _, seen := p.orbits[string(key)]; !seen {
+			return true
+		}
+	}
+	return false
 }
 
 // seedFromCache warms the pruning state from every record already in
@@ -263,6 +322,7 @@ func (p *pruner) seedFromCache(c *store.Cache, eng *epa.Engine, muts []faults.Mu
 		return 0
 	}
 	seeded := 0
+	var keys orbitScratch
 	c.Range(func(k, v []byte) bool {
 		var mask []byte
 		var violated []string
@@ -295,11 +355,10 @@ func (p *pruner) seedFromCache(c *store.Cache, eng *epa.Engine, muts []faults.Mu
 		default:
 			return true
 		}
-		sc, ok := scenarioFromMask(mask, muts)
-		if !ok {
+		if _, ok := scenarioFromMask(mask, muts); !ok {
 			return true
 		}
-		p.record(sc, mask, violated)
+		p.record(mask, p.orbitKey(mask, &keys), violated)
 		seeded++
 		return true
 	})
@@ -324,57 +383,115 @@ func scenarioFromMask(mask []byte, muts []faults.Mutation) (epa.Scenario, bool) 
 	return sc, len(sc) == set
 }
 
-// orbitKey canonicalizes a scenario under the symmetric groups of the
-// refined classes: activations on unclassed components stay literal,
-// activations on classed components collapse to the multiset of
-// per-member fault sets within each class. Two scenarios share a key
-// iff one is the image of the other under some verified automorphism.
-// ok is false when no classed component participates (singleton orbit —
-// nothing to memoize).
-func (p *pruner) orbitKey(sc epa.Scenario) (string, bool) {
-	if len(p.classes) == 0 {
-		return "", false
+// orbitCand places one candidate in the symmetry classes: the class of
+// its component (-1 = unclassed), the component's member slot in the
+// class, and the fault's index in the class's shared mutation profile.
+type orbitCand struct{ class, member, fault int32 }
+
+func (a orbitCand) less(b orbitCand) bool {
+	if a.class != b.class {
+		return a.class < b.class
 	}
-	classed := false
-	var lines []string
-	perMember := map[string][]string{} // classed component -> faults
-	for _, a := range sc {
-		if _, ok := p.classOf[a.Component]; ok {
-			classed = true
-			perMember[a.Component] = append(perMember[a.Component], a.Fault)
-		} else {
-			lines = append(lines, "u\x00"+a.Component+"\x00"+a.Fault)
-		}
+	if a.member != b.member {
+		return a.member < b.member
 	}
-	if !classed {
-		return "", false
-	}
-	perClass := map[int][]string{} // class -> member fault-set strings
-	for comp, fs := range perMember {
-		sort.Strings(fs)
-		cl := p.classOf[comp]
-		perClass[cl] = append(perClass[cl], strings.Join(fs, "+"))
-	}
-	for cl, sets := range perClass {
-		sort.Strings(sets)
-		lines = append(lines, "c\x00"+itoa(cl)+"\x00"+strings.Join(sets, "\x01"))
-	}
-	sort.Strings(lines)
-	return strings.Join(lines, "\n"), true
+	return a.fault < b.fault
 }
 
-func itoa(n int) string {
-	if n == 0 {
-		return "0"
+// faultsLess orders two members' fault runs in acts lexicographically by
+// fault index.
+func faultsLess(acts []orbitCand, a, b [2]int) bool {
+	fa, fb := acts[a[0]:a[1]], acts[b[0]:b[1]]
+	for i := 0; i < len(fa) && i < len(fb); i++ {
+		if fa[i].fault != fb[i].fault {
+			return fa[i].fault < fb[i].fault
+		}
 	}
-	var b [20]byte
-	i := len(b)
-	for n > 0 {
-		i--
-		b[i] = byte('0' + n%10)
-		n /= 10
+	return len(fa) < len(fb)
+}
+
+// orbitScratch is the reusable working memory of orbitKey. Each sweep
+// worker owns one; the key orbitKey returns lives in it until the next
+// call.
+type orbitScratch struct {
+	acts []orbitCand
+	runs [][2]int // [start, end) of one member's faults in acts
+	key  []byte
+}
+
+// orbitKey canonicalizes the scenario with the given candidate mask under
+// the symmetric groups of the refined classes: activations on unclassed
+// components stay literal (as candidate indices), activations on classed
+// components collapse, per class, to the multiset of per-member fault
+// sets. Two scenarios share a key iff one is the image of the other under
+// some verified automorphism. The key is built in ks and returned as a
+// slice of it, so a lookup allocates nothing. It is nil when no classed
+// component participates (singleton orbit — nothing to memoize).
+//
+// Layout, all numbers uvarints: per participating class, ascending,
+// class+1, member count, and per member (in lexicographic order of the
+// fault lists) its fault count and fault indices ascending; a 0 ending
+// the classes; the unclassed candidate indices ascending.
+func (p *pruner) orbitKey(mask []byte, ks *orbitScratch) []byte {
+	if len(p.classes) == 0 {
+		return nil
 	}
-	return string(b[i:])
+	acts := ks.acts[:0]
+	for j, b := range mask {
+		for ; b != 0; b &= b - 1 {
+			if c := p.cands[j*8+bits.TrailingZeros8(b)]; c.class >= 0 {
+				acts = append(acts, c)
+			}
+		}
+	}
+	ks.acts = acts
+	if len(acts) == 0 {
+		return nil
+	}
+	// Scenarios are small (cardinality <= k), so insertion sorts beat
+	// the generic ones here.
+	for i := 1; i < len(acts); i++ {
+		for j := i; j > 0 && acts[j].less(acts[j-1]); j-- {
+			acts[j], acts[j-1] = acts[j-1], acts[j]
+		}
+	}
+	key := ks.key[:0]
+	for lo := 0; lo < len(acts); {
+		cl := acts[lo].class
+		runs := ks.runs[:0]
+		hi := lo
+		for hi < len(acts) && acts[hi].class == cl {
+			end := hi + 1
+			for end < len(acts) && acts[end].class == cl && acts[end].member == acts[hi].member {
+				end++
+			}
+			runs = append(runs, [2]int{hi, end})
+			for j := len(runs) - 1; j > 0 && faultsLess(acts, runs[j], runs[j-1]); j-- {
+				runs[j], runs[j-1] = runs[j-1], runs[j]
+			}
+			hi = end
+		}
+		key = binary.AppendUvarint(key, uint64(cl)+1)
+		key = binary.AppendUvarint(key, uint64(len(runs)))
+		for _, r := range runs {
+			key = binary.AppendUvarint(key, uint64(r[1]-r[0]))
+			for _, a := range acts[r[0]:r[1]] {
+				key = binary.AppendUvarint(key, uint64(a.fault))
+			}
+		}
+		ks.runs = runs
+		lo = hi
+	}
+	key = append(key, 0)
+	for j, b := range mask {
+		for ; b != 0; b &= b - 1 {
+			if i := j*8 + bits.TrailingZeros8(b); p.cands[i].class < 0 {
+				key = binary.AppendUvarint(key, uint64(i))
+			}
+		}
+	}
+	ks.key = key
+	return key
 }
 
 // hasViolatingSubset reports whether any recorded mask is a subset of m.
@@ -467,27 +584,11 @@ func (p *pruner) decodeSynth(b []byte) ([]string, bool) {
 }
 
 // synthesizeResult builds the ScenarioResult a full evaluation would
-// have produced, from the known violated set. It mirrors scoreResult
-// exactly — same Violated content and order, same severity order, same
-// risk scoring — which is what makes pruned reports byte-identical.
-func synthesizeResult(seq int, sc epa.Scenario, violated []string, reqs []Requirement, likelihoods map[epa.Activation]qual.Level) ScenarioResult {
-	sr := ScenarioResult{
-		ID:       "S" + itoa(seq+1),
-		Scenario: sc,
-	}
-	var severities []qual.Level
-	for _, r := range reqs {
-		i := sort.SearchStrings(violated, r.ID)
-		if i < len(violated) && violated[i] == r.ID {
-			sr.Violated = append(sr.Violated, r.ID)
-			severities = append(severities, r.Severity)
-		}
-	}
-	sort.Strings(sr.Violated)
-	sr.Risk = risk.ScoreScenario(risk.ScenarioInput{
-		ID:                 sr.ID,
-		FaultLikelihoods:   scenarioLikelihoods(sc, likelihoods),
-		ViolatedSeverities: severities,
+// have produced, from the known violated set (sorted). It shares newRow
+// with scoreResult, which is what makes pruned reports byte-identical.
+func synthesizeResult(seq int, sc epa.Scenario, mask []byte, violated []string, muts []faults.Mutation, reqs []Requirement) ScenarioResult {
+	return newRow(seq, sc, mask, muts, reqs, len(violated), func(i int) bool {
+		_, found := slices.BinarySearch(violated, reqs[i].ID)
+		return found
 	})
-	return sr
 }

@@ -1,7 +1,9 @@
 package risk
 
 import (
-	"sort"
+	"cmp"
+	"slices"
+	"strings"
 
 	"cpsrisk/internal/qual"
 )
@@ -42,48 +44,68 @@ type ScenarioRisk struct {
 // with no violations has VeryLow risk regardless of likelihood.
 func ScoreScenario(in ScenarioInput) ScenarioRisk {
 	s := qual.FiveLevel()
-	out := ScenarioRisk{
-		ID:         in.ID,
-		Violations: len(in.ViolatedSeverities),
-		Faults:     len(in.FaultLikelihoods),
+	var likelihood, severity qual.Level
+	if len(in.FaultLikelihoods) > 0 {
+		likelihood = s.MinOf(in.FaultLikelihoods[0], in.FaultLikelihoods[1:]...)
 	}
-	if len(in.FaultLikelihoods) == 0 {
+	if len(in.ViolatedSeverities) > 0 {
+		severity = s.MaxOf(in.ViolatedSeverities[0], in.ViolatedSeverities[1:]...)
+	}
+	return Score(in.ID, len(in.FaultLikelihoods), likelihood, len(in.ViolatedSeverities), severity)
+}
+
+// Score is ScoreScenario from the scenario's aggregates: faults activated
+// fault modes whose least likely one has level minLikelihood, and
+// violations violated requirements whose worst severity is maxSeverity.
+// The levels are ignored when their count is zero. Per-row scorers use it
+// to avoid materializing the level slices.
+func Score(id string, faults int, minLikelihood qual.Level, violations int, maxSeverity qual.Level) ScenarioRisk {
+	s := qual.FiveLevel()
+	out := ScenarioRisk{
+		ID:         id,
+		Violations: violations,
+		Faults:     faults,
+	}
+	if faults == 0 {
 		out.Likelihood = qual.VeryLow
 	} else {
-		out.Likelihood = s.MinOf(in.FaultLikelihoods[0], in.FaultLikelihoods[1:]...)
-		out.Likelihood = s.Add(out.Likelihood, -(len(in.FaultLikelihoods) - 1))
+		out.Likelihood = s.Add(s.Clamp(minLikelihood), -(faults - 1))
 	}
-	if len(in.ViolatedSeverities) == 0 {
+	if violations == 0 {
 		out.Severity = qual.VeryLow
 		out.Risk = qual.VeryLow
 		return out
 	}
-	out.Severity = s.MaxOf(in.ViolatedSeverities[0], in.ViolatedSeverities[1:]...)
+	out.Severity = s.Clamp(maxSeverity)
 	out.Risk = ORARisk(out.Severity, out.Likelihood)
 	return out
 }
 
 // Rank orders scored scenarios for prioritization (paper §IV: "prioritize
 // the faults and vulnerabilities based on their severity and potential
-// impact"): by risk, then severity, then likelihood, all descending; ties
-// break toward fewer faults (more plausible), then by ID for determinism.
+// impact") by Compare.
 func Rank(scenarios []ScenarioRisk) []ScenarioRisk {
 	out := append([]ScenarioRisk(nil), scenarios...)
-	sort.SliceStable(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Risk != b.Risk {
-			return a.Risk > b.Risk
-		}
-		if a.Severity != b.Severity {
-			return a.Severity > b.Severity
-		}
-		if a.Likelihood != b.Likelihood {
-			return a.Likelihood > b.Likelihood
-		}
-		if a.Faults != b.Faults {
-			return a.Faults < b.Faults
-		}
-		return a.ID < b.ID
-	})
+	slices.SortStableFunc(out, Compare)
 	return out
+}
+
+// Compare is the prioritization order: by risk, then severity, then
+// likelihood, all descending; ties break toward fewer faults (more
+// plausible), then by ID (plain string order, so "S10" < "S2") for
+// determinism. It returns a negative number when a ranks before b.
+func Compare(a, b ScenarioRisk) int {
+	if a.Risk != b.Risk {
+		return cmp.Compare(b.Risk, a.Risk)
+	}
+	if a.Severity != b.Severity {
+		return cmp.Compare(b.Severity, a.Severity)
+	}
+	if a.Likelihood != b.Likelihood {
+		return cmp.Compare(b.Likelihood, a.Likelihood)
+	}
+	if a.Faults != b.Faults {
+		return cmp.Compare(a.Faults, b.Faults)
+	}
+	return strings.Compare(a.ID, b.ID)
 }

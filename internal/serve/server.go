@@ -348,6 +348,9 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 		done:      make(chan struct{}),
 	}
 
+	// The 202 reports the job as accepted: once queued, a worker may
+	// run it to completion before this handler writes the response.
+	accepted := j.status()
 	s.jobMu.Lock()
 	if s.draining.Load() {
 		s.jobMu.Unlock()
@@ -369,7 +372,7 @@ func (s *Server) handleAssess(w http.ResponseWriter, r *http.Request) {
 
 	s.reg.Counter("jobs.submitted").Inc()
 	s.reg.Gauge("jobs.queue_depth").Set(int64(len(s.queue)))
-	writeJSON(w, http.StatusAccepted, j.status())
+	writeJSON(w, http.StatusAccepted, accepted)
 }
 
 // evictJobsLocked drops the oldest finished jobs beyond the retention

@@ -4,7 +4,7 @@
 # race S5, the artifact-cache delta re-assessment pair S6, the
 # served-vs-CLI warm-path pair S7, and the Fig. 1 end-to-end pipeline,
 # plus the observability on/off overhead pair) with -benchmem and files
-# the numbers into the BENCH_PR10.json ledger via cmd/benchjson. CI and
+# the numbers into the bench.local.json ledger via cmd/benchjson. CI and
 # `make bench` both run exactly this script. benchjson prints the S6
 # cold-vs-warm speedup table after the ledger write.
 #
@@ -14,14 +14,14 @@
 # multi-core hardware.
 #
 #   BENCH_LABEL=after ./scripts/bench.sh          # label in the ledger (default: after)
-#   BENCH_OUT=BENCH_PR10.json ./scripts/bench.sh  # ledger file (default: BENCH_PR10.json)
+#   BENCH_OUT=run.json ./scripts/bench.sh         # ledger file (default: bench.local.json, untracked)
 #   BENCHTIME=2s ./scripts/bench.sh               # per-benchmark time (default: 1s)
 set -eu
 
 cd "$(dirname "$0")/.."
 
 label="${BENCH_LABEL:-after}"
-out="${BENCH_OUT:-BENCH_PR10.json}"
+out="${BENCH_OUT:-bench.local.json}"
 benchtime="${BENCHTIME:-1s}"
 pattern='BenchmarkS1_SolverScaling|BenchmarkS2_EPAScaling|BenchmarkS3_ScenarioSpace|BenchmarkS3_PrunedSweep|BenchmarkS4_MultiShot|BenchmarkS5_PortfolioCuts|BenchmarkS6_DeltaReassess|BenchmarkS7_ServedWarmPath|BenchmarkFig1_PipelineEndToEnd|BenchmarkObsOverhead'
 
