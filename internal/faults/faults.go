@@ -151,15 +151,6 @@ func Candidates(m *sysmodel.Model, lib *sysmodel.TypeLibrary, k *kb.KB, opt Opti
 	return out, nil
 }
 
-// LikelihoodIndex maps activations to their likelihood for risk scoring.
-func LikelihoodIndex(muts []Mutation) map[epa.Activation]qual.Level {
-	out := make(map[epa.Activation]qual.Level, len(muts))
-	for _, m := range muts {
-		out[m.Activation] = m.Likelihood
-	}
-	return out
-}
-
 // Binomial64 computes C(n, k) in int64. The second result is false when
 // the value overflows; it then saturates at math.MaxInt64 so comparisons
 // against real counts stay conservative.

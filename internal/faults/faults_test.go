@@ -202,13 +202,19 @@ func TestEnumerateMatchesSpaceSize(t *testing.T) {
 	}
 }
 
-func TestLikelihoodIndex(t *testing.T) {
+func TestCandidatesLikelihood(t *testing.T) {
 	m, lib, _ := testSetup(t)
 	muts, _ := Candidates(m, lib, nil, Options{IncludeSpontaneous: true})
-	idx := LikelihoodIndex(muts)
-	if idx[epa.Activation{Component: "ews", Fault: "compromised"}] != qual.Medium {
-		t.Errorf("index = %v", idx)
+	want := epa.Activation{Component: "ews", Fault: "compromised"}
+	for _, mut := range muts {
+		if mut.Activation == want {
+			if mut.Likelihood != qual.Medium {
+				t.Errorf("%v likelihood = %v, want %v", want, mut.Likelihood, qual.Medium)
+			}
+			return
+		}
 	}
+	t.Errorf("no candidate %v in %v", want, muts)
 }
 
 // EncodeChoice must make the solver enumerate exactly the scenario space.

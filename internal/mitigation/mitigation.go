@@ -135,33 +135,6 @@ type ScenarioLoss struct {
 	Activations [][][]string
 }
 
-// BlockedBy reports whether the selection prevents the scenario.
-func (s ScenarioLoss) BlockedBy(selected map[string]bool) bool {
-	for _, sources := range s.Activations {
-		if len(sources) == 0 {
-			continue
-		}
-		all := true
-		for _, blockers := range sources {
-			one := false
-			for _, m := range blockers {
-				if selected[m] {
-					one = true
-					break
-				}
-			}
-			if !one {
-				all = false
-				break
-			}
-		}
-		if all {
-			return true
-		}
-	}
-	return false
-}
-
 // LossWeights maps qualitative risk levels to numeric losses for the
 // cost-benefit analysis (paper §IV-D "Failure Impact/Cost"). The default
 // is an exponential-ish spread keeping level ordering strict.

@@ -105,36 +105,6 @@ func TestRelevantAndCoverage(t *testing.T) {
 	}
 }
 
-func TestScenarioLossBlockedBy(t *testing.T) {
-	s := ScenarioLoss{
-		ID:   "S2",
-		Loss: 200,
-		Activations: [][][]string{
-			// activation 0: two sources, blockable by {a} and {b,c}
-			{{"a"}, {"b", "c"}},
-			// activation 1: unblockable source
-			{{}},
-		},
-	}
-	if s.BlockedBy(map[string]bool{"a": true}) {
-		t.Error("one blocked source of two is not enough")
-	}
-	if !s.BlockedBy(map[string]bool{"a": true, "c": true}) {
-		t.Error("blocking all sources of one activation blocks the scenario")
-	}
-	if s.BlockedBy(map[string]bool{"b": true, "c": true}) {
-		t.Error("source {a} unblocked")
-	}
-	empty := ScenarioLoss{ID: "S0", Loss: 10}
-	if empty.BlockedBy(map[string]bool{"a": true}) {
-		t.Error("scenario with no activations is never blocked")
-	}
-	unblockable := ScenarioLoss{ID: "S1", Loss: 10, Activations: [][][]string{{{}}}}
-	if unblockable.BlockedBy(map[string]bool{"a": true}) {
-		t.Error("unblockable activation")
-	}
-}
-
 func TestLossWeightsOrdered(t *testing.T) {
 	prev := -1
 	for l := qual.VeryLow; l <= qual.VeryHigh; l++ {

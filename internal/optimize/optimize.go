@@ -7,10 +7,9 @@
 package optimize
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
-	"strings"
 
 	"cpsrisk/internal/logic"
 	"cpsrisk/internal/mitigation"
@@ -45,26 +44,17 @@ type Plan struct {
 	Blocked []string
 }
 
-// Evaluate scores a selection against the problem.
+// Evaluate scores a selection against the problem. Only option IDs
+// count: an ID that is not an option neither costs nor blocks.
 func (p *Problem) Evaluate(selected map[string]bool) Plan {
-	plan := Plan{}
-	for _, o := range p.Options {
+	c := p.compile()
+	sel := newBitset(len(c.opts))
+	for i, o := range c.opts {
 		if selected[o.ID] {
-			plan.Selected = append(plan.Selected, o.ID)
-			plan.Cost += o.Cost
+			sel.set(i)
 		}
 	}
-	sort.Strings(plan.Selected)
-	for _, s := range p.Scenarios {
-		if s.BlockedBy(selected) {
-			plan.Blocked = append(plan.Blocked, s.ID)
-		} else {
-			plan.ResidualLoss += s.Loss
-		}
-	}
-	sort.Strings(plan.Blocked)
-	plan.Total = plan.Cost + plan.ResidualLoss
-	return plan
+	return c.plan(sel)
 }
 
 func (p *Problem) validate() error {
@@ -98,37 +88,56 @@ func (p *Problem) Optimal() (Plan, error) {
 	if err := p.validate(); err != nil {
 		return Plan{}, err
 	}
-	best := p.Evaluate(map[string]bool{}) // baseline: buy nothing
-	if p.Budget >= 0 && best.Cost > p.Budget {
-		return Plan{}, fmt.Errorf("optimize: empty selection exceeds budget")
+	c := p.compile()
+	s := &search{c: c, budget: p.Budget, sel: newBitset(len(c.opts)), upper: newBitset(len(c.opts))}
+	for i := range c.opts {
+		s.upper.set(i)
 	}
-	selected := map[string]bool{}
-	var rec func(i, cost int)
-	rec = func(i, cost int) {
-		if p.Budget >= 0 && cost > p.Budget {
-			return
-		}
-		if cost >= best.Total {
-			// Even with zero residual loss this branch cannot win.
-			return
-		}
-		if i == len(p.Options) {
-			plan := p.Evaluate(selected)
-			if better(plan, best) {
-				best = plan
+	s.best = c.plan(s.sel) // baseline: buy nothing
+	s.branch(0, 0)
+	return s.best, nil
+}
+
+// search is Optimal's branch-and-bound state. sel holds the options
+// included so far; upper holds sel plus every undecided option, so its
+// residual loss is the least any completion of sel reaches.
+type search struct {
+	c          *compiled
+	budget     int
+	sel, upper bitset
+	best       Plan
+}
+
+func (s *search) branch(i, cost int) {
+	if s.budget >= 0 && cost > s.budget {
+		return
+	}
+	// A lower bound on every leaf below, exact at a leaf. Prune only when
+	// it exceeds best.Total: a leaf that ties best.Total can still win
+	// the tie-break.
+	total := cost + s.c.residual(s.upper)
+	if total > s.best.Total {
+		return
+	}
+	if i == len(s.c.opts) {
+		switch {
+		case total < s.best.Total || cost < s.best.Cost:
+			s.best = s.c.plan(s.sel)
+		case cost == s.best.Cost:
+			if plan := s.c.plan(s.sel); better(plan, s.best) {
+				s.best = plan
 			}
-			return
 		}
-		// Branch: include option i first (tends to find good bounds early
-		// for blocking-heavy instances), then exclude.
-		o := p.Options[i]
-		selected[o.ID] = true
-		rec(i+1, cost+o.Cost)
-		delete(selected, o.ID)
-		rec(i+1, cost)
+		return
 	}
-	rec(0, 0)
-	return best, nil
+	// Branch: include option i first (tends to find good bounds early
+	// for blocking-heavy instances), then exclude.
+	s.sel.set(i)
+	s.branch(i+1, cost+s.c.opts[i].Cost)
+	s.sel.unset(i)
+	s.upper.unset(i)
+	s.branch(i+1, cost)
+	s.upper.set(i)
 }
 
 func better(a, b Plan) bool {
@@ -165,136 +174,133 @@ func (p *Problem) MultiPhase() ([]Phase, Plan, error) {
 	if err := p.validate(); err != nil {
 		return nil, Plan{}, err
 	}
-	costOf := map[string]int{}
-	for _, o := range p.Options {
-		costOf[o.ID] = o.Cost
+	c := p.compile()
+	g := &greedy{
+		c:         c,
+		budget:    p.Budget,
+		remaining: p.Budget,
+		sel:       newBitset(len(c.opts)),
+		trial:     newBitset(len(c.opts)),
+		seen:      map[string]bool{},
 	}
-	selected := map[string]bool{}
-	remaining := p.Budget
+	bundles := c.bundles(p.Scenarios)
+	// A set already considered this round only repeats moves already seen.
+	visited := make([]bool, len(bundles.sets))
+	g.current = c.residual(g.sel)
 	var phases []Phase
-	current := p.Evaluate(selected)
+	single := make([]int, 1)
 	for {
-		moves := p.candidateMoves(selected, costOf)
-		bestIdx := -1
-		var bestGain float64
-		var bestReduction, bestCost int
-		for i, move := range moves {
-			cost := 0
-			for _, id := range move {
-				cost += costOf[id]
-			}
-			if p.Budget >= 0 && cost > remaining {
+		g.found = false
+		clear(g.seen)
+		clear(visited)
+		// Moves: every unselected single option, then the bundles of
+		// every scenario the selection leaves unblocked.
+		for i := range c.opts {
+			single[0] = i
+			g.consider(single)
+		}
+		for si := range c.scens {
+			if c.blocked(&c.scens[si], g.sel) {
 				continue
 			}
-			for _, id := range move {
-				selected[id] = true
-			}
-			trial := p.Evaluate(selected)
-			for _, id := range move {
-				delete(selected, id)
-			}
-			reduction := current.ResidualLoss - trial.ResidualLoss
-			if reduction <= 0 {
-				continue
-			}
-			gain := float64(reduction) / math.Max(float64(cost), 0.5)
-			if bestIdx < 0 || gain > bestGain ||
-				(gain == bestGain && moveKey(move) < moveKey(moves[bestIdx])) {
-				bestGain = gain
-				bestIdx = i
-				bestReduction = reduction
-				bestCost = cost
+			for _, k := range bundles.byScen[si] {
+				if visited[k] {
+					continue
+				}
+				visited[k] = true
+				for _, b := range bundles.sets[k] {
+					g.consider(b)
+				}
 			}
 		}
-		if bestIdx < 0 {
+		if !g.found {
 			break
 		}
-		move := moves[bestIdx]
-		for mi, id := range move {
-			selected[id] = true
+		for mi, i := range g.best {
+			g.sel.set(i)
 			reduction := 0
 			if mi == 0 {
-				reduction = bestReduction
+				reduction = g.bestReduction
 			}
 			phases = append(phases, Phase{
-				MitigationID:  id,
-				Cost:          costOf[id],
+				MitigationID:  c.opts[i].ID,
+				Cost:          c.opts[i].Cost,
 				LossReduction: reduction,
 			})
 		}
 		if p.Budget >= 0 {
-			remaining -= bestCost
+			g.remaining -= g.bestCost
 		}
-		current = p.Evaluate(selected)
+		g.current = c.residual(g.sel)
 	}
-	return phases, current, nil
+	return phases, c.plan(g.sel), nil
 }
 
-func moveKey(move []string) string { return strings.Join(move, "+") }
+// greedy is MultiPhase's state: the selection so far and the best move
+// of the current round.
+type greedy struct {
+	c                 *compiled
+	budget, remaining int
+	sel, trial        bitset
+	current           int // residual loss of sel
 
-// candidateMoves enumerates greedy moves: every unselected single
-// mitigation, plus per unblocked scenario the minimal source-covering
-// bundles (one blocker per source of one activation), restricted to known
-// options and deduplicated.
-func (p *Problem) candidateMoves(selected map[string]bool, costOf map[string]int) [][]string {
-	var moves [][]string
-	seen := map[string]bool{}
-	add := func(move []string) {
-		filtered := make([]string, 0, len(move))
-		for _, id := range move {
-			if _, known := costOf[id]; known && !selected[id] {
-				filtered = append(filtered, id)
-			}
-		}
-		if len(filtered) == 0 {
-			return
-		}
-		sort.Strings(filtered)
-		key := moveKey(filtered)
-		if !seen[key] {
-			seen[key] = true
-			moves = append(moves, filtered)
+	// seen holds the round's moves so far, keyed by their option
+	// indices rendered into key.
+	seen map[string]bool
+	key  []byte
+	move []int
+
+	found                   bool
+	best                    []int
+	bestGain                float64
+	bestReduction, bestCost int
+}
+
+// consider scores one candidate move, given as option indices in ID
+// order: its members not yet selected, unless that leaves nothing or a
+// move already seen this round.
+func (g *greedy) consider(members []int) {
+	g.move = g.move[:0]
+	for _, i := range members {
+		if !g.sel.has(i) {
+			g.move = append(g.move, i)
 		}
 	}
-	for _, o := range p.Options {
-		add([]string{o.ID})
+	if len(g.move) == 0 {
+		return
 	}
-	for _, s := range p.Scenarios {
-		if s.BlockedBy(selected) {
-			continue
-		}
-		for _, sources := range s.Activations {
-			if len(sources) == 0 {
-				continue
-			}
-			bundles := [][]string{{}}
-			feasible := true
-			for _, blockers := range sources {
-				if len(blockers) == 0 {
-					feasible = false
-					break
-				}
-				var grown [][]string
-				for _, b := range bundles {
-					for _, m := range blockers {
-						next := append(append([]string(nil), b...), m)
-						grown = append(grown, next)
-					}
-					if len(grown) > 64 {
-						break // cap combinatorial growth; singles still apply
-					}
-				}
-				bundles = grown
-			}
-			if !feasible {
-				continue
-			}
-			for _, b := range bundles {
-				add(b)
-			}
-		}
+	g.key = g.key[:0]
+	for _, i := range g.move {
+		g.key = binary.AppendUvarint(g.key, uint64(i))
 	}
-	return moves
+	if g.seen[string(g.key)] {
+		return
+	}
+	g.seen[string(g.key)] = true
+	cost := 0
+	for _, i := range g.move {
+		cost += g.c.opts[i].Cost
+	}
+	if g.budget >= 0 && cost > g.remaining {
+		return
+	}
+	copy(g.trial, g.sel)
+	for _, i := range g.move {
+		g.trial.set(i)
+	}
+	reduction := g.current - g.c.residual(g.trial)
+	if reduction <= 0 {
+		return
+	}
+	gain := float64(reduction) / math.Max(float64(cost), 0.5)
+	if !g.found || gain > g.bestGain ||
+		(gain == g.bestGain && g.c.moveKey(g.move) < g.c.moveKey(g.best)) {
+		g.found = true
+		g.best = append(g.best[:0], g.move...)
+		g.bestGain = gain
+		g.bestReduction = reduction
+		g.bestCost = cost
+	}
 }
 
 // EncodeASP renders the selection problem as an ASP optimization program:

@@ -121,6 +121,76 @@ func TestOptimalSharedMitigation(t *testing.T) {
 	}
 }
 
+// Ties on Total and Cost go to the lexicographically smaller selection,
+// also when the incumbent's total already equals the tying branch's cost.
+func TestOptimalTieBreaksLexicographically(t *testing.T) {
+	p := &Problem{
+		Options: []Option{{ID: "b", Cost: 5}, {ID: "a", Cost: 5}},
+		Scenarios: []mitigation.ScenarioLoss{
+			{ID: "s", Loss: 100, Activations: [][][]string{{{"a", "b"}}}},
+		},
+		Budget: -1,
+	}
+	plan, err := p.Optimal()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Join(plan.Selected, ",") != "a" || plan.Total != 5 {
+		t.Fatalf("plan = %+v, want [a] with total 5", plan)
+	}
+}
+
+// The compiled masks block a scenario iff some activation with sources
+// has every source blocked by a selected option; blocker IDs that are
+// not options never block.
+func TestCompiledBlocking(t *testing.T) {
+	p := &Problem{
+		Options: []Option{{ID: "c"}, {ID: "a"}, {ID: "b"}},
+		Scenarios: []mitigation.ScenarioLoss{{
+			ID: "S2",
+			Activations: [][][]string{
+				// activation 0: two sources, blockable by {a} and {b,c}
+				{{"a"}, {"b", "c"}},
+				// activation 1: unblockable source
+				{{}},
+			},
+		}, {
+			ID: "S0", // no activations
+		}, {
+			ID: "S1", Activations: [][][]string{{{}}}, // unblockable activation
+		}, {
+			ID: "S3", Activations: [][][]string{{}}, // activation without sources
+		}, {
+			ID: "S4", Activations: [][][]string{{{"a"}, {"x"}}, {{"x", "b"}}}, // x is no option
+		}},
+	}
+	c := p.compile()
+	for _, tc := range []struct {
+		sel  []string
+		want string // blocked scenario IDs
+	}{
+		{nil, ""},
+		{[]string{"a"}, ""},        // one blocked source of two is not enough
+		{[]string{"a", "c"}, "S2"}, // all sources of one activation
+		{[]string{"b", "c"}, "S4"}, // source {a} unblocked; b alone covers S4
+		{[]string{"a", "b", "c"}, "S2,S4"},
+	} {
+		sel := newBitset(len(c.opts))
+		for _, id := range tc.sel {
+			sel.set(c.index[id])
+		}
+		var got []string
+		for i := range c.scens {
+			if c.blocked(&c.scens[i], sel) {
+				got = append(got, c.scens[i].id)
+			}
+		}
+		if strings.Join(got, ",") != tc.want {
+			t.Errorf("selection %v blocks %v, want %q", tc.sel, got, tc.want)
+		}
+	}
+}
+
 func TestValidation(t *testing.T) {
 	bad := []*Problem{
 		{Options: []Option{{ID: ""}}},

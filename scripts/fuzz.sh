@@ -15,3 +15,4 @@ go test -run='^$' -fuzz=FuzzReadJSON -fuzztime="$fuzztime" ./internal/sysmodel
 go test -run='^$' -fuzz=FuzzCacheRecord -fuzztime="$fuzztime" ./internal/store
 go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime="$fuzztime" ./internal/hazard
 go test -run='^$' -fuzz=FuzzRankUnrank -fuzztime="$fuzztime" ./internal/faults
+go test -run='^$' -fuzz=FuzzOptimalVsBruteForce -fuzztime="$fuzztime" ./internal/optimize
