@@ -11,6 +11,7 @@ package cegar
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"cpsrisk/internal/budget"
@@ -18,10 +19,8 @@ import (
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/hazard"
-	"cpsrisk/internal/logic"
 	"cpsrisk/internal/obs"
 	"cpsrisk/internal/plant"
-	"cpsrisk/internal/solver"
 )
 
 // Finding is one abstract counterexample: a scenario flagged as violating
@@ -66,8 +65,9 @@ func (v Verdict) String() string {
 //
 // When the refinement loop runs with parallelism > 1 (RunParallel),
 // Check is called from multiple goroutines concurrently and the
-// implementation must be safe for that. PlantOracle is: a check only
-// reads the configuration and simulates a private plant instance.
+// implementation must be safe for that. PlantOracle is: a check reads
+// the configuration, simulates a private plant instance, and swaps its
+// probe memo atomically.
 type Oracle interface {
 	// Check returns the verdict for a finding.
 	Check(f Finding) (Verdict, error)
@@ -100,8 +100,10 @@ type Result struct {
 	// PerLevelFindings records how many findings each level produced
 	// (shrinking counts show the refinement working).
 	PerLevelFindings []int
-	// PerLevelScreened records, per level, how many findings the formal
-	// re-check session resolved without a concrete oracle call.
+	// PerLevelScreened is never filled.
+	//
+	// Deprecated: the formal re-check screen it counted is gone; every
+	// finding reaches the oracle.
 	PerLevelScreened []int
 	// Truncations records budget exhaustions hit during the loop: a
 	// truncated hazard analysis, or validation cut short (remaining
@@ -156,22 +158,6 @@ func RunBudget(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget) (
 // wall-clock exhaustion cuts validation over to Undetermined can vary,
 // exactly as it does sequentially.
 func RunParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget, parallelism int) (*Result, error) {
-	return runParallel(levels, oracle, maxCard, bud, parallelism, false)
-}
-
-// RunParallelScreened is RunParallel with the formal re-check screen: one
-// persistent solver session per level answers an assumption query for
-// every abstract counterexample before the oracle sees it, so findings
-// the level's own formal model refutes never pay for a concrete check.
-// Grounding the screen costs one ASP encoding per level — worth it when
-// the oracle is expensive (simulation, test rigs) or the findings come
-// from an engine other than the screen's encoding; the plain RunParallel
-// stays oracle-only for cheap-oracle pipelines.
-func RunParallelScreened(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget, parallelism int) (*Result, error) {
-	return runParallel(levels, oracle, maxCard, bud, parallelism, true)
-}
-
-func runParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget, parallelism int, screen bool) (*Result, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("cegar: no abstraction levels")
 	}
@@ -180,8 +166,8 @@ func runParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget,
 	for li, level := range levels {
 		res.Iterations++
 		// Each refinement level gets its own span; the level's hazard
-		// re-analysis, formal screen, and oracle validation nest under it
-		// through the derived budget.
+		// re-analysis and oracle validation nest under it through the
+		// derived budget.
 		lctx, lspan := obs.StartSpan(bud.Context(), "level["+level.Name+"]")
 		lbud := bud
 		if lspan != nil {
@@ -206,21 +192,7 @@ func runParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget,
 			}
 		}
 		reg.Counter("cegar.findings").Add(int64(len(findings)))
-		var screened []Verdict
-		if screen {
-			if screened, err = screenFindings(level, findings, lbud); err != nil {
-				return nil, endLevel(fmt.Errorf("cegar: level %q re-check: %w", level.Name, err))
-			}
-		}
-		nScreened := 0
-		for _, v := range screened {
-			if v != 0 {
-				nScreened++
-			}
-		}
-		res.PerLevelScreened = append(res.PerLevelScreened, nScreened)
-		reg.Counter("cegar.screened_out").Add(int64(nScreened))
-		judged, trunc, err := validateFindings(level.Name, findings, screened, oracle, lbud, parallelism)
+		judged, trunc, err := validateFindings(level.Name, findings, oracle, lbud, parallelism)
 		if err != nil {
 			return nil, endLevel(err)
 		}
@@ -247,75 +219,20 @@ func runParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget,
 	return res, nil
 }
 
-// screenFindings formally re-checks one level's abstract counterexamples
-// before any concrete oracle runs: one persistent multi-shot solver
-// session over the level's ASP encoding answers one assumption query per
-// finding, pinning the exact scenario (every listed activation true, the
-// total activation count capped at the scenario size) and requiring the
-// requirement's violation atom. A finding the formal model refutes is
-// spurious at the abstract level itself and never reaches the oracle —
-// concrete simulation is the expensive step the session amortizes away.
+// RunParallelScreened is RunParallel.
 //
-// The returned slice is indexed like findings; 0 means "needs concrete
-// validation". Sessions are single-goroutine, so the screen runs on the
-// calling goroutine and only the surviving findings fan out to the
-// oracle worker pool. If the budget cannot afford grounding the screen,
-// every finding falls through to concrete validation.
-func screenFindings(level Level, findings []Finding, bud *budget.Budget) ([]Verdict, error) {
-	if len(findings) == 0 {
-		return nil, nil
-	}
-	prog, err := level.Engine.EncodeASP()
-	if err != nil {
-		return nil, err
-	}
-	faults.EncodeChoice(prog, level.Mutations, -1)
-	for _, r := range level.Requirements {
-		if err := hazard.EncodeViolation(prog, r.ID, r.Condition); err != nil {
-			return nil, err
-		}
-	}
-	verdicts := make([]Verdict, len(findings))
-	sess, err := solver.NewSession(prog, solver.Options{Budget: bud})
-	if err != nil {
-		if _, ok := budget.Exhausted(err); ok {
-			return verdicts, nil
-		}
-		return nil, err
-	}
-	defer sess.Close()
-	for i, f := range findings {
-		assumps := make([]solver.Assumption, 0, len(f.Scenario)+2)
-		for _, a := range f.Scenario {
-			assumps = append(assumps, solver.AssumeTrue(epa.ActiveAtom(a.Component, a.Fault).Key()))
-		}
-		assumps = append(assumps,
-			solver.AssumeCountLT("active", len(f.Scenario)+1),
-			solver.AssumeTrue(logic.A("violated", logic.Sym(f.ReqID)).Key()))
-		res, err := sess.SolveAssuming(assumps, solver.Options{MaxModels: 1, Budget: bud})
-		if err != nil {
-			return nil, err
-		}
-		if res.Interrupted {
-			// Budget gone mid-screen: the rest validates concretely (and
-			// the concrete stage routes them onward as it sees fit).
-			break
-		}
-		if !res.Satisfiable {
-			verdicts[i] = Spurious
-		}
-	}
-	return verdicts, nil
+// Deprecated: the formal re-check screen it ran before the oracle is
+// gone; use RunParallel.
+func RunParallelScreened(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget, parallelism int) (*Result, error) {
+	return RunParallel(levels, oracle, maxCard, bud, parallelism)
 }
 
 // validateFindings runs the oracle over one level's findings, polling
 // the budget before every check; once it trips, the remaining findings
 // are routed to Undetermined and a single truncation reports how many
-// were validated. Findings the formal screen already resolved (screened
-// verdict != 0) are recorded without an oracle call. With parallelism > 1
-// the checks fan out to a worker pool; verdict order is preserved by
-// index.
-func validateFindings(levelName string, findings []Finding, screened []Verdict, oracle Oracle, bud *budget.Budget, parallelism int) ([]Judged, *budget.Truncation, error) {
+// were validated. With parallelism > 1 the checks fan out to a worker
+// pool; verdict order is preserved by index.
+func validateFindings(levelName string, findings []Finding, oracle Oracle, bud *budget.Budget, parallelism int) ([]Judged, *budget.Truncation, error) {
 	if parallelism > len(findings) {
 		parallelism = len(findings)
 	}
@@ -338,11 +255,6 @@ func validateFindings(levelName string, findings []Finding, screened []Verdict, 
 	inj := bud.Injector()
 	check := func(i int) {
 		f := findings[i]
-		if screened != nil && screened[i] != 0 {
-			judged[i] = Judged{Finding: f, Verdict: screened[i], Level: levelName}
-			checked[i] = true
-			return
-		}
 		if budErr := bud.Err("cegar"); budErr != nil {
 			judged[i] = Judged{Finding: f, Verdict: Undetermined, Level: levelName}
 			if ex, ok := budget.Exhausted(budErr); ok {
@@ -436,6 +348,15 @@ func validateFindings(levelName string, findings []Finding, screened []Verdict, 
 // (expert review).
 type PlantOracle struct {
 	Config plant.Config
+
+	// probes memoizes probeSteps for the Config it was computed from.
+	probes atomic.Pointer[probeMemo]
+}
+
+// probeMemo is one configuration's probe steps.
+type probeMemo struct {
+	config plant.Config
+	steps  []int
 }
 
 // NewPlantOracle builds an oracle over the default plant configuration.
@@ -445,21 +366,20 @@ var _ Oracle = (*PlantOracle)(nil)
 
 // Check implements Oracle.
 func (o *PlantOracle) Check(f Finding) (Verdict, error) {
-	baseInjs, err := plant.InjectionsFromScenario(f.Scenario)
+	injs, err := plant.InjectionsFromScenario(f.Scenario)
 	if err != nil {
 		return Undetermined, nil //nolint:nilerr // unrepresentable -> expert review
 	}
-	probes, err := o.probeSteps()
+	cfg := o.Config
+	probes, err := o.probeSteps(cfg)
 	if err != nil {
 		return Undetermined, err
 	}
 	for _, at := range probes {
-		injs := make([]plant.Injection, len(baseInjs))
-		copy(injs, baseInjs)
 		for i := range injs {
 			injs[i].AtStep = at
 		}
-		tr, err := plant.Simulate(o.Config, injs)
+		tr, err := plant.Simulate(cfg, injs)
 		if err != nil {
 			return Undetermined, err
 		}
@@ -480,9 +400,14 @@ func (o *PlantOracle) Check(f Finding) (Verdict, error) {
 }
 
 // probeSteps picks injection instants: at start, during the first filling
-// phase, and during the first draining phase of the nominal run.
-func (o *PlantOracle) probeSteps() ([]int, error) {
-	nominal, err := plant.Simulate(o.Config, nil)
+// phase, and during the first draining phase of the nominal run. They
+// depend on cfg alone, so the last configuration's steps are kept and
+// reused while Config is unchanged.
+func (o *PlantOracle) probeSteps(cfg plant.Config) ([]int, error) {
+	if m := o.probes.Load(); m != nil && m.config == cfg {
+		return m.steps, nil
+	}
+	nominal, err := plant.Simulate(cfg, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -505,5 +430,6 @@ func (o *PlantOracle) probeSteps() ([]int, error) {
 	if drain >= 0 {
 		steps = append(steps, drain)
 	}
+	o.probes.Store(&probeMemo{config: cfg, steps: steps})
 	return steps, nil
 }

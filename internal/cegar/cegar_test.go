@@ -1,6 +1,8 @@
 package cegar
 
 import (
+	"reflect"
+	"sync"
 	"testing"
 
 	"cpsrisk/internal/epa"
@@ -169,57 +171,109 @@ func TestOracleProbesTiming(t *testing.T) {
 	}
 }
 
-// The formal re-check screen must agree with the native analysis that
-// produced the findings (it refutes nothing on the case study), and it
-// must refute a fabricated counterexample the formal model rejects —
-// without involving any oracle.
-func TestScreenFindings(t *testing.T) {
-	fine := levels(t)[1]
-	genuine := Finding{
-		Scenario: epa.Scenario{{Component: plant.CompEWS, Fault: plant.FaultCompromised}},
-		ReqID:    "R1",
+// oracleFindings pairs every scenario of at most two plant faults with
+// both requirements.
+func oracleFindings() []Finding {
+	acts := []epa.Activation{
+		{Component: plant.CompInValve, Fault: plant.FaultStuckOpen},
+		{Component: plant.CompInValve, Fault: plant.FaultStuckClosed},
+		{Component: plant.CompOutValve, Fault: plant.FaultStuckOpen},
+		{Component: plant.CompOutValve, Fault: plant.FaultStuckClosed},
+		{Component: plant.CompLevelSensor, Fault: plant.FaultNoSignal},
+		{Component: plant.CompHMI, Fault: plant.FaultNoSignal},
+		{Component: plant.CompEWS, Fault: plant.FaultCompromised},
+		{Component: plant.CompInValveCtl, Fault: plant.FaultBadCommand},
+		{Component: plant.CompOutValveCtl, Fault: plant.FaultBadCommand},
 	}
-	fabricated := Finding{Scenario: nil, ReqID: "R1"} // fault-free run violates nothing
-	verdicts, err := screenFindings(fine, []Finding{genuine, fabricated}, nil)
-	if err != nil {
-		t.Fatal(err)
+	var out []Finding
+	for i := range acts {
+		for j := i; j < len(acts); j++ {
+			s := epa.Scenario{acts[i]}
+			if j > i {
+				s = append(s, acts[j])
+			}
+			out = append(out, Finding{Scenario: s, ReqID: "R1"}, Finding{Scenario: s, ReqID: "R2"})
+		}
 	}
-	if verdicts[0] != 0 {
-		t.Errorf("genuine finding screened as %v, want pass-through", verdicts[0])
+	return out
+}
+
+func checkAll(t *testing.T, o *PlantOracle, findings []Finding) []Verdict {
+	t.Helper()
+	out := make([]Verdict, len(findings))
+	for i, f := range findings {
+		v, err := o.Check(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[i] = v
 	}
-	if verdicts[1] != Spurious {
-		t.Errorf("fabricated finding screened as %v, want spurious", verdicts[1])
+	return out
+}
+
+// Concurrent Checks on one oracle share its probe memo (filled by
+// whichever check comes first) and must return the sequential verdicts.
+func TestPlantOracleConcurrentChecks(t *testing.T) {
+	findings := oracleFindings()
+	want := checkAll(t, NewPlantOracle(), findings)
+	o := NewPlantOracle()
+	got := make([]Verdict, len(findings))
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < len(findings); i += 4 {
+				v, err := o.Check(findings[i])
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				got[i] = v
+			}
+		}(w)
+	}
+	wg.Wait()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("concurrent verdicts %v, sequential %v", got, want)
 	}
 }
 
-// On the case study the screen and the native analysis agree exactly, so
-// every finding must reach the oracle (the screen only guards drift),
-// and the screened loop must classify identically to the plain one.
-func TestScreenAgreesWithNativeOnCaseStudy(t *testing.T) {
-	res, err := RunParallelScreened(levels(t), NewPlantOracle(), -1, nil, 1)
+// The probe memo follows Config: editing it between calls recomputes the
+// probes, and verdicts match a fresh oracle over the edited Config.
+func TestPlantOracleProbesFollowConfig(t *testing.T) {
+	o := NewPlantOracle()
+	findings := oracleFindings()
+	checkAll(t, o, findings)
+	before, err := o.probeSteps(o.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.PerLevelScreened) != res.Iterations {
-		t.Fatalf("screen counts = %v for %d iterations", res.PerLevelScreened, res.Iterations)
-	}
-	for li, n := range res.PerLevelScreened {
-		if n != 0 {
-			t.Errorf("level %d: screen refuted %d findings the native analysis produced", li, n)
-		}
-	}
-	plain, err := Run(levels(t), NewPlantOracle(), -1)
+	// Starting below the low mark fills from step 0 on, which moves the
+	// mid-fill probe.
+	o.Config.InitialLevel = 0.1
+	after, err := o.probeSteps(o.Config)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(plain.Findings) != len(res.Findings) {
-		t.Fatalf("screened loop found %d findings, plain %d", len(res.Findings), len(plain.Findings))
+	if reflect.DeepEqual(before, after) {
+		t.Fatalf("probes %v unchanged after editing Config", before)
 	}
-	for i := range plain.Findings {
-		p, s := plain.Findings[i], res.Findings[i]
-		if p.Finding.String() != s.Finding.String() || p.Verdict != s.Verdict || p.Level != s.Level {
-			t.Errorf("finding %d: screened %+v != plain %+v", i, s, p)
+	fresh := &PlantOracle{Config: o.Config}
+	if got, want := checkAll(t, o, findings), checkAll(t, fresh, findings); !reflect.DeepEqual(got, want) {
+		t.Fatalf("verdicts after editing Config %v, fresh oracle %v", got, want)
+	}
+	// The edited Config drives the simulation too: without inflow the
+	// tank cannot overflow, so nothing is confirmed.
+	o.Config.InFlowMax = 0
+	for i, v := range checkAll(t, o, findings) {
+		if v != Spurious {
+			t.Fatalf("%s without inflow: %v, want spurious", findings[i], v)
 		}
+	}
+	o.Config = plant.DefaultConfig()
+	if again, err := o.probeSteps(o.Config); err != nil || !reflect.DeepEqual(again, before) {
+		t.Fatalf("probes back at the default Config = %v (%v), want %v", again, err, before)
 	}
 }
 

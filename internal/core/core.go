@@ -83,8 +83,8 @@ type Config struct {
 	// SolverWorkers is the portfolio width for ASP solving: N diversified
 	// CDCL engines race each query, sharing learned clauses. 0 derives a
 	// width from Parallelism (capped at 4), 1 — the default via the CLI —
-	// is exactly the single-engine solver. Only the ASP path (UseASP or
-	// ASP-screened validation) is affected.
+	// is exactly the single-engine solver. Only the ASP hazard analysis
+	// (UseASP) is affected.
 	SolverWorkers int
 	// SolverDeterministic forces single-engine search regardless of
 	// SolverWorkers, for byte-identical reports across runs.
@@ -574,15 +574,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 			stampLast(out.Degradation, baseCtx)
 		} else {
 			err = stage("validate", func(b *budget.Budget) error {
-				// On the ASP path the formal encoding is already the source
-				// of truth, so the screened loop pre-filters counterexamples
-				// through a per-level solver session before the oracle runs;
-				// the native path keeps the oracle-only loop.
-				loop := cegar.RunParallel
-				if cfg.UseASP {
-					loop = cegar.RunParallelScreened
-				}
-				ref, err := loop([]cegar.Level{{
+				ref, err := cegar.RunParallel([]cegar.Level{{
 					Name:         "assessment",
 					Engine:       eng,
 					Mutations:    analyzed,

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"strings"
 	"testing"
 
@@ -139,6 +140,62 @@ func TestPipelineWithOracle(t *testing.T) {
 	}
 	if len(a.Refinement.Spurious()) == 0 {
 		t.Error("F2-alone finding must be spurious")
+	}
+}
+
+// The validate stage must judge the same findings on both hazard paths:
+// on Fig. 1 over the full mutation surface with the plant oracle, the
+// ASP path's Refinement.Findings (scenario, requirement and verdict)
+// equal the native path's, and they are exactly the violations the ASP
+// hazard analysis reported.
+func TestRefinementASPMatchesNative(t *testing.T) {
+	run := func(useASP bool) *Assessment {
+		t.Helper()
+		cfg := caseStudyConfig()
+		cfg.MutationSources = faults.AllSources()
+		cfg.MaxCardinality = 3
+		cfg.Oracle = cegar.NewPlantOracle()
+		cfg.UseASP = useASP
+		a, err := Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return a
+	}
+	native, asp := run(false), run(true)
+	judged := func(a *Assessment) []string {
+		var out []string
+		for _, j := range a.Refinement.Findings {
+			out = append(out, j.Finding.String()+": "+j.Verdict.String()+" @"+j.Level)
+		}
+		return out
+	}
+	want, got := judged(native), judged(asp)
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("ASP findings:\n%s\nnative findings:\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+	verdicts := map[cegar.Verdict]int{}
+	for _, j := range asp.Refinement.Findings {
+		verdicts[j.Verdict]++
+	}
+	if verdicts[cegar.Confirmed] == 0 || verdicts[cegar.Spurious] == 0 || verdicts[cegar.Undetermined] == 0 {
+		t.Errorf("verdict mix %v: want every verdict represented", verdicts)
+	}
+
+	var violations []string
+	for _, s := range asp.Analysis.Hazards() {
+		for _, req := range s.Violated {
+			violations = append(violations, cegar.Finding{Scenario: s.Scenario, ReqID: req}.String())
+		}
+	}
+	var findings []string
+	for _, j := range asp.Refinement.Findings {
+		findings = append(findings, j.Finding.String())
+	}
+	sort.Strings(violations)
+	sort.Strings(findings)
+	if strings.Join(findings, "\n") != strings.Join(violations, "\n") {
+		t.Errorf("refinement findings %v != ASP analysis violations %v", findings, violations)
 	}
 }
 

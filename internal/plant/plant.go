@@ -185,23 +185,56 @@ func (tr *Trace) QualTrace() []qual.State {
 	return qual.AbstractTrace(qs, tr.Levels(), 1e-9)
 }
 
+// Injectable (component, fault) slots: the faults the plant has physics
+// for. Simulate resolves every injection to one of them once, so each
+// simulation step compares onset steps rather than strings.
+const (
+	slotInStuckOpen = iota
+	slotInStuckClosed
+	slotOutStuckOpen
+	slotOutStuckClosed
+	slotSensorNoSignal
+	slotHMINoSignal
+	slotEWSCompromised
+	slotInCtlBadCommand
+	slotOutCtlBadCommand
+	numSlots
+)
+
+// slotFault is one injectable fault of a component and its slot.
+type slotFault struct {
+	fault string
+	slot  int
+}
+
+// injectable lists, per component, the faults the plant can inject.
+var injectable = map[string][]slotFault{
+	CompInValve:     {{FaultStuckOpen, slotInStuckOpen}, {FaultStuckClosed, slotInStuckClosed}},
+	CompOutValve:    {{FaultStuckOpen, slotOutStuckOpen}, {FaultStuckClosed, slotOutStuckClosed}},
+	CompLevelSensor: {{FaultNoSignal, slotSensorNoSignal}},
+	CompHMI:         {{FaultNoSignal, slotHMINoSignal}},
+	CompEWS:         {{FaultCompromised, slotEWSCompromised}},
+	CompInValveCtl:  {{FaultBadCommand, slotInCtlBadCommand}},
+	CompOutValveCtl: {{FaultBadCommand, slotOutCtlBadCommand}},
+}
+
 // Simulate runs the plant under the fault injections.
 func Simulate(cfg Config, injections []Injection) (*Trace, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	// onset[s] is the earliest step from which slot s is active; a slot
+	// no injection names never activates.
+	var onset [numSlots]int
+	for s := range onset {
+		onset[s] = math.MaxInt
+	}
 	for _, inj := range injections {
-		if err := validateInjection(inj); err != nil {
+		s, err := slotOf(inj)
+		if err != nil {
 			return nil, err
 		}
-	}
-	active := func(t int, comp, fault string) bool {
-		for _, inj := range injections {
-			if inj.Component == comp && inj.Fault == fault && t >= inj.AtStep {
-				return true
-			}
-		}
-		return false
+		onset[s] = min(onset[s], inj.AtStep)
 	}
 
 	tr := &Trace{Config: cfg, Steps: make([]Step, 0, cfg.Steps)}
@@ -210,10 +243,10 @@ func Simulate(cfg Config, injections []Injection) (*Trace, error) {
 	lastReading := level
 
 	for t := 0; t < cfg.Steps; t++ {
-		ewsCompromised := active(t, CompEWS, FaultCompromised)
+		ewsCompromised := t >= onset[slotEWSCompromised]
 
 		// Sensor.
-		sensorDead := active(t, CompLevelSensor, FaultNoSignal)
+		sensorDead := t >= onset[slotSensorNoSignal]
 		if !sensorDead {
 			lastReading = level
 		}
@@ -230,8 +263,8 @@ func Simulate(cfg Config, injections []Injection) (*Trace, error) {
 		// Valve controllers: forward commands unless reconfigured by the
 		// attacker (directly or through the compromised workstation, which
 		// "can cause F1, F2, and F3" per the paper).
-		inCtlBad := active(t, CompInValveCtl, FaultBadCommand) || ewsCompromised
-		outCtlBad := active(t, CompOutValveCtl, FaultBadCommand) || ewsCompromised
+		inCtlBad := t >= onset[slotInCtlBadCommand] || ewsCompromised
+		outCtlBad := t >= onset[slotOutCtlBadCommand] || ewsCompromised
 		if inCtlBad {
 			cmdIn = 1 // attacker forces filling
 		}
@@ -241,16 +274,16 @@ func Simulate(cfg Config, injections []Injection) (*Trace, error) {
 
 		// Valves: physical stuck-at faults dominate commands.
 		inOpen, outOpen = cmdIn, cmdOut
-		if active(t, CompInValve, FaultStuckOpen) {
+		if t >= onset[slotInStuckOpen] {
 			inOpen = 1
 		}
-		if active(t, CompInValve, FaultStuckClosed) {
+		if t >= onset[slotInStuckClosed] {
 			inOpen = 0
 		}
-		if active(t, CompOutValve, FaultStuckOpen) {
+		if t >= onset[slotOutStuckOpen] {
 			outOpen = 1
 		}
-		if active(t, CompOutValve, FaultStuckClosed) {
+		if t >= onset[slotOutStuckClosed] {
 			outOpen = 0
 		}
 
@@ -274,7 +307,7 @@ func Simulate(cfg Config, injections []Injection) (*Trace, error) {
 		// Alerting: the controller raises an alert from the reading; a
 		// dead HMI (or one silenced through the compromised workstation)
 		// loses it.
-		hmiDead := active(t, CompHMI, FaultNoSignal) || ewsCompromised
+		hmiDead := t >= onset[slotHMINoSignal] || ewsCompromised
 		alertRaised := !sensorDead && lastReading >= cfg.AlertMark
 		alerted := alertRaised && !hmiDead
 
@@ -286,29 +319,21 @@ func Simulate(cfg Config, injections []Injection) (*Trace, error) {
 	return tr, nil
 }
 
-func validateInjection(inj Injection) error {
-	valid := map[string][]string{
-		CompInValve:     {FaultStuckOpen, FaultStuckClosed},
-		CompOutValve:    {FaultStuckOpen, FaultStuckClosed},
-		CompLevelSensor: {FaultNoSignal},
-		CompHMI:         {FaultNoSignal},
-		CompEWS:         {FaultCompromised},
-		CompInValveCtl:  {FaultBadCommand},
-		CompOutValveCtl: {FaultBadCommand},
-	}
-	faults, ok := valid[inj.Component]
+// slotOf validates an injection and returns its slot.
+func slotOf(inj Injection) (int, error) {
+	faults, ok := injectable[inj.Component]
 	if !ok {
-		return fmt.Errorf("plant: cannot inject into component %q", inj.Component)
+		return 0, fmt.Errorf("plant: cannot inject into component %q", inj.Component)
 	}
 	for _, f := range faults {
-		if f == inj.Fault {
+		if f.fault == inj.Fault {
 			if inj.AtStep < 0 {
-				return fmt.Errorf("plant: negative injection step %d", inj.AtStep)
+				return 0, fmt.Errorf("plant: negative injection step %d", inj.AtStep)
 			}
-			return nil
+			return f.slot, nil
 		}
 	}
-	return fmt.Errorf("plant: component %q has no fault %q", inj.Component, inj.Fault)
+	return 0, fmt.Errorf("plant: component %q has no fault %q", inj.Component, inj.Fault)
 }
 
 // InjectionsFromScenario converts an EPA scenario over the water-tank
@@ -319,7 +344,7 @@ func InjectionsFromScenario(s epa.Scenario) ([]Injection, error) {
 	out := make([]Injection, 0, len(s))
 	for _, a := range s {
 		inj := Injection{Component: a.Component, Fault: a.Fault}
-		if err := validateInjection(inj); err != nil {
+		if _, err := slotOf(inj); err != nil {
 			return nil, err
 		}
 		out = append(out, inj)

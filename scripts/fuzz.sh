@@ -16,3 +16,4 @@ go test -run='^$' -fuzz=FuzzCacheRecord -fuzztime="$fuzztime" ./internal/store
 go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime="$fuzztime" ./internal/hazard
 go test -run='^$' -fuzz=FuzzRankUnrank -fuzztime="$fuzztime" ./internal/faults
 go test -run='^$' -fuzz=FuzzOptimalVsBruteForce -fuzztime="$fuzztime" ./internal/optimize
+go test -run='^$' -fuzz=FuzzSimulateMatchesReference -fuzztime="$fuzztime" ./internal/plant
