@@ -165,13 +165,9 @@ func cutsBase(eng *epa.Engine, muts []faults.Mutation, req Requirement) (*logic.
 // in an earlier round or this one).
 func cutBatch(models []solver.Model, muts []faults.Mutation) []epa.Scenario {
 	batch := make([]epa.Scenario, 0, len(models))
-	for _, m := range models {
-		var cut epa.Scenario
-		for _, mu := range muts {
-			if m.Contains(epa.ActiveAtom(mu.Component, mu.Fault).Key()) {
-				cut = append(cut, mu.Activation)
-			}
-		}
+	keys := activeKeys(muts)
+	for i := range models {
+		cut, _ := scenarioFromModel(&models[i], muts, keys)
 		batch = append(batch, cut)
 	}
 	sort.Slice(batch, func(i, j int) bool { return batch[i].Key() < batch[j].Key() })

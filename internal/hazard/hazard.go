@@ -531,8 +531,9 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 		idx []int
 	}
 	rows := make([]aspRow, len(models))
+	keys := activeKeys(muts)
 	for i := range models {
-		sc, idx := scenarioFromModel(&models[i], muts)
+		sc, idx := scenarioFromModel(&models[i], muts, keys)
 		rows[i] = aspRow{m: &models[i], sc: sc, idx: idx}
 	}
 	slices.SortFunc(rows, func(a, b aspRow) int {
@@ -564,13 +565,24 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 	return out, nil
 }
 
+// activeKeys renders each candidate's activation atom key once, so
+// reading many answer sets builds no strings.
+func activeKeys(muts []faults.Mutation) []string {
+	keys := make([]string, len(muts))
+	for i, mu := range muts {
+		keys[i] = epa.ActiveAtom(mu.Component, mu.Fault).Key()
+	}
+	return keys
+}
+
 // scenarioFromModel reads the active candidates of an answer set, in
-// candidate-set order, with their candidate indices.
-func scenarioFromModel(m *solver.Model, muts []faults.Mutation) (epa.Scenario, []int) {
+// candidate-set order, with their candidate indices; keys is
+// activeKeys(muts).
+func scenarioFromModel(m *solver.Model, muts []faults.Mutation, keys []string) (epa.Scenario, []int) {
 	var sc epa.Scenario
 	var idx []int
 	for i, mu := range muts {
-		if m.Contains(epa.ActiveAtom(mu.Component, mu.Fault).Key()) {
+		if m.Contains(keys[i]) {
 			sc = append(sc, mu.Activation)
 			idx = append(idx, i)
 		}

@@ -696,7 +696,13 @@ func optimizeQueryWorker(tr *translation, p queryPrep, opts Options, res *Result
 // objective-bound clauses) carry the query guard qg so they can be
 // retired afterwards. They are engine-local: the guard variable is
 // aligned across portfolio workers, but the clause itself is a per-engine
-// axiom, not a program consequence, so it must never be exported.
+// axiom, not a program consequence, so it must never be exported. A
+// blocking clause negates the model's decision literals (blockingClause).
+// ¬qg heads the assumption prefix and qg occurs only positively in
+// clauses, so ¬qg is never implied before it is assumed: it is always
+// level 1's pseudo-decision, and blockingClause already holds qg. The
+// appended guard is a copy that addClauseTagged drops; it is kept so that
+// retiring the clause does not depend on the assumption order.
 func enumerateOn(tr *translation, opts Options, res *Result, exactCost int64, qg lit) error {
 	st := tr.s
 	if exactCost >= 0 {

@@ -970,15 +970,31 @@ func (tr *translation) modelCosts() []PriorityCost {
 	return out
 }
 
-// blockingClause excludes the current atom assignment.
+// blockingClause excludes the current total assignment by the negation of
+// its decision literals (clasp-style solution recording), leaving one
+// slot of capacity for the caller's query guard. The decisions are the
+// first trail literal of each level with no reason: branching decisions
+// and the assumption pseudo-decisions, the guard's own included; a dummy
+// assumption level opens on an already-implied literal and contributes
+// nothing. Above level 0 only decide enqueues without a reason (unit
+// clauses, learned or imported, cancel to level 0 first), so the
+// assignment is the propagation closure of these literals under clauses
+// that hold in every model not yet reported. Every auxiliary variable is
+// defined by an equivalence over atoms, so the clause blocks exactly this
+// model and no other.
 func (tr *translation) blockingClause() []lit {
-	clause := make([]lit, 0, tr.gp.NumAtoms())
-	for id := AtomID(1); id <= AtomID(tr.gp.NumAtoms()); id++ {
-		l := tr.atomLit(id)
-		if tr.s.assign[l.variable()] == 1 {
-			clause = append(clause, -l)
-		} else {
-			clause = append(clause, l)
+	s := tr.s
+	clause := make([]lit, 0, s.decisionLevel()+1)
+	for i, start := range s.trailLim {
+		end := len(s.trail)
+		if i+1 < len(s.trailLim) {
+			end = s.trailLim[i+1]
+		}
+		if start == end {
+			continue // dummy assumption level
+		}
+		if d := s.trail[start]; s.reason[d.variable()] == nil {
+			clause = append(clause, -d)
 		}
 	}
 	return clause
