@@ -14,11 +14,11 @@ test:
 vet:
 	go vet ./...
 
-# bench runs the perf-tracked suite (S1-S7, the pruned-sweep arms,
-# Fig. 1, obs overhead) and files the numbers into bench.local.json (an
-# untracked scratch ledger; BENCH_OUT picks another file), with
-# the S5 portfolio race additionally pinned to -cpu=1 and -cpu=4. Set
-# BENCH_LABEL/BENCHTIME to override defaults.
+# bench runs the Go benchmark suite (S1-S7, the pruned-sweep arms, the
+# single-shot minimal-cut reference, Fig. 1, obs overhead) with -benchmem
+# and -count=5, the S5 portfolio race additionally pinned to -cpu=1 and
+# -cpu=4. These are profiling entry points; perf claims go through
+# scripts/ab.sh. Set BENCHTIME to change the per-benchmark time.
 bench:
 	./scripts/bench.sh
 

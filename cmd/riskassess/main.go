@@ -76,7 +76,7 @@ func run(args []string, stdout io.Writer) error {
 	timeout := fs.Duration("timeout", 0, "wall-clock limit for the whole run (0 = none); partial results on expiry")
 	maxDecisions := fs.Int64("max-decisions", 0, "cap on ASP solver branching decisions (0 = unlimited)")
 	maxScenarios := fs.Int("max-scenarios", 0, "cap on analyzed scenarios (0 = unlimited)")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "scenario-sweep workers (1 = sequential; results are identical)")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "scenario-sweep workers (1 = one worker; results are identical)")
 	solverWorkers := fs.Int("solver-workers", 1, "ASP portfolio engines per query (0 = derive from -parallel, 1 = single engine)")
 	solverDet := fs.Bool("solver-det", false, "deterministic ASP search: forces a single engine so reports are byte-identical across runs")
 	topN := fs.Int("top", 20, "ranked scenarios to print (0 = all)")

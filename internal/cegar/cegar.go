@@ -139,8 +139,8 @@ func Run(levels []Level, oracle Oracle, maxCard int) (*Result, error) {
 }
 
 // RunBudget is Run under a resource budget. Each level's hazard analysis
-// degrades as hazard.AnalyzeBudget does (truncations are collected on the
-// result); the budget is also polled between oracle calls — concrete
+// degrades as hazard.AnalyzeSweep does under a budget (truncations are
+// collected on the result); the budget is also polled between oracle calls — concrete
 // validation can dominate wall-clock time — and on exhaustion every
 // not-yet-validated finding of the current level is routed to
 // Undetermined (expert review), matching the paper's handling of

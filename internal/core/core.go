@@ -72,7 +72,7 @@ type Config struct {
 	Resources budget.Limits
 	// Parallelism is the worker-pool size for the native scenario sweep
 	// and for CEGAR counterexample validation: 0 picks GOMAXPROCS, 1
-	// forces the sequential path. The results are identical either way;
+	// runs one worker. The results are identical either way;
 	// only wall-clock time changes. When an Oracle is configured with
 	// Parallelism != 1 it must be safe for concurrent Check calls.
 	// It also sizes the run-wide worker-pool governor: sweep workers,
@@ -398,6 +398,24 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 			bump(cfg.Metrics, "artifact.misses")
 			entry = &artifact.Entry{}
 		}
+		// register files this run's outcome in the artifact cache; it runs
+		// once the analysis and ranking are final, on either path below.
+		register := func() {
+			entry.Fingerprint = fp
+			entry.Model = model
+			entry.Engine = eng
+			entry.Candidates = out.Candidates
+			entry.Analyzed = analyzed
+			entry.Compromisable = out.Compromisable
+			entry.Analysis = out.Analysis
+			entry.SetRanked(out.Ranked)
+			entry.Complete = out.Analysis.Truncation == nil && !out.Degradation.Degraded()
+			entry.Pins = []any{cfg.Types, cfg.Behaviors, cfg.KB}
+			ac.Put(key, entry)
+			if cfg.Metrics != nil {
+				cfg.Metrics.Gauge("artifact.evictions").Set(ac.Stats().Evictions)
+			}
+		}
 		// Nearest-parent resolution for delta re-assessment: the closest
 		// complete entry under the same configuration, within the K gate.
 		var (
@@ -423,20 +441,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 				eng = parent.Engine
 				out.Analysis = parent.Analysis
 				out.Ranked = parent.Ranked()
-				entry.Fingerprint = fp
-				entry.Model = model
-				entry.Engine = eng
-				entry.Candidates = out.Candidates
-				entry.Analyzed = analyzed
-				entry.Compromisable = out.Compromisable
-				entry.Analysis = out.Analysis
-				entry.SetRanked(out.Ranked)
-				entry.Complete = out.Analysis.Truncation == nil && !out.Degradation.Degraded()
-				entry.Pins = []any{cfg.Types, cfg.Behaviors, cfg.KB}
-				ac.Put(key, entry)
-				if cfg.Metrics != nil {
-					cfg.Metrics.Gauge("artifact.evictions").Set(ac.Stats().Evictions)
-				}
+				register()
 				return nil
 			}
 		}
@@ -540,20 +545,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 		}
 		out.Ranked = out.Analysis.Ranked()
 		if entry != nil {
-			entry.Fingerprint = fp
-			entry.Model = model
-			entry.Engine = eng
-			entry.Candidates = out.Candidates
-			entry.Analyzed = analyzed
-			entry.Compromisable = out.Compromisable
-			entry.Analysis = out.Analysis
-			entry.SetRanked(out.Ranked)
-			entry.Complete = out.Analysis.Truncation == nil && !out.Degradation.Degraded()
-			entry.Pins = []any{cfg.Types, cfg.Behaviors, cfg.KB}
-			ac.Put(key, entry)
-			if cfg.Metrics != nil {
-				cfg.Metrics.Gauge("artifact.evictions").Set(ac.Stats().Evictions)
-			}
+			register()
 		}
 		return nil
 	})

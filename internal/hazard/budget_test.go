@@ -9,52 +9,60 @@ import (
 	"cpsrisk/internal/budget"
 )
 
+// budgetWidths are the pool widths the budget tests sweep at: one worker
+// and a pool that overlaps budget polls with in-flight chunks.
+var budgetWidths = []int{1, 4}
+
 func TestAnalyzeBudgetScenarioCapFallsBackToCompletedCardinality(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	// Full space with 3 candidates: 1 + 3 + 3 + 1 = 8 scenarios. A cap of
-	// 5 interrupts inside cardinality 2 (scenarios 5..7), so the analysis
-	// must fall back to cardinality <= 1 (4 scenarios).
-	bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 5})
-	a, err := AnalyzeBudget(eng, muts, -1, reqs, bud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Truncation == nil {
-		t.Fatal("expected truncation")
-	}
-	if a.Truncation.Reason != budget.ReasonScenarios {
-		t.Errorf("reason = %q", a.Truncation.Reason)
-	}
-	if len(a.Scenarios) != 4 {
-		t.Fatalf("scenarios = %d, want 4 (cardinality <= 1)", len(a.Scenarios))
-	}
-	for _, s := range a.Scenarios {
-		if len(s.Scenario) > 1 {
-			t.Errorf("partial cardinality leaked: %s", s.Scenario.Key())
+	for _, par := range budgetWidths {
+		// Full space with 3 candidates: 1 + 3 + 3 + 1 = 8 scenarios. A cap
+		// of 5 interrupts inside cardinality 2 (scenarios 5..7), so the
+		// analysis must fall back to cardinality <= 1 (4 scenarios).
+		bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 5})
+		a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if !strings.Contains(a.Truncation.Detail, "cardinality <= 1") {
-		t.Errorf("detail = %q", a.Truncation.Detail)
-	}
-	if !strings.Contains(a.Truncation.Detail, "4 of 8") {
-		t.Errorf("detail = %q", a.Truncation.Detail)
+		if a.Truncation == nil {
+			t.Fatalf("parallelism %d: expected truncation", par)
+		}
+		if a.Truncation.Reason != budget.ReasonScenarios {
+			t.Errorf("parallelism %d: reason = %q", par, a.Truncation.Reason)
+		}
+		if len(a.Scenarios) != 4 {
+			t.Fatalf("parallelism %d: scenarios = %d, want 4 (cardinality <= 1)", par, len(a.Scenarios))
+		}
+		for _, s := range a.Scenarios {
+			if len(s.Scenario) > 1 {
+				t.Errorf("parallelism %d: partial cardinality leaked: %s", par, s.Scenario.Key())
+			}
+		}
+		if !strings.Contains(a.Truncation.Detail, "cardinality <= 1") {
+			t.Errorf("parallelism %d: detail = %q", par, a.Truncation.Detail)
+		}
+		if !strings.Contains(a.Truncation.Detail, "4 of 8") {
+			t.Errorf("parallelism %d: detail = %q", par, a.Truncation.Detail)
+		}
 	}
 }
 
 func TestAnalyzeBudgetCapAtCardinalityBoundaryKeepsAll(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	// Cap exactly at the cardinality-1 boundary: 1 + 3 = 4 scenarios kept,
-	// nothing dropped beyond the frontier.
-	bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 4})
-	a, err := AnalyzeBudget(eng, muts, -1, reqs, bud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Truncation == nil {
-		t.Fatal("expected truncation")
-	}
-	if len(a.Scenarios) != 4 {
-		t.Fatalf("scenarios = %d, want 4", len(a.Scenarios))
+	for _, par := range budgetWidths {
+		// Cap exactly at the cardinality-1 boundary: 1 + 3 = 4 scenarios
+		// kept, nothing dropped beyond the frontier.
+		bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 4})
+		a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Truncation == nil {
+			t.Fatalf("parallelism %d: expected truncation", par)
+		}
+		if len(a.Scenarios) != 4 {
+			t.Fatalf("parallelism %d: scenarios = %d, want 4", par, len(a.Scenarios))
+		}
 	}
 }
 
@@ -62,37 +70,41 @@ func TestAnalyzeBudgetCancelledContextReturnsPromptly(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	bud := budget.New(ctx, budget.Limits{})
-	start := time.Now()
-	a, err := AnalyzeBudget(eng, muts, -1, reqs, bud)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if time.Since(start) > 5*time.Second {
-		t.Fatal("cancelled analysis did not return promptly")
-	}
-	if a.Truncation == nil || a.Truncation.Reason != budget.ReasonCancelled {
-		t.Fatalf("truncation = %+v", a.Truncation)
-	}
-	if len(a.Scenarios) != 0 {
-		t.Errorf("scenarios = %d", len(a.Scenarios))
-	}
-	if !strings.Contains(a.Truncation.Detail, "no cardinality completed") {
-		t.Errorf("detail = %q", a.Truncation.Detail)
+	for _, par := range budgetWidths {
+		bud := budget.New(ctx, budget.Limits{})
+		start := time.Now()
+		a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if time.Since(start) > 5*time.Second {
+			t.Fatalf("parallelism %d: cancelled analysis did not return promptly", par)
+		}
+		if a.Truncation == nil || a.Truncation.Reason != budget.ReasonCancelled {
+			t.Fatalf("parallelism %d: truncation = %+v", par, a.Truncation)
+		}
+		if len(a.Scenarios) != 0 {
+			t.Errorf("parallelism %d: scenarios = %d", par, len(a.Scenarios))
+		}
+		if !strings.Contains(a.Truncation.Detail, "no cardinality completed") {
+			t.Errorf("parallelism %d: detail = %q", par, a.Truncation.Detail)
+		}
 	}
 }
 
 func TestAnalyzeBudgetNilBudgetIsExhaustive(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := AnalyzeBudget(eng, muts, -1, reqs, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Truncation != nil {
-		t.Fatalf("truncation = %+v", a.Truncation)
-	}
-	if len(a.Scenarios) != 8 {
-		t.Fatalf("scenarios = %d", len(a.Scenarios))
+	for _, par := range budgetWidths {
+		a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: par})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if a.Truncation != nil {
+			t.Fatalf("parallelism %d: truncation = %+v", par, a.Truncation)
+		}
+		if len(a.Scenarios) != 8 {
+			t.Fatalf("parallelism %d: scenarios = %d", par, len(a.Scenarios))
+		}
 	}
 }
 

@@ -100,38 +100,6 @@ func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement
 	return nil, fmt.Errorf("hazard: minimal-cut enumeration exceeded %d rounds", maxRounds)
 }
 
-// MinimalCutsASPSingleShot is the pre-session reference implementation:
-// every round rebuilds the program with all blocking constraints and
-// re-grounds and re-solves it from scratch. It is exported for the
-// differential equality test and the S4 incremental-vs-single-shot
-// benchmark; production callers should use MinimalCutsASP.
-func MinimalCutsASPSingleShot(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int) ([]epa.Scenario, error) {
-	base, err := cutsBase(eng, muts, req)
-	if err != nil {
-		return nil, err
-	}
-	if maxRounds <= 0 {
-		maxRounds = defaultCutRounds(len(muts))
-	}
-	var cuts []epa.Scenario
-	for round := 0; round < maxRounds; round++ {
-		prog := &logic.Program{}
-		prog.Extend(base)
-		for _, cut := range cuts {
-			prog.AddRule(blockCut(cut))
-		}
-		res, err := solver.SolveProgram(prog, solver.Options{Optimize: true})
-		if err != nil {
-			return nil, err
-		}
-		if len(res.Models) == 0 {
-			return cuts, nil // space exhausted
-		}
-		cuts = append(cuts, cutBatch(res.Models, muts)...)
-	}
-	return nil, fmt.Errorf("hazard: minimal-cut enumeration exceeded %d rounds", maxRounds)
-}
-
 // cutsBase builds the shared encoding: EPA semantics, the unbounded fault
 // choice, the violation condition, and the cardinality objective.
 func cutsBase(eng *epa.Engine, muts []faults.Mutation, req Requirement) (*logic.Program, error) {
@@ -159,7 +127,8 @@ func cutsBase(eng *epa.Engine, muts []faults.Mutation, req Requirement) (*logic.
 }
 
 // cutBatch extracts one round's cuts from its optimal models, sorted by
-// scenario key so both enumeration strategies emit identical output.
+// scenario key so the session and its single-shot test reference emit
+// identical output.
 // All optimal models of a round share the minimum cardinality: each is a
 // minimal cut (no proper subset violates, or it would have been optimal
 // in an earlier round or this one).

@@ -2,12 +2,16 @@ package hazard
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"strings"
 	"testing"
 
 	"cpsrisk/internal/budget"
 	"cpsrisk/internal/epa"
+	"cpsrisk/internal/faults"
+	"cpsrisk/internal/logic"
+	"cpsrisk/internal/solver"
 )
 
 func cutKeys(cuts []epa.Scenario) []string {
@@ -101,13 +105,54 @@ func TestMinimalCutsASPValidation(t *testing.T) {
 	}
 }
 
+// refMinimalCutsSingleShot is the pre-session reference for
+// MinimalCutsASP: every round rebuilds the program with all blocking
+// constraints and re-grounds and re-solves it from scratch.
+func refMinimalCutsSingleShot(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int) ([]epa.Scenario, error) {
+	base, err := cutsBase(eng, muts, req)
+	if err != nil {
+		return nil, err
+	}
+	if maxRounds <= 0 {
+		maxRounds = defaultCutRounds(len(muts))
+	}
+	var cuts []epa.Scenario
+	for round := 0; round < maxRounds; round++ {
+		prog := &logic.Program{}
+		prog.Extend(base)
+		for _, cut := range cuts {
+			prog.AddRule(blockCut(cut))
+		}
+		res, err := solver.SolveProgram(prog, solver.Options{Optimize: true})
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Models) == 0 {
+			return cuts, nil // space exhausted
+		}
+		cuts = append(cuts, cutBatch(res.Models, muts)...)
+	}
+	return nil, fmt.Errorf("hazard: minimal-cut enumeration exceeded %d rounds", maxRounds)
+}
+
+// BenchmarkMinimalCutsASP contrasts the session enumeration with its
+// single-shot reference, which re-grounds the encoding every round.
 func BenchmarkMinimalCutsASP(b *testing.B) {
 	eng, muts, reqs := setup(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := MinimalCutsASP(eng, muts, reqs[0], 0); err != nil {
-			b.Fatal(err)
-		}
+	for _, arm := range []struct {
+		name string
+		cuts func(*epa.Engine, []faults.Mutation, Requirement, int) ([]epa.Scenario, error)
+	}{
+		{"incremental", MinimalCutsASP},
+		{"single-shot", refMinimalCutsSingleShot},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if _, err := arm.cuts(eng, muts, reqs[0], 0); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 
@@ -121,7 +166,7 @@ func TestMinimalCutsASPIncrementalMatchesSingleShot(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s incremental: %v", req.ID, err)
 		}
-		ss, err := MinimalCutsASPSingleShot(eng, muts, req, 0)
+		ss, err := refMinimalCutsSingleShot(eng, muts, req, 0)
 		if err != nil {
 			t.Fatalf("%s single-shot: %v", req.ID, err)
 		}

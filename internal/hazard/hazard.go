@@ -84,7 +84,7 @@ type ResumeInfo struct {
 
 // SweepStats describes the execution of one native scenario sweep.
 type SweepStats struct {
-	// Workers is the worker-pool size (1 = sequential).
+	// Workers is the worker-pool size after the governor's grant.
 	Workers int
 	// Scenarios counts the scenario results kept in the analysis.
 	Scenarios int
@@ -100,8 +100,8 @@ type SweepStats struct {
 	// (0 = fresh sweep).
 	Restored int
 	// Executed counts scenarios evaluated against a full EPA result —
-	// an engine run or a cached state vector (0 on the sequential path,
-	// which neither caches nor prunes).
+	// an engine run or a cached state vector. With neither pruning nor
+	// reuse and no truncation it equals Scenarios.
 	Executed int64
 	// Pruned counts rows synthesized by dominance: the scenario had a
 	// recorded violating subset for every requirement, so its outcome
@@ -135,77 +135,10 @@ func (s *SweepStats) Throughput() float64 {
 // Analyze enumerates the scenario space (cardinality <= maxCard, negative
 // = unbounded) and evaluates every requirement on every scenario with the
 // native EPA engine, scoring scenario risk from the mutation likelihoods
-// and requirement severities.
+// and requirement severities. It is the sweep engine with one worker and
+// no budget, cache, pruning or sharding: the exhaustive reference.
 func Analyze(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement) (*Analysis, error) {
-	return AnalyzeBudget(eng, muts, maxCard, reqs, nil)
-}
-
-// AnalyzeBudget is Analyze under resource governance. Scenarios stream in
-// cardinality order and the budget is checked per scenario; when the
-// deadline, a cancellation, or the scenario cap trips, the analysis falls
-// back to the largest fully completed cardinality: results of the
-// in-flight cardinality are dropped (they would silently bias the ranking
-// toward lexicographically early candidates) and the skipped frontier is
-// reported in Analysis.Truncation.
-func AnalyzeBudget(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, bud *budget.Budget) (*Analysis, error) {
-	if err := validateReqs(reqs); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	limits := bud.Limits()
-	out := &Analysis{Requirements: reqs}
-	maskLen := (len(muts) + 7) / 8
-	var mask []byte
-
-	// Observability: one span around the whole sweep, counters batched
-	// after the loop — the per-scenario hot path is untouched.
-	obsCtx, sweepSpan := obs.StartSpan(bud.Context(), "sweep")
-	defer sweepSpan.End()
-	reg := obs.RegistryFromContext(obsCtx)
-
-	var trunc *budget.Truncation
-	var runErr error
-	processed := 0
-	faults.EnumerateRangeIndex(len(muts), maxCard, 0, -1, func(idx []int) bool {
-		if limits.MaxScenarios > 0 && processed >= limits.MaxScenarios {
-			trunc = &budget.Truncation{Stage: "hazard", Reason: budget.ReasonScenarios}
-			trunc.Stamp(obsCtx)
-			return false
-		}
-		if err := bud.Err("hazard"); err != nil {
-			ex, _ := budget.Exhausted(err)
-			trunc = &budget.Truncation{Stage: "hazard", Reason: ex.Reason}
-			trunc.Stamp(obsCtx)
-			return false
-		}
-		sc := faults.ScenarioOf(muts, idx)
-		res, err := eng.RunBudget(sc, bud)
-		if err != nil {
-			if ex, ok := budget.Exhausted(err); ok {
-				trunc = &budget.Truncation{Stage: "hazard", Reason: ex.Reason}
-				trunc.Stamp(obsCtx)
-				return false
-			}
-			runErr = err
-			return false
-		}
-		// The stream never skips, so the 1-based scenario ID is the
-		// stream position — the invariant the parallel sweep relies on.
-		mask = appendMask(mask[:0], idx, maskLen)
-		out.Scenarios = append(out.Scenarios, scoreResult(processed, sc, mask, res, muts, reqs))
-		processed++
-		return true
-	})
-	if runErr != nil {
-		return nil, runErr
-	}
-	if trunc != nil {
-		out.Truncation = trunc
-		out.truncateToCompletedCardinality(muts, maxCard)
-	}
-	out.Sweep = &SweepStats{Workers: 1, Scenarios: len(out.Scenarios), Duration: time.Since(start)}
-	publishSweep(reg, out.Sweep, processed)
-	return out, nil
+	return AnalyzeSweep(eng, muts, maxCard, reqs, SweepConfig{Parallelism: 1})
 }
 
 // publishSweep files one sweep's effort onto the metrics registry
@@ -243,8 +176,8 @@ func publishSweep(reg *obs.Registry, sw *SweepStats, epaRuns int) {
 
 // scoreResult evaluates every requirement on one EPA outcome and scores
 // the scenario risk. seq is the 0-based enumeration position; the
-// scenario ID is S<seq+1> (S1 = fault-free), identical for the
-// sequential and parallel sweeps.
+// scenario ID is S<seq+1> (S1 = fault-free), identical at every pool
+// width.
 func scoreResult(seq int, sc epa.Scenario, mask []byte, res *epa.Result, muts []faults.Mutation, reqs []Requirement) ScenarioResult {
 	return newRow(seq, sc, mask, muts, reqs, 0, func(i int) bool {
 		return Eval(reqs[i].Condition, sc, res)

@@ -17,16 +17,16 @@ import (
 	"cpsrisk/internal/store"
 )
 
-// The parallel sweep fans the scenario stream out to a worker pool and
-// merges per-scenario results back in enumeration order. It is
-// observably identical to the sequential AnalyzeBudget — same S<n> IDs,
-// same ordering, same risks, same budget and truncation semantics
-// (largest fully-completed cardinality) — because:
+// The sweep fans the scenario stream out to a worker pool and merges
+// per-scenario results back in enumeration order. It is the only native
+// sweep: one worker is a pool of one. Its output is independent of the
+// pool size — same S<n> IDs, same ordering, same risks, same budget and
+// truncation semantics (largest fully-completed cardinality) — because:
 //
 //   - the producer assigns each scenario its 0-based stream position
 //     (seq) before fan-out, and IDs derive from seq alone;
 //   - the MaxScenarios cap is enforced by the producer, so exactly the
-//     same prefix of the stream is analyzed as sequentially;
+//     same prefix of the stream is analyzed at every width;
 //   - the merge keeps only the contiguous prefix of completed scenarios
 //     below the earliest failure/exhaustion, then applies the same
 //     completed-cardinality fallback.
@@ -43,8 +43,8 @@ import (
 
 // sweepChunkSize is how many scenarios ride one channel send. Scenario
 // analyses are individually cheap (microseconds on small plants), so
-// per-scenario channel operations dominated the parallel sweep and made
-// it slower than sequential at high scenario counts; chunking amortizes
+// per-scenario channel operations dominated the pool and made it slower
+// than a plain loop at high scenario counts; chunking amortizes
 // the synchronization without changing which scenarios are analyzed or
 // in what order they are merged.
 const sweepChunkSize = 32
@@ -116,15 +116,17 @@ type producerOutcome struct {
 	trunc   *budget.Truncation
 }
 
-// AnalyzeSweep is the full sweep engine: Analyze with a worker pool of
-// cfg.Parallelism workers sweeping the scenario space (<= 0 uses
-// runtime.GOMAXPROCS(0); 1 with no other option set is exactly the
-// sequential AnalyzeBudget), plus the optional persistent result cache
-// and checkpoint/resume. The output is deterministic and identical to
-// Analyze. Under a budget it keeps AnalyzeBudget's degradation
-// semantics: the budget is polled per scenario (producer and workers),
-// exhaustion truncates to the largest fully completed cardinality, and
-// MaxScenarios caps the analyzed prefix deterministically. A resumed
+// AnalyzeSweep is the native sweep engine: a pool of cfg.Parallelism
+// workers (<= 0 uses runtime.GOMAXPROCS(0); 1 runs one producer and one
+// worker goroutine) sweeps the scenario space, with the optional
+// persistent result cache and checkpoint/resume. The output is
+// deterministic and independent of the pool size. Under a budget the
+// sweep degrades gracefully: scenarios stream in cardinality order, the
+// budget is polled per scenario (producer and workers), exhaustion drops
+// the in-flight cardinality and keeps every fully completed one (partial
+// cardinalities would bias the ranking toward lexicographically early
+// candidates), the skipped frontier is reported in Analysis.Truncation,
+// and MaxScenarios caps the analyzed prefix deterministically. A resumed
 // sweep replays enumeration from rank 0 — cached scenarios become
 // lookups, uncached ones recompute — so the final Analysis is identical
 // to an uninterrupted run; Analysis.Resume records the provenance.
@@ -134,10 +136,6 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		parallelism = runtime.GOMAXPROCS(0)
 	}
 	bud := cfg.Budget
-	if parallelism == 1 && cfg.Cache == nil && cfg.Checkpoint == nil &&
-		!cfg.Prune && cfg.ShardCount <= 1 && cfg.Reuse == nil {
-		return AnalyzeBudget(eng, muts, maxCard, reqs, bud)
-	}
 	if err := validateReqs(reqs); err != nil {
 		return nil, err
 	}
@@ -173,13 +171,19 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	start := time.Now()
 	limits := bud.Limits()
 	inj := bud.Injector()
-	cfg.Checkpoint.SetInjector(inj)
 
 	// Resume: a checkpoint whose hashes match this exact sweep yields the
 	// frontier rank below which scenarios are already paid for — they are
 	// replayed through the cache but exempt from the MaxScenarios cap.
-	// A shard's floor is its range start, checkpoint or not.
-	resumeFrom := max(cfg.Checkpoint.Resume(eng.Hash(), hashMuts(muts), hashReqs(reqs), maxCard), shardLo)
+	// A shard's floor is its range start, checkpoint or not. The hashes
+	// are only computed when a checkpoint will compare or save them.
+	resumeFrom := shardLo
+	var engHash, mutsHash, reqsHash uint64
+	if cfg.Checkpoint != nil {
+		cfg.Checkpoint.SetInjector(inj)
+		engHash, mutsHash, reqsHash = eng.Hash(), hashMuts(muts), hashReqs(reqs)
+		resumeFrom = max(cfg.Checkpoint.Resume(engHash, mutsHash, reqsHash, maxCard), shardLo)
+	}
 
 	// Cache keys are bitmasks over the candidate-set index; the candidate
 	// set is part of the cache namespace, so the index is stable.
@@ -198,8 +202,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	}
 
 	// MaxScenarios accounting. A plain sweep charges every emitted rank
-	// at the producer and stops at the cap, exactly like the sequential
-	// path. When pruning or reuse can synthesize rows, the cap must
+	// at the producer and stops at the cap, at every pool width. When pruning or reuse can synthesize rows, the cap must
 	// charge executed-equivalent work only — implied and reused rows are
 	// free, or a pruned run would truncate earlier than an exhaustive one
 	// despite doing less work. Which rows are implied is worker-timing-
@@ -242,8 +245,8 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 
 	// Producer: enumerate in order, batching scenarios into chunks tagged
 	// with their starting stream position. Budget poll and scenario cap
-	// live here, per scenario, so the analyzed prefix matches the
-	// sequential sweep exactly. Ranks below the resume frontier are
+	// live here, per scenario, so the analyzed prefix is the same at every
+	// pool width. Ranks below the resume frontier are
 	// emitted (the report needs their rows) but not charged to the cap.
 	go func() {
 		defer close(jobs)
@@ -493,9 +496,9 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		}
 		st := ckptState{
 			Version:    ckptVersion,
-			EngineHash: fmt.Sprintf("%016x", eng.Hash()),
-			MutsHash:   fmt.Sprintf("%016x", hashMuts(muts)),
-			ReqsHash:   fmt.Sprintf("%016x", hashReqs(reqs)),
+			EngineHash: fmt.Sprintf("%016x", engHash),
+			MutsHash:   fmt.Sprintf("%016x", mutsHash),
+			ReqsHash:   fmt.Sprintf("%016x", reqsHash),
 			MaxCard:    maxCard,
 			Frontier:   front,
 			Ranges:     frontierRanges(len(muts), maxCard, front),
@@ -566,8 +569,8 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	complete := trunc == nil && badErr == nil && firstBad == math.MaxInt
 	saveFrontier(complete)
 	if firstBad < prod.emitted && badErr != nil {
-		// Earliest event is a hard error: fail like the sequential sweep
-		// would on that scenario. The checkpoint above makes the failure
+		// Earliest event is a hard error: fail on that scenario, as at
+		// every pool width. The checkpoint above makes the failure
 		// resumable.
 		return nil, badErr
 	}

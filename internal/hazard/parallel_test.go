@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cpsrisk/internal/budget"
+	"cpsrisk/internal/obs"
 )
 
 // canonical serializes the deterministic part of an Analysis (IDs,
@@ -28,49 +29,57 @@ func canonical(t *testing.T, a *Analysis) []byte {
 
 func TestParallelSweepMatchesSequential(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	seq, err := Analyze(eng, muts, -1, reqs)
+	ref, err := refAnalyze(eng, muts, -1, reqs, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := canonical(t, seq)
-	for _, par := range []int{2, 4, runtime.NumCPU() + 2} {
-		got, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: par})
+	want := canonical(t, ref)
+	for _, par := range []int{1, 2, 4, runtime.NumCPU() + 2} {
+		// Traced, so every width also shows its worker spans: one worker
+		// is a pool of one, not a separate loop.
+		tr := obs.New("assessment")
+		bud := budget.New(obs.ContextWithSpan(context.Background(), tr.Root()), budget.Limits{})
+		got, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: bud, Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
+		tr.Finish()
 		if !bytes.Equal(canonical(t, got), want) {
-			t.Errorf("parallelism %d: output differs from sequential:\n%s\nvs\n%s",
+			t.Errorf("parallelism %d: output differs from the reference:\n%s\nvs\n%s",
 				par, canonical(t, got), want)
 		}
-		if got.Sweep == nil || got.Sweep.Workers != par {
+		if got.Sweep == nil || got.Sweep.Workers != par || got.Sweep.Executed != int64(len(got.Scenarios)) {
 			t.Errorf("parallelism %d: sweep stats = %+v", par, got.Sweep)
+		}
+		if n := tr.Snapshot().Count("worker#0"); n != 1 {
+			t.Errorf("parallelism %d: worker#0 spans = %d, want 1", par, n)
 		}
 	}
 }
 
 func TestParallelSweepScenarioCapMatchesSequential(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	// Cap of 5 trips inside cardinality 2: both sweeps must fall back to
+	// Cap of 5 trips inside cardinality 2: every width must fall back to
 	// the same completed cardinality <= 1 with the same truncation text.
 	mk := func() *budget.Budget {
 		return budget.New(context.Background(), budget.Limits{MaxScenarios: 5})
 	}
-	seq, err := AnalyzeBudget(eng, muts, -1, reqs, mk())
+	ref, err := refAnalyze(eng, muts, -1, reqs, mk())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, par := range []int{2, 4} {
+	for _, par := range []int{1, 2, 4} {
 		got, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Budget: mk(), Parallelism: par})
 		if err != nil {
 			t.Fatalf("parallelism %d: %v", par, err)
 		}
-		if !bytes.Equal(canonical(t, got), canonical(t, seq)) {
+		if !bytes.Equal(canonical(t, got), canonical(t, ref)) {
 			t.Errorf("parallelism %d: capped output differs:\n%s\nvs\n%s",
-				par, canonical(t, got), canonical(t, seq))
+				par, canonical(t, got), canonical(t, ref))
 		}
 	}
-	if seq.Truncation == nil || seq.Truncation.Reason != budget.ReasonScenarios {
-		t.Fatalf("truncation = %+v", seq.Truncation)
+	if ref.Truncation == nil || ref.Truncation.Reason != budget.ReasonScenarios {
+		t.Fatalf("truncation = %+v", ref.Truncation)
 	}
 }
 

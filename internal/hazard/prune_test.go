@@ -161,12 +161,12 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 						t.Fatalf("pruned report diverged:\n--- pruned ---\n%s\n--- exhaustive ---\n%s", got, want)
 					}
 					// The sequential reference closes the triangle.
-					seq, err := Analyze(eng, muts, k, reqs)
+					ref, err := refAnalyze(eng, muts, k, reqs, nil)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if projection(seq) != projection(exhaustive) {
-						t.Fatal("parallel exhaustive diverged from sequential reference")
+					if projection(ref) != projection(exhaustive) {
+						t.Fatal("exhaustive sweep diverged from the sequential reference")
 					}
 				})
 			}

@@ -104,7 +104,7 @@ func TestCapChargesExecutedOnly(t *testing.T) {
 	}
 
 	noPrune, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{
-		Parallelism: 1, Budget: capBud(), Cache: openMem(t), // cache forces the parallel path
+		Parallelism: 1, Budget: capBud(),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -138,7 +138,7 @@ func TestCapChargesExecutedOnly(t *testing.T) {
 	// orbits), the truncation point is pinned equal across -no-prune.
 	engNM, mutsNM, reqsNM := setupNonMonotone(t)
 	nmNoPrune, err := AnalyzeSweep(engNM, mutsNM, 3, reqsNM, SweepConfig{
-		Parallelism: 1, Budget: capBud(), Cache: openMem(t),
+		Parallelism: 1, Budget: capBud(),
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -1,10 +1,10 @@
 package cpsrisk
 
-// Top-level determinism experiment: the parallel scenario sweep must be
-// byte-identical to the sequential analysis on the paper's Table II case
+// Top-level determinism experiment: the scenario sweep must be
+// byte-identical at every worker count on the paper's Table II case
 // study — same S<n> IDs, same ordering, same risk verdicts, same
-// truncation — at every worker count, with and without a tight resource
-// budget. See DESIGN.md, "Concurrency model".
+// truncation — with and without a tight resource budget. See DESIGN.md,
+// "Concurrency model".
 
 import (
 	"bytes"
@@ -33,7 +33,7 @@ func canonicalAnalysis(t *testing.T, a *hazard.Analysis) []byte {
 }
 
 // TestParallelSweep_DeterministicOnTableII (experiment D1): sweep the
-// Table II candidate set (all cardinalities) sequentially and at
+// Table II candidate set (all cardinalities) through Analyze and at
 // parallelism 1, 4, and NumCPU; every run must produce byte-identical
 // results.
 func TestParallelSweep_DeterministicOnTableII(t *testing.T) {
@@ -65,8 +65,8 @@ func TestParallelSweep_DeterministicOnTableII(t *testing.T) {
 }
 
 // TestParallelSweep_DeterministicUnderTightBudget (experiment D2): a
-// scenario cap that trips mid-sweep must leave sequential and parallel
-// runs with the same truncated prefix — the largest fully-completed
+// scenario cap that trips mid-sweep must leave runs at every worker count
+// with the same truncated prefix — the largest fully-completed
 // cardinality — and the same truncation report.
 func TestParallelSweep_DeterministicUnderTightBudget(t *testing.T) {
 	eng, err := watertank.Engine()
@@ -81,7 +81,7 @@ func TestParallelSweep_DeterministicUnderTightBudget(t *testing.T) {
 	mk := func() *budget.Budget {
 		return budget.New(context.Background(), budget.Limits{MaxScenarios: 7})
 	}
-	seq, err := hazard.AnalyzeBudget(eng, muts, -1, reqs, mk())
+	seq, err := hazard.AnalyzeSweep(eng, muts, -1, reqs, hazard.SweepConfig{Budget: mk(), Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
