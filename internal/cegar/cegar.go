@@ -10,6 +10,7 @@ package cegar
 
 import (
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -66,8 +67,8 @@ func (v Verdict) String() string {
 // When the refinement loop runs with parallelism > 1 (RunParallel),
 // Check is called from multiple goroutines concurrently and the
 // implementation must be safe for that. PlantOracle is: a check reads
-// the configuration, simulates a private plant instance, and swaps its
-// probe memo atomically.
+// the configuration, steps its probes on run state local to the call,
+// and swaps its probe memo atomically.
 type Oracle interface {
 	// Check returns the verdict for a finding.
 	Check(f Finding) (Verdict, error)
@@ -144,7 +145,8 @@ func Run(levels []Level, oracle Oracle, maxCard int) (*Result, error) {
 // validation can dominate wall-clock time — and on exhaustion every
 // not-yet-validated finding of the current level is routed to
 // Undetermined (expert review), matching the paper's handling of
-// undecidable counterexamples. A nil budget is unlimited.
+// undecidable counterexamples. A nil budget is unlimited. It is
+// RunParallel at width 1: one sweep worker and one oracle worker.
 func RunBudget(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget) (*Result, error) {
 	return RunParallel(levels, oracle, maxCard, bud, 1)
 }
@@ -153,10 +155,10 @@ func RunBudget(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget) (
 // analysis uses the parallel scenario sweep and its abstract
 // counterexamples are validated against the oracle concurrently (the
 // oracle must be safe for concurrent Check calls). parallelism <= 0
-// picks GOMAXPROCS, 1 is exactly the sequential loop. Verdicts are
-// deterministic and ordered as sequentially; only the point at which a
-// wall-clock exhaustion cuts validation over to Undetermined can vary,
-// exactly as it does sequentially.
+// picks GOMAXPROCS; 1 runs a pool of one worker for both. Verdicts are
+// deterministic and in the findings' order at every width; only the
+// point at which a wall-clock exhaustion cuts validation over to
+// Undetermined can vary.
 func RunParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget, parallelism int) (*Result, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("cegar: no abstraction levels")
@@ -227,33 +229,40 @@ func RunParallelScreened(levels []Level, oracle Oracle, maxCard int, bud *budget
 	return RunParallel(levels, oracle, maxCard, bud, parallelism)
 }
 
-// validateFindings runs the oracle over one level's findings, polling
-// the budget before every check; once it trips, the remaining findings
-// are routed to Undetermined and a single truncation reports how many
-// were validated. With parallelism > 1 the checks fan out to a worker
-// pool; verdict order is preserved by index.
+// validateFindings runs the oracle over one level's findings from a
+// worker pool, polling the budget before every check; once it trips, the
+// remaining findings are routed to Undetermined and a single truncation
+// reports how many were validated. Verdict order is preserved by index.
+// One worker is a pool of one.
 func validateFindings(levelName string, findings []Finding, oracle Oracle, bud *budget.Budget, parallelism int) ([]Judged, *budget.Truncation, error) {
-	if parallelism > len(findings) {
-		parallelism = len(findings)
+	if parallelism <= 0 {
+		parallelism = runtime.GOMAXPROCS(0)
 	}
+	workers := max(1, min(parallelism, len(findings)))
 	// Oracle workers beyond the first draw launch slots from the run-wide
-	// worker-pool governor when the budget carries one; zero grants
-	// degrade to the sequential loop, never to a stall.
-	if parallelism > 1 {
+	// worker-pool governor when the budget carries one; zero grants leave
+	// a pool of one, never a stall.
+	if workers > 1 {
 		gov := bud.Governor()
-		granted := gov.AcquireUpTo(parallelism - 1)
+		granted := gov.AcquireUpTo(workers - 1)
 		defer gov.Release(granted)
-		parallelism = 1 + granted
+		workers = 1 + granted
 	}
 	judged := make([]Judged, len(findings))
 	checked := make([]bool, len(findings))
 	errs := make([]error, len(findings))
+	panics := make([]any, len(findings))
 	exhaustedReason := make([]string, len(findings))
 
 	parentSpan := obs.SpanFromContext(bud.Context())
 	cOracle := obs.RegistryFromContext(bud.Context()).Counter("cegar.oracle_checks")
 	inj := bud.Injector()
 	check := func(i int) {
+		defer func() {
+			if r := recover(); r != nil {
+				panics[i] = r
+			}
+		}()
 		f := findings[i]
 		if budErr := bud.Err("cegar"); budErr != nil {
 			judged[i] = Judged{Finding: f, Verdict: Undetermined, Level: levelName}
@@ -292,30 +301,30 @@ func validateFindings(levelName string, findings []Finding, oracle Oracle, bud *
 		checked[i] = true
 	}
 
-	if parallelism <= 1 {
-		for i := range findings {
-			check(i)
-		}
-	} else {
-		idxCh := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < parallelism; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for i := range idxCh {
-					check(i)
-				}
-			}()
-		}
-		for i := range findings {
-			idxCh <- i
-		}
-		close(idxCh)
-		wg.Wait()
+	idxCh := make(chan int)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range idxCh {
+				check(i)
+			}
+		}()
 	}
+	for i := range findings {
+		idxCh <- i
+	}
+	close(idxCh)
+	wg.Wait()
 
-	for _, err := range errs {
+	// A panicking oracle panics the caller, and the first failing
+	// finding decides, as if the checks had run in order on the caller's
+	// goroutine.
+	for i, err := range errs {
+		if panics[i] != nil {
+			panic(panics[i])
+		}
 		if err != nil {
 			return nil, nil, err
 		}
@@ -364,9 +373,11 @@ func NewPlantOracle() *PlantOracle { return &PlantOracle{Config: plant.DefaultCo
 
 var _ Oracle = (*PlantOracle)(nil)
 
-// Check implements Oracle.
+// Check implements Oracle. It resolves the scenario's faults once and
+// judges each probe without recording a trace, stopping a run as soon as
+// the requirement's verdict is settled.
 func (o *PlantOracle) Check(f Finding) (Verdict, error) {
-	injs, err := plant.InjectionsFromScenario(f.Scenario)
+	fs, err := plant.FaultSetFromScenario(f.Scenario)
 	if err != nil {
 		return Undetermined, nil //nolint:nilerr // unrepresentable -> expert review
 	}
@@ -375,24 +386,23 @@ func (o *PlantOracle) Check(f Finding) (Verdict, error) {
 	if err != nil {
 		return Undetermined, err
 	}
+	var stop plant.Stop
+	switch f.ReqID {
+	case "R1":
+		stop = plant.StopAtOverflow
+	case "R2":
+		stop = plant.StopAtAlertAfterOverflow
+	default:
+		return Undetermined, nil
+	}
 	for _, at := range probes {
-		for i := range injs {
-			injs[i].AtStep = at
-		}
-		tr, err := plant.Simulate(cfg, injs)
+		out, err := fs.Judge(cfg, at, stop)
 		if err != nil {
 			return Undetermined, err
 		}
-		violated := false
-		switch f.ReqID {
-		case "R1":
-			violated = tr.Overflowed()
-		case "R2":
-			violated = tr.Overflowed() && !tr.AlertedAfterOverflow()
-		default:
-			return Undetermined, nil
-		}
-		if violated {
+		// StopAtOverflow leaves AlertedAfterOverflow false, so one test
+		// decides both requirements.
+		if out.Overflowed && !out.AlertedAfterOverflow {
 			return Confirmed, nil
 		}
 	}

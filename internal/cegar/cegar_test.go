@@ -174,17 +174,7 @@ func TestOracleProbesTiming(t *testing.T) {
 // oracleFindings pairs every scenario of at most two plant faults with
 // both requirements.
 func oracleFindings() []Finding {
-	acts := []epa.Activation{
-		{Component: plant.CompInValve, Fault: plant.FaultStuckOpen},
-		{Component: plant.CompInValve, Fault: plant.FaultStuckClosed},
-		{Component: plant.CompOutValve, Fault: plant.FaultStuckOpen},
-		{Component: plant.CompOutValve, Fault: plant.FaultStuckClosed},
-		{Component: plant.CompLevelSensor, Fault: plant.FaultNoSignal},
-		{Component: plant.CompHMI, Fault: plant.FaultNoSignal},
-		{Component: plant.CompEWS, Fault: plant.FaultCompromised},
-		{Component: plant.CompInValveCtl, Fault: plant.FaultBadCommand},
-		{Component: plant.CompOutValveCtl, Fault: plant.FaultBadCommand},
-	}
+	acts := plantActivations
 	var out []Finding
 	for i := range acts {
 		for j := i; j < len(acts); j++ {

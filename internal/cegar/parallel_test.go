@@ -2,6 +2,7 @@ package cegar
 
 import (
 	"context"
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -50,5 +51,31 @@ func TestRunParallelExhaustionRoutesToUndetermined(t *testing.T) {
 	}
 	if len(res.Truncations) == 0 {
 		t.Error("expected truncations to be recorded")
+	}
+}
+
+// panicOracle panics on every finding.
+type panicOracle struct{}
+
+func (panicOracle) Check(f Finding) (Verdict, error) { panic("oracle exploded on " + f.String()) }
+
+// A panicking oracle panics RunParallel's caller, not a worker goroutine
+// (which would kill the process), and at every width with the panic of
+// the first finding, as if the checks had run in order on the caller's
+// goroutine.
+func TestRunParallelOraclePanicReachesCaller(t *testing.T) {
+	recovered := func(par int) (r any) {
+		defer func() { r = recover() }()
+		_, _ = RunParallel(levels(t), panicOracle{}, -1, nil, par)
+		return nil
+	}
+	want := recovered(1)
+	if want == nil {
+		t.Fatal("width 1: no panic reached the caller")
+	}
+	for _, par := range []int{2, 4, runtime.NumCPU() + 1} {
+		if got := recovered(par); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("parallelism %d: recovered %v, want %v", par, got, want)
+		}
 	}
 }

@@ -220,103 +220,236 @@ var injectable = map[string][]slotFault{
 
 // Simulate runs the plant under the fault injections.
 func Simulate(cfg Config, injections []Injection) (*Trace, error) {
-	if err := cfg.Validate(); err != nil {
+	onset, err := compile(cfg, injections)
+	if err != nil {
 		return nil, err
 	}
-	// onset[s] is the earliest step from which slot s is active; a slot
-	// no injection names never activates.
+	tr := &Trace{Config: cfg, Steps: make([]Step, 0, cfg.Steps)}
+	r := newRunState(cfg, onset)
+	for r.t < cfg.Steps {
+		tr.Steps = append(tr.Steps, r.step())
+	}
+	return tr, nil
+}
+
+// Stop says how much of a run Judge needs to see.
+type Stop int
+
+// Stop rules.
+const (
+	// StopAtOverflow ends the run at its first overflow: enough to
+	// decide R1.
+	StopAtOverflow Stop = iota
+	// StopAtAlertAfterOverflow ends the run at the first alert at or
+	// after its first overflow: enough to decide R2.
+	StopAtAlertAfterOverflow
+)
+
+// Outcome is what a run says about the case study's requirements.
+type Outcome struct {
+	// Overflowed is Trace.Overflowed of the same run.
+	Overflowed bool
+	// AlertedAfterOverflow is Trace.AlertedAfterOverflow of the same run
+	// under StopAtAlertAfterOverflow; StopAtOverflow leaves it false.
+	AlertedAfterOverflow bool
+}
+
+// Judge runs the plant under the fault injections as Simulate does, but
+// records no trace: it stops as soon as stop's verdict is settled and
+// returns it. Errors are Simulate's.
+func Judge(cfg Config, injections []Injection, stop Stop) (Outcome, error) {
+	onset, err := compile(cfg, injections)
+	if err != nil {
+		return Outcome{}, err
+	}
+	return judge(cfg, onset, stop), nil
+}
+
+// FaultSet is a set of injectable faults resolved once from component and
+// fault names, to be judged at any onset. The zero value is the empty
+// set: a fault-free run.
+type FaultSet struct{ slots uint16 }
+
+// FaultSetFromScenario resolves an EPA scenario over the water-tank model
+// to its faults, rejecting activations the plant cannot represent with
+// InjectionsFromScenario's errors.
+func FaultSetFromScenario(s epa.Scenario) (FaultSet, error) {
+	var fs FaultSet
+	for _, a := range s {
+		slot, err := slotOf(Injection{Component: a.Component, Fault: a.Fault})
+		if err != nil {
+			return FaultSet{}, err
+		}
+		fs.slots |= 1 << slot
+	}
+	return fs, nil
+}
+
+// Judge is the package-level Judge with every fault of fs injected at
+// step at: the injections InjectionsFromScenario returns, with AtStep set
+// to at.
+func (fs FaultSet) Judge(cfg Config, at int, stop Stop) (Outcome, error) {
+	if err := cfg.Validate(); err != nil {
+		return Outcome{}, err
+	}
+	onset := never()
+	for s := range onset {
+		if fs.slots&(1<<s) != 0 {
+			onset[s] = at
+		}
+	}
+	return judge(cfg, onset, stop), nil
+}
+
+// judge steps a run until stop's verdict is settled or the horizon ends.
+// Within a step the overflow is seen before the alert, so an alert on
+// the first overflowing step counts as after it, as in
+// Trace.AlertedAfterOverflow.
+func judge(cfg Config, onset [numSlots]int, stop Stop) Outcome {
+	var out Outcome
+	r := newRunState(cfg, onset)
+	for r.t < cfg.Steps {
+		s := r.step()
+		if s.Overflow {
+			out.Overflowed = true
+			if stop == StopAtOverflow {
+				return out
+			}
+		}
+		if out.Overflowed && s.Alerted {
+			out.AlertedAfterOverflow = true
+			return out
+		}
+	}
+	return out
+}
+
+// never returns onsets at which no slot ever activates.
+func never() [numSlots]int {
 	var onset [numSlots]int
 	for s := range onset {
 		onset[s] = math.MaxInt
 	}
+	return onset
+}
+
+// compile validates cfg and injections and resolves the injections to
+// per-slot onsets: onset[s] is the earliest step from which slot s is
+// active; a slot no injection names never activates.
+func compile(cfg Config, injections []Injection) ([numSlots]int, error) {
+	onset := never()
+	if err := cfg.Validate(); err != nil {
+		return onset, err
+	}
 	for _, inj := range injections {
 		s, err := slotOf(inj)
 		if err != nil {
-			return nil, err
+			return onset, err
 		}
 		onset[s] = min(onset[s], inj.AtStep)
 	}
+	return onset, nil
+}
 
-	tr := &Trace{Config: cfg, Steps: make([]Step, 0, cfg.Steps)}
-	level := cfg.InitialLevel
-	inOpen, outOpen := 0.0, 1.0 // steady-state posture around the setpoint
-	lastReading := level
+// runState is a simulation between two steps: the plant's state and the
+// compiled injections driving it.
+type runState struct {
+	cfg             Config
+	onset           [numSlots]int
+	t               int
+	level           float64
+	inOpen, outOpen float64
+	lastReading     float64
+}
 
-	for t := 0; t < cfg.Steps; t++ {
-		ewsCompromised := t >= onset[slotEWSCompromised]
-
-		// Sensor.
-		sensorDead := t >= onset[slotSensorNoSignal]
-		if !sensorDead {
-			lastReading = level
-		}
-
-		// Tank controller: hysteresis on the last good reading.
-		var cmdIn, cmdOut float64 = inOpen, outOpen
-		switch {
-		case lastReading <= cfg.LowMark:
-			cmdIn, cmdOut = 1, 0
-		case lastReading >= cfg.HighMark:
-			cmdIn, cmdOut = 0, 1
-		}
-
-		// Valve controllers: forward commands unless reconfigured by the
-		// attacker (directly or through the compromised workstation, which
-		// "can cause F1, F2, and F3" per the paper).
-		inCtlBad := t >= onset[slotInCtlBadCommand] || ewsCompromised
-		outCtlBad := t >= onset[slotOutCtlBadCommand] || ewsCompromised
-		if inCtlBad {
-			cmdIn = 1 // attacker forces filling
-		}
-		if outCtlBad {
-			cmdOut = 0 // attacker blocks draining
-		}
-
-		// Valves: physical stuck-at faults dominate commands.
-		inOpen, outOpen = cmdIn, cmdOut
-		if t >= onset[slotInStuckOpen] {
-			inOpen = 1
-		}
-		if t >= onset[slotInStuckClosed] {
-			inOpen = 0
-		}
-		if t >= onset[slotOutStuckOpen] {
-			outOpen = 1
-		}
-		if t >= onset[slotOutStuckClosed] {
-			outOpen = 0
-		}
-
-		// Physics.
-		qin := inOpen * cfg.InFlowMax
-		qout := outOpen * cfg.OutFlowMax
-		if level <= 0 && qout > qin {
-			qout = qin // cannot drain an empty tank below zero
-		}
-		next := level + (qin-qout)*cfg.DT/cfg.Area
-		overflow := false
-		if next >= cfg.Capacity {
-			overflow = next > cfg.Capacity || qin > qout
-			next = cfg.Capacity
-		}
-		if next < 0 {
-			next = 0
-		}
-		level = next
-
-		// Alerting: the controller raises an alert from the reading; a
-		// dead HMI (or one silenced through the compromised workstation)
-		// loses it.
-		hmiDead := t >= onset[slotHMINoSignal] || ewsCompromised
-		alertRaised := !sensorDead && lastReading >= cfg.AlertMark
-		alerted := alertRaised && !hmiDead
-
-		tr.Steps = append(tr.Steps, Step{
-			T: t, Level: level, InFlow: qin, OutFlow: qout,
-			Overflow: overflow, Alerted: alerted,
-		})
+func newRunState(cfg Config, onset [numSlots]int) runState {
+	return runState{
+		cfg:   cfg,
+		onset: onset,
+		level: cfg.InitialLevel,
+		// Steady-state posture around the setpoint.
+		inOpen: 0, outOpen: 1,
+		lastReading: cfg.InitialLevel,
 	}
-	return tr, nil
+}
+
+// step advances the run by one step and returns the step's record. It is
+// the plant's only copy of the control and physics.
+func (r *runState) step() Step {
+	cfg, t, onset := &r.cfg, r.t, &r.onset
+	r.t++
+	ewsCompromised := t >= onset[slotEWSCompromised]
+
+	// Sensor.
+	sensorDead := t >= onset[slotSensorNoSignal]
+	if !sensorDead {
+		r.lastReading = r.level
+	}
+
+	// Tank controller: hysteresis on the last good reading.
+	var cmdIn, cmdOut float64 = r.inOpen, r.outOpen
+	switch {
+	case r.lastReading <= cfg.LowMark:
+		cmdIn, cmdOut = 1, 0
+	case r.lastReading >= cfg.HighMark:
+		cmdIn, cmdOut = 0, 1
+	}
+
+	// Valve controllers: forward commands unless reconfigured by the
+	// attacker (directly or through the compromised workstation, which
+	// "can cause F1, F2, and F3" per the paper).
+	inCtlBad := t >= onset[slotInCtlBadCommand] || ewsCompromised
+	outCtlBad := t >= onset[slotOutCtlBadCommand] || ewsCompromised
+	if inCtlBad {
+		cmdIn = 1 // attacker forces filling
+	}
+	if outCtlBad {
+		cmdOut = 0 // attacker blocks draining
+	}
+
+	// Valves: physical stuck-at faults dominate commands.
+	inOpen, outOpen := cmdIn, cmdOut
+	if t >= onset[slotInStuckOpen] {
+		inOpen = 1
+	}
+	if t >= onset[slotInStuckClosed] {
+		inOpen = 0
+	}
+	if t >= onset[slotOutStuckOpen] {
+		outOpen = 1
+	}
+	if t >= onset[slotOutStuckClosed] {
+		outOpen = 0
+	}
+	r.inOpen, r.outOpen = inOpen, outOpen
+
+	// Physics.
+	qin := inOpen * cfg.InFlowMax
+	qout := outOpen * cfg.OutFlowMax
+	if r.level <= 0 && qout > qin {
+		qout = qin // cannot drain an empty tank below zero
+	}
+	next := r.level + (qin-qout)*cfg.DT/cfg.Area
+	overflow := false
+	if next >= cfg.Capacity {
+		overflow = next > cfg.Capacity || qin > qout
+		next = cfg.Capacity
+	}
+	if next < 0 {
+		next = 0
+	}
+	r.level = next
+
+	// Alerting: the controller raises an alert from the reading; a dead
+	// HMI (or one silenced through the compromised workstation) loses it.
+	hmiDead := t >= onset[slotHMINoSignal] || ewsCompromised
+	alertRaised := !sensorDead && r.lastReading >= cfg.AlertMark
+	alerted := alertRaised && !hmiDead
+
+	return Step{
+		T: t, Level: next, InFlow: qin, OutFlow: qout,
+		Overflow: overflow, Alerted: alerted,
+	}
 }
 
 // slotOf validates an injection and returns its slot.

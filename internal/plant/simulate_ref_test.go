@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"testing"
+
+	"cpsrisk/internal/epa"
 )
 
 // refSimulate is the string-scanning simulator Simulate replaced: every
@@ -139,19 +141,27 @@ var slots = []Injection{
 }
 
 // checkAgainstRef runs both simulators and fails unless they return the
-// same error or bit-identical traces.
-func checkAgainstRef(t *testing.T, cfg Config, injs []Injection) {
+// same error or bit-identical traces, and unless Judge, under either stop
+// rule, returns the same error or the reference trace's verdicts. It
+// returns the reference's trace and error.
+func checkAgainstRef(t *testing.T, cfg Config, injs []Injection) (*Trace, error) {
 	t.Helper()
 	want, wantErr := refSimulate(cfg, injs)
 	got, gotErr := Simulate(cfg, injs)
 	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
 		t.Fatalf("%v: error %v, reference %v", injs, gotErr, wantErr)
 	}
+	for _, stop := range stops {
+		out, err := Judge(cfg, injs, stop)
+		if msg := outcomeMismatch(stop, out, err, want, wantErr); msg != "" {
+			t.Fatalf("%v: Judge %s", injs, msg)
+		}
+	}
 	if wantErr != nil {
 		if got != nil {
 			t.Fatalf("%v: trace returned with error %v", injs, gotErr)
 		}
-		return
+		return want, wantErr
 	}
 	if got.Config != want.Config || len(got.Steps) != len(want.Steps) {
 		t.Fatalf("%v: config/length %+v/%d, reference %+v/%d",
@@ -166,6 +176,67 @@ func checkAgainstRef(t *testing.T, cfg Config, injs []Injection) {
 			t.Fatalf("%v: step %d = %+v, reference %+v", injs, i, g, w)
 		}
 	}
+	return want, wantErr
+}
+
+var stops = []Stop{StopAtOverflow, StopAtAlertAfterOverflow}
+
+// outcomeMismatch describes how a verdict run differs from the reference:
+// it must return the reference's error, or the reference trace's
+// Overflowed and, under StopAtAlertAfterOverflow, its
+// AlertedAfterOverflow. It returns "" when they agree.
+func outcomeMismatch(stop Stop, got Outcome, gotErr error, ref *Trace, refErr error) string {
+	if fmt.Sprint(gotErr) != fmt.Sprint(refErr) {
+		return fmt.Sprintf("stop %d: error %v, reference %v", stop, gotErr, refErr)
+	}
+	var want Outcome
+	if refErr == nil {
+		want.Overflowed = ref.Overflowed()
+		if stop == StopAtAlertAfterOverflow {
+			want.AlertedAfterOverflow = ref.AlertedAfterOverflow()
+		}
+	}
+	if got != want {
+		return fmt.Sprintf("stop %d: %+v, reference %+v", stop, got, want)
+	}
+	return ""
+}
+
+// checkFaultSetAgainstRef sets every injection of injs to onset at,
+// checks them against the reference and judges them as a FaultSet at at,
+// which must return the reference's verdicts.
+func checkFaultSetAgainstRef(t *testing.T, cfg Config, injs []Injection, at int) {
+	t.Helper()
+	var sc epa.Scenario
+	injs = append([]Injection(nil), injs...)
+	for i, inj := range injs {
+		sc = append(sc, epa.Activation{Component: inj.Component, Fault: inj.Fault})
+		injs[i].AtStep = at
+	}
+	fs, err := FaultSetFromScenario(sc)
+	if _, want := InjectionsFromScenario(sc); fmt.Sprint(err) != fmt.Sprint(want) {
+		t.Fatalf("%v: FaultSetFromScenario error %v, InjectionsFromScenario %v", sc, err, want)
+	}
+	ref, refErr := checkAgainstRef(t, cfg, injs)
+	if err != nil {
+		return
+	}
+	for _, stop := range stops {
+		out, err := fs.Judge(cfg, at, stop)
+		if msg := outcomeMismatch(stop, out, err, ref, refErr); msg != "" {
+			t.Fatalf("%v: FaultSet.Judge at %d %s", sc, at, msg)
+		}
+	}
+}
+
+// exactConfig shifts the default marks and takes flows that are binary
+// fractions, so the level lands exactly on the capacity: the one case in
+// which the capacity test's >= differs from >.
+func exactConfig() Config {
+	cfg := DefaultConfig()
+	cfg.LowMark, cfg.HighMark, cfg.AlertMark = 0.25, 0.625, 0.875
+	cfg.InFlowMax, cfg.OutFlowMax = 0.0625, 0.125
+	return cfg
 }
 
 // phaseOnsets returns injection steps at the start, mid-fill and
@@ -195,27 +266,51 @@ func phaseOnsets(t *testing.T, cfg Config) []int {
 }
 
 func TestSimulateMatchesReference(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(), exactConfig()} {
+		onsets := phaseOnsets(t, cfg)
+
+		// Every subset of the nine slots, all injected at one onset, and
+		// with onsets rotated across the subset's slots.
+		for mask := 0; mask < 1<<len(slots); mask++ {
+			for k := range onsets {
+				for _, rotate := range []bool{false, true} {
+					var injs []Injection
+					for i, s := range slots {
+						if mask&(1<<i) == 0 {
+							continue
+						}
+						s.AtStep = onsets[k]
+						if rotate {
+							s.AtStep = onsets[(i+k)%len(onsets)]
+						}
+						injs = append(injs, s)
+					}
+					if rotate {
+						checkAgainstRef(t, cfg, injs)
+					} else {
+						checkFaultSetAgainstRef(t, cfg, injs, onsets[k])
+					}
+				}
+			}
+		}
+	}
 	cfg := DefaultConfig()
 	onsets := phaseOnsets(t, cfg)
 
-	// Every subset of the nine slots, all injected at one onset, and with
-	// onsets rotated across the subset's slots.
-	for mask := 0; mask < 1<<len(slots); mask++ {
-		for k := range onsets {
-			for _, rotate := range []bool{false, true} {
-				var injs []Injection
-				for i, s := range slots {
-					if mask&(1<<i) == 0 {
-						continue
-					}
-					s.AtStep = onsets[k]
-					if rotate {
-						s.AtStep = onsets[(i+k)%len(onsets)]
-					}
+	// Every subset from step 0 under every horizon up to 30 steps: the
+	// horizon cuts runs right after their first overflow, where an alert
+	// on the overflowing step itself is the only one.
+	for steps := 1; steps <= 30; steps++ {
+		short := cfg
+		short.Steps = steps
+		for mask := 0; mask < 1<<len(slots); mask++ {
+			var injs []Injection
+			for i, s := range slots {
+				if mask&(1<<i) != 0 {
 					injs = append(injs, s)
 				}
-				checkAgainstRef(t, cfg, injs)
 			}
+			checkAgainstRef(t, short, injs)
 		}
 	}
 
@@ -239,10 +334,11 @@ func TestSimulateMatchesReference(t *testing.T) {
 				t.Fatalf("%s:%s twice differs from its earlier onset at step %d", s.Component, s.Fault, i)
 			}
 		}
+		checkFaultSetAgainstRef(t, cfg, []Injection{s, s}, onsets[1])
 	}
 
 	// Invalid injections fail with the reference's error, also after a
-	// valid one.
+	// valid one; so do invalid configs, before any injection is looked at.
 	valid := Injection{Component: CompEWS, Fault: FaultCompromised, AtStep: 3}
 	for _, bad := range []Injection{
 		{Component: "ghost", Fault: FaultNoSignal},
@@ -252,6 +348,20 @@ func TestSimulateMatchesReference(t *testing.T) {
 	} {
 		checkAgainstRef(t, cfg, []Injection{bad})
 		checkAgainstRef(t, cfg, []Injection{valid, bad, {Component: "ghost"}})
+		checkFaultSetAgainstRef(t, cfg, []Injection{valid, bad}, 3)
+	}
+	for _, mutate := range []func(*Config){
+		func(c *Config) { c.Area = 0 },
+		func(c *Config) { c.Steps = 0 },
+		func(c *Config) { c.OutFlowMax = -1 },
+		func(c *Config) { c.HighMark = c.AlertMark },
+		func(c *Config) { c.InitialLevel = 2 },
+	} {
+		bad := cfg
+		mutate(&bad)
+		checkAgainstRef(t, bad, nil)
+		checkAgainstRef(t, bad, []Injection{valid, {Component: "ghost"}})
+		checkFaultSetAgainstRef(t, bad, []Injection{valid}, 3)
 	}
 }
 
@@ -277,6 +387,9 @@ func FuzzSimulateMatchesReference(f *testing.F) {
 			})
 		}
 		checkAgainstRef(t, cfg, injs)
+		if len(injs) > 0 {
+			checkFaultSetAgainstRef(t, cfg, injs, max(0, injs[0].AtStep))
+		}
 	})
 }
 

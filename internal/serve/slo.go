@@ -172,7 +172,7 @@ func (m *SLOMonitor) Report(recentMax int) SLOReport {
 	}
 	for i := 0; i < n && len(out.Recent) < recentMax; i++ {
 		// Walk backwards from the newest entry.
-		idx := ((m.next - 1 - i) % sloRingCap + sloRingCap) % sloRingCap
+		idx := ((m.next-1-i)%sloRingCap + sloRingCap) % sloRingCap
 		out.Recent = append(out.Recent, m.ring[idx])
 	}
 	return out

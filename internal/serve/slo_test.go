@@ -64,7 +64,7 @@ func TestSLOMonitorWindowExpiry(t *testing.T) {
 
 func TestSLOMonitorRingWrapAndRecentOrder(t *testing.T) {
 	clk := &fakeClock{t: time.Unix(1_000_000, 0)}
-	m := NewSLOMonitor(100 * time.Hour, 1<<30, clk.now)
+	m := NewSLOMonitor(100*time.Hour, 1<<30, clk.now)
 	for i := 0; i < sloRingCap+10; i++ {
 		clk.advance(time.Second)
 		m.Record(EventFaultTrip, "", "", "")

@@ -102,7 +102,9 @@ func (c Connection) Key() string {
 // hashWriter folds strings and numbers into an FNV-1a digest with
 // NUL-terminated strings so concatenation ambiguity cannot alias two
 // different models onto one hash.
-type hashWriter struct{ h interface{ Write([]byte) (int, error) } }
+type hashWriter struct {
+	h interface{ Write([]byte) (int, error) }
+}
 
 func (w hashWriter) str(s string) {
 	w.h.Write([]byte(s))

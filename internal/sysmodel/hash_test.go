@@ -90,10 +90,10 @@ func TestDiff(t *testing.T) {
 	a := hashModel().Fingerprint()
 
 	b := hashModel()
-	b.Components[0].Attrs["version"] = "2.0"          // meta change on a
-	b.Components[1].Type = "scada_server"             // behavior change on b
+	b.Components[0].Attrs["version"] = "2.0"                              // meta change on a
+	b.Components[1].Type = "scada_server"                                 // behavior change on b
 	b.Components = append(b.Components, &Component{ID: "d", Type: "hmi"}) // add d
-	b.Connections[0].Flow = QuantityFlow              // change a>b slot
+	b.Connections[0].Flow = QuantityFlow                                  // change a>b slot
 	d := a.Diff(b.Fingerprint())
 
 	if got, want := join(d.ChangedMeta), "a"; got != want {

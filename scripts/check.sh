@@ -9,6 +9,16 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
+# Every Go file must be gofmt-clean. perfbench/run.sh builds under
+# .bench_build/, which may hold a module cache; it is not ours to format.
+echo "== gofmt =="
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "gofmt -l lists:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 # staticcheck is optional: offline builders don't have the module. Run
 # it whenever the module cache already holds honnef.co (dev machines, CI
 # images with a warm cache); skip with a notice otherwise.
