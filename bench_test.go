@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"cpsrisk/internal/artifact"
-	"cpsrisk/internal/budget"
 	"cpsrisk/internal/cegar"
 	"cpsrisk/internal/core"
 	"cpsrisk/internal/dynamics"
@@ -858,10 +857,9 @@ func redundantCutsProgram(elems, groups, size int, seed int64) *logic.Program {
 // enumerateRedundantCuts runs the deep cut-enumeration loop on one
 // session: each round proves the current cardinality level optimal,
 // collects its complete cut batch, blocks every cut, and re-queries the
-// retained session — the MinimalCutsASP loop at the solver level. A nil
-// bud leaves the worker pool ungoverned (helpers always launch).
-func enumerateRedundantCuts(prog *logic.Program, workers, rounds int, bud *budget.Budget) (int, error) {
-	sess, err := solver.NewSession(prog, solver.Options{Workers: workers, Budget: bud})
+// retained session — the MinimalCutsASP loop at the solver level.
+func enumerateRedundantCuts(prog *logic.Program, rounds int) (int, error) {
+	sess, err := solver.NewSession(prog, solver.Options{})
 	if err != nil {
 		return 0, err
 	}
@@ -892,27 +890,12 @@ func enumerateRedundantCuts(prog *logic.Program, workers, rounds int, bud *budge
 	return cuts, nil
 }
 
-// BenchmarkS5_PortfolioCuts races the solver portfolio against the
-// single engine on the hardest ASP workload in the suite: deep
-// minimal-cut enumeration over a redundant defense-in-depth instance
-// (experiment S5). The optimization round proves the cardinality level
-// optimal before enumerating its cuts, so search dominates grounding;
-// the portfolio arms race diversified engines, sharing learned clauses
-// and `#minimize` bounds. Three arms:
-//
-//   - workers=1 is byte-for-byte the pre-portfolio code path — its
-//     number doubles as the regression baseline;
-//   - workers=4 is the raw portfolio: on multi-core hardware the race
-//     wins wall-clock, on a single core it pays the time-sharing tax
-//     (all engines share one CPU), which this arm bounds;
-//   - workers=4-governed is the production wiring: a worker-pool
-//     governor sized by GOMAXPROCS grants helpers only when cores
-//     exist, so the arm matches workers=4 on multi-core and collapses
-//     to the workers=1 baseline on one core.
-//
-// Run with -cpu=1,4 to see the governed arm flip between the two
-// behaviors.
-func BenchmarkS5_PortfolioCuts(b *testing.B) {
+// BenchmarkS5_DeepCuts runs deep minimal-cut enumeration over a
+// redundant defense-in-depth instance (experiment S5), the hardest ASP
+// workload in the suite and the only benchmark where search, not
+// grounding, dominates solver time: the optimization round proves the
+// cardinality level optimal before enumerating its cuts.
+func BenchmarkS5_DeepCuts(b *testing.B) {
 	const (
 		elems  = 36
 		groups = 80
@@ -921,33 +904,15 @@ func BenchmarkS5_PortfolioCuts(b *testing.B) {
 		rounds = 1
 	)
 	prog := redundantCutsProgram(elems, groups, size, seed)
-	want, err := enumerateRedundantCuts(prog, 1, rounds, nil)
-	if err != nil {
-		b.Fatal(err)
-	}
-	if want == 0 {
-		b.Fatal("degenerate instance: no cuts")
-	}
-	run := func(b *testing.B, workers int, governed bool) {
-		for i := 0; i < b.N; i++ {
-			var bud *budget.Budget
-			if governed {
-				gov := budget.NewGovernor(0) // GOMAXPROCS-sized, as core.RunCtx wires it
-				ctx := budget.ContextWithGovernor(context.Background(), gov)
-				bud = budget.New(ctx, budget.Limits{})
-			}
-			got, err := enumerateRedundantCuts(prog, workers, rounds, bud)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if got != want {
-				b.Fatalf("cuts = %d, want %d", got, want)
-			}
+	for i := 0; i < b.N; i++ {
+		cuts, err := enumerateRedundantCuts(prog, rounds)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if cuts == 0 {
+			b.Fatal("degenerate instance: no cuts")
 		}
 	}
-	b.Run("workers=1", func(b *testing.B) { run(b, 1, false) })
-	b.Run("workers=4", func(b *testing.B) { run(b, 4, false) })
-	b.Run("workers=4-governed", func(b *testing.B) { run(b, 4, true) })
 }
 
 // BenchmarkAblation_Abstraction contrasts the two abstraction levels of

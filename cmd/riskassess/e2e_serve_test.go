@@ -14,20 +14,20 @@ import (
 	"cpsrisk/internal/sysmodel"
 )
 
-// startServer boots an in-process riskserve configured identically to
-// the CLI flags used by the e2e comparisons.
-func startServer(t *testing.T) *httptest.Server {
+// startServer boots an in-process riskserve with opts plus the model
+// types the CLI runs of the e2e comparisons load.
+func startServer(t *testing.T, opts serve.Options) *httptest.Server {
 	t.Helper()
 	f, err := os.Open("../../models/types.json")
 	if err != nil {
 		t.Fatal(err)
 	}
-	types, err := sysmodel.ReadTypesJSON(f)
+	opts.Types, err = sysmodel.ReadTypesJSON(f)
 	f.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, err := serve.New(serve.Options{Types: types, MaxCardinality: 1})
+	s, err := serve.New(opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +120,7 @@ func stripVolatile(s string) string {
 // wall-clock duration lines are stripped. This is the contract that lets
 // clients switch between the CLI and the service without re-parsing.
 func TestServedReportMatchesCLIJSON(t *testing.T) {
-	ts := startServer(t)
+	ts := startServer(t, serve.Options{MaxCardinality: 1})
 	served := serveReport(t, ts, "e2e-json", "/report")
 
 	var cli bytes.Buffer
@@ -142,9 +142,36 @@ func TestServedReportMatchesCLIJSON(t *testing.T) {
 	}
 }
 
+// TestServedReportMatchesCLIASP: same contract on the ASP path. The
+// service's defaults must leave the solver exactly as the CLI's do, so a
+// served ASP report carries the CLI's solver counters too.
+func TestServedReportMatchesCLIASP(t *testing.T) {
+	ts := startServer(t, serve.Options{MaxCardinality: 1, UseASP: true})
+	served := serveReport(t, ts, "e2e-asp", "/report")
+
+	var cli bytes.Buffer
+	err := run([]string{
+		"-model", "../../models/sme-plant.json",
+		"-types", "../../models/types.json",
+		"-maxcard", "1",
+		"-asp",
+		"-json",
+		"-trace-id", "e2e-asp",
+		"-artifact-cache",
+	}, &cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, want := stripVolatile(string(served)), stripVolatile(cli.String())
+	if got != want {
+		t.Errorf("served ASP JSON report diverges from the CLI:\n--- served ---\n%s\n--- cli ---\n%s", got, want)
+	}
+}
+
 // TestServedReportMatchesCLIText: same contract for the text deliverable.
 func TestServedReportMatchesCLIText(t *testing.T) {
-	ts := startServer(t)
+	ts := startServer(t, serve.Options{MaxCardinality: 1})
 	served := serveReport(t, ts, "e2e-text", "/report?format=text")
 
 	var cli bytes.Buffer

@@ -77,8 +77,6 @@ func run(args []string, stdout io.Writer) error {
 	maxDecisions := fs.Int64("max-decisions", 0, "cap on ASP solver branching decisions (0 = unlimited)")
 	maxScenarios := fs.Int("max-scenarios", 0, "cap on analyzed scenarios (0 = unlimited)")
 	parallel := fs.Int("parallel", runtime.NumCPU(), "scenario-sweep workers (1 = one worker; results are identical)")
-	solverWorkers := fs.Int("solver-workers", 1, "ASP portfolio engines per query (0 = derive from -parallel, 1 = single engine)")
-	solverDet := fs.Bool("solver-det", false, "deterministic ASP search: forces a single engine so reports are byte-identical across runs")
 	topN := fs.Int("top", 20, "ranked scenarios to print (0 = all)")
 	noPrune := fs.Bool("no-prune", false, "disable sweep pruning (dominance skipping + symmetry orbits); every scenario runs through the EPA engine")
 	shard := fs.String("shard", "", "sweep one rank-range shard of the scenario space, as \"i/m\" (0-based index i of m shards); shards share -cache and merge via a final whole-space run")
@@ -184,29 +182,27 @@ func run(args []string, stdout io.Writer) error {
 			return nil, nil, err
 		}
 		a, err := core.Run(core.Config{
-			Model:               model,
-			Types:               types,
-			KB:                  knowledge,
-			Requirements:        reqs,
-			MutationSources:     faults.AllSources(),
-			ActiveMitigations:   active,
-			MaxCardinality:      *maxCard,
-			UseASP:              *useASP,
-			Optimize:            *doOpt,
-			Budget:              *mitBudget,
-			Parallelism:         *parallel,
-			SolverWorkers:       *solverWorkers,
-			SolverDeterministic: *solverDet,
-			TraceID:             *traceID,
-			Trace:               trace,
-			Metrics:             metrics,
-			CheckpointDir:       *checkpointDir,
-			CacheDir:            *cacheDir,
-			NoPrune:             *noPrune,
-			ShardIndex:          shardIndex,
-			ShardCount:          shardCount,
-			Faults:              injector,
-			ArtifactCache:       ac,
+			Model:             model,
+			Types:             types,
+			KB:                knowledge,
+			Requirements:      reqs,
+			MutationSources:   faults.AllSources(),
+			ActiveMitigations: active,
+			MaxCardinality:    *maxCard,
+			UseASP:            *useASP,
+			Optimize:          *doOpt,
+			Budget:            *mitBudget,
+			Parallelism:       *parallel,
+			TraceID:           *traceID,
+			Trace:             trace,
+			Metrics:           metrics,
+			CheckpointDir:     *checkpointDir,
+			CacheDir:          *cacheDir,
+			NoPrune:           *noPrune,
+			ShardIndex:        shardIndex,
+			ShardCount:        shardCount,
+			Faults:            injector,
+			ArtifactCache:     ac,
 			Resources: budget.Limits{
 				Timeout:      *timeout,
 				MaxDecisions: *maxDecisions,

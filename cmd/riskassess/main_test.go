@@ -218,75 +218,6 @@ func TestRunJSONCarriesSolverStatsAndDegradation(t *testing.T) {
 	}
 }
 
-// stripTiming removes the report lines that carry wall-clock numbers so
-// the rest can be compared byte for byte.
-func stripTiming(s string) string {
-	var keep []string
-	for _, line := range strings.Split(s, "\n") {
-		if strings.Contains(line, "sweep:") || strings.Contains(line, "assessed in") {
-			continue
-		}
-		keep = append(keep, line)
-	}
-	return strings.Join(keep, "\n")
-}
-
-func TestRunSolverDetIsByteIdentical(t *testing.T) {
-	base := []string{
-		"-model", "../../models/sme-plant.json",
-		"-types", "../../models/types.json",
-		"-maxcard", "1",
-		"-asp",
-	}
-	var single, det bytes.Buffer
-	if err := run(append(base, "-solver-workers", "1"), &single); err != nil {
-		t.Fatal(err)
-	}
-	// -solver-det must collapse a 4-engine request back to the exact
-	// single-engine code path: same decisions, conflicts, and models, so
-	// the whole report matches byte for byte once timing lines are gone.
-	if err := run(append(base, "-solver-workers", "4", "-solver-det"), &det); err != nil {
-		t.Fatal(err)
-	}
-	if stripTiming(single.String()) != stripTiming(det.String()) {
-		t.Error("-solver-workers 4 -solver-det output differs from -solver-workers 1")
-	}
-}
-
-func TestRunSolverWorkersCarriesPortfolioStats(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{
-		"-model", "../../models/sme-plant.json",
-		"-types", "../../models/types.json",
-		"-maxcard", "1",
-		"-asp",
-		"-json",
-		"-parallel", "4",
-		"-solver-workers", "3",
-	}, &out)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum struct {
-		Solver *struct {
-			Queries          int64 `json:"queries"`
-			PortfolioWorkers int64 `json:"portfolioWorkers"`
-		} `json:"solver"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &sum); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Solver == nil {
-		t.Fatal("no solver stats in -asp -json output")
-	}
-	// Two queries (cardinality 0 and 1), two helpers each: the governor
-	// has 4 slots, so every helper launch is granted.
-	if sum.Solver.PortfolioWorkers != 2*sum.Solver.Queries {
-		t.Errorf("portfolioWorkers = %d with %d queries, want %d",
-			sum.Solver.PortfolioWorkers, sum.Solver.Queries, 2*sum.Solver.Queries)
-	}
-}
-
 func TestRunParallelFlagIsDeterministic(t *testing.T) {
 	base := []string{
 		"-model", "../../models/sme-plant.json",

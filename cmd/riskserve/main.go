@@ -10,8 +10,7 @@
 //
 //	riskserve -types types.json [-addr :8080] [-addr-file path]
 //	          [-maxcard 2] [-asp] [-optimize] [-budget N]
-//	          [-mitigations M-0917,M-0949] [-parallel N]
-//	          [-solver-workers N] [-solver-det] [-no-prune]
+//	          [-mitigations M-0917,M-0949] [-parallel N] [-no-prune]
 //	          [-timeout 30s] [-max-decisions N] [-max-scenarios N]
 //	          [-cache dir] [-artifact-cap N] [-job-workers N] [-top N]
 //	          [-slo-window 168h] [-slo-threshold 5] [-drain-timeout 30s]
@@ -71,9 +70,7 @@ func run(args []string) error {
 	doOpt := fs.Bool("optimize", false, "run mitigation cost-benefit optimization")
 	mitBudget := fs.Int("budget", -1, "mitigation budget (-1 = unlimited)")
 	mitigations := fs.String("mitigations", "", "comma-separated active mitigation IDs")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "shared worker pool metering sweeps and solvers across all jobs")
-	solverWorkers := fs.Int("solver-workers", 1, "ASP portfolio engines per query (0 = derive from -parallel)")
-	solverDet := fs.Bool("solver-det", false, "deterministic ASP search")
+	parallel := fs.Int("parallel", runtime.NumCPU(), "shared worker pool metering sweeps and oracle checks across all jobs")
 	noPrune := fs.Bool("no-prune", false, "disable sweep pruning")
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock budget (0 = none); partial results on expiry")
 	maxDecisions := fs.Int64("max-decisions", 0, "per-job cap on ASP solver branching decisions (0 = unlimited)")
@@ -118,16 +115,14 @@ func run(args []string) error {
 
 	logger := serve.NewJSONLogger(os.Stderr)
 	s, err := serve.New(serve.Options{
-		Types:               types,
-		MaxCardinality:      *maxCard,
-		UseASP:              *useASP,
-		Optimize:            *doOpt,
-		MitBudget:           *mitBudget,
-		ActiveMitigations:   active,
-		Parallelism:         *parallel,
-		SolverWorkers:       *solverWorkers,
-		SolverDeterministic: *solverDet,
-		NoPrune:             *noPrune,
+		Types:             types,
+		MaxCardinality:    *maxCard,
+		UseASP:            *useASP,
+		Optimize:          *doOpt,
+		MitBudget:         *mitBudget,
+		ActiveMitigations: active,
+		Parallelism:       *parallel,
+		NoPrune:           *noPrune,
 		Limits: budget.Limits{
 			Timeout:      *timeout,
 			MaxDecisions: *maxDecisions,

@@ -8,10 +8,9 @@ import (
 
 // Governor is the global worker-pool semaphore: one per pipeline run,
 // shared by every component that spawns helper goroutines (scenario-sweep
-// workers, CEGAR oracle checkers, portfolio solver helpers). It bounds
-// the *extra* concurrency beyond each call site's own goroutine so that a
-// k-way sweep with portfolio queries underneath cannot oversubscribe the
-// machine to k×N runnable workers.
+// workers, CEGAR oracle checkers). It bounds the *extra* concurrency
+// beyond each call site's own goroutine so that stacked parallel stages
+// cannot oversubscribe the machine to k×N runnable workers.
 //
 // The contract is best-effort and non-blocking: AcquireUpTo never waits,
 // it grants however many slots are free (possibly zero). Call sites must

@@ -124,12 +124,6 @@ func cfgHash(cfg Config) uint64 {
 	} else {
 		num(0)
 	}
-	if cfg.SolverDeterministic {
-		num(1)
-	} else {
-		num(0)
-	}
-	num(int64(cfg.SolverWorkers))
 	num(int64(cfg.ShardIndex))
 	num(int64(cfg.ShardCount))
 	num(cfg.Resources.MaxDecisions)

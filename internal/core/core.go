@@ -9,7 +9,6 @@ import (
 	"context"
 	"fmt"
 	"path/filepath"
-	"runtime"
 	"time"
 
 	"cpsrisk/internal/artifact"
@@ -75,20 +74,13 @@ type Config struct {
 	// runs one worker. The results are identical either way;
 	// only wall-clock time changes. When an Oracle is configured with
 	// Parallelism != 1 it must be safe for concurrent Check calls.
-	// It also sizes the run-wide worker-pool governor: sweep workers,
-	// oracle checks, and solver portfolio helpers beyond each construct's
-	// first all draw from one Parallelism-sized pool, so concurrent
-	// stages cannot multiply into oversubscription.
+	// It also sizes the run-wide worker-pool governor: sweep workers and
+	// oracle checks beyond each construct's first draw from one
+	// Parallelism-sized pool, so concurrent stages cannot multiply into
+	// oversubscription.
 	Parallelism int
-	// SolverWorkers is the portfolio width for ASP solving: N diversified
-	// CDCL engines race each query, sharing learned clauses. 0 derives a
-	// width from Parallelism (capped at 4), 1 — the default via the CLI —
-	// is exactly the single-engine solver. Only the ASP hazard analysis
-	// (UseASP) is affected.
+	// Deprecated: ignored; a session is one engine.
 	SolverWorkers int
-	// SolverDeterministic forces single-engine search regardless of
-	// SolverWorkers, for byte-identical reports across runs.
-	SolverDeterministic bool
 	// TraceID is an external correlation ID for the run — the assessment
 	// service stamps every request's trace ID here so logs, the JSON
 	// report, and the Chrome trace export all carry the same handle.
@@ -241,12 +233,11 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 	}
 	// The worker-pool governor rides the context like the fault injector:
 	// every budget derived downstream captures it, and every parallel
-	// construct (sweep pool, oracle pool, solver portfolio) asks it for
-	// slots beyond its first worker. One pool for the whole run keeps
-	// concurrent stages from oversubscribing the machine. A governor
-	// already installed in ctx is reused instead — that is how the
-	// assessment service meters many concurrent tenants' runs against
-	// one machine-wide pool.
+	// construct (sweep pool, oracle pool) asks it for slots beyond its
+	// first worker. One pool for the whole run keeps concurrent stages
+	// from oversubscribing the machine. A governor already installed in
+	// ctx is reused instead — that is how the assessment service meters
+	// many concurrent tenants' runs against one machine-wide pool.
 	gov := budget.GovernorFromContext(ctx)
 	if gov == nil {
 		gov = budget.NewGovernor(cfg.Parallelism)
@@ -499,11 +490,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 			bump(cfg.Metrics, "artifact.delta_reassess")
 		}
 		if cfg.UseASP {
-			aspOpts := hazard.ASPOptions{
-				Budget:        b,
-				SolverWorkers: cfg.solverWorkers(),
-				Deterministic: cfg.SolverDeterministic,
-			}
+			aspOpts := hazard.ASPOptions{Budget: b}
 			var migrated *solver.Session
 			if entry != nil {
 				// Retain the grounded session in the entry for future
@@ -622,24 +609,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 	}
 	finish()
 	return out, nil
-}
-
-// solverWorkers resolves the effective portfolio width: the explicit
-// SolverWorkers value, or — when 0 — a width auto-derived from
-// Parallelism (GOMAXPROCS when that is 0 too), capped at 4 so the
-// per-engine memory cost stays bounded on wide machines.
-func (cfg Config) solverWorkers() int {
-	if cfg.SolverWorkers != 0 {
-		return cfg.SolverWorkers
-	}
-	p := cfg.Parallelism
-	if p <= 0 {
-		p = runtime.GOMAXPROCS(0)
-	}
-	if p > 4 {
-		p = 4
-	}
-	return p
 }
 
 // stampLast annotates the most recent degradation entry with the span

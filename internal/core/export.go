@@ -108,12 +108,6 @@ type SolverSummary struct {
 	Adds              int64 `json:"adds,omitempty"`
 	GroundAtomsReused int64 `json:"groundAtomsReused,omitempty"`
 	LearnedReused     int64 `json:"learnedReused,omitempty"`
-	// Portfolio counters (zero unless the run raced multiple engines).
-	PortfolioWorkers int64 `json:"portfolioWorkers,omitempty"`
-	PortfolioWins    int64 `json:"portfolioWins,omitempty"`
-	ClausesExported  int64 `json:"clausesExported,omitempty"`
-	ClausesImported  int64 `json:"clausesImported,omitempty"`
-	ExchangeDrops    int64 `json:"exchangeDrops,omitempty"`
 }
 
 // CandidateSummary is one candidate mutation.
@@ -255,12 +249,6 @@ func (a *Assessment) Summarize() *Summary {
 			Adds:              st.Adds,
 			GroundAtomsReused: st.GroundAtomsReused,
 			LearnedReused:     st.LearnedReused,
-
-			PortfolioWorkers: st.PortfolioWorkers,
-			PortfolioWins:    st.PortfolioWins,
-			ClausesExported:  st.ClausesExported,
-			ClausesImported:  st.ClausesImported,
-			ExchangeDrops:    st.ExchangeDrops,
 		}
 	}
 	out.DurationMS = a.Duration.Milliseconds()

@@ -81,10 +81,6 @@ func (a *Assessment) Render() string {
 			fmt.Fprintf(&sb, "  multi-shot: %d session(s), %d queries, %d incremental adds, %d ground atoms reused, %d learned clauses retained\n",
 				st.Sessions, st.Queries, st.Adds, st.GroundAtomsReused, st.LearnedReused)
 		}
-		if st.PortfolioWorkers > 0 {
-			fmt.Fprintf(&sb, "  portfolio: %d helper(s), %d helper wins, %d clauses shared (%d imported, %d ring drops)\n",
-				st.PortfolioWorkers, st.PortfolioWins, st.ClausesExported, st.ClausesImported, st.ExchangeDrops)
-		}
 	}
 	sb.WriteString("\n")
 

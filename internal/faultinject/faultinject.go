@@ -47,8 +47,8 @@ const (
 	SiteStoreRead = "store.read"
 	// SiteOracle fires before every CEGAR oracle check.
 	SiteOracle = "cegar.oracle"
-	// SiteSolverWorker fires before every solver engine runs a query: the
-	// primary engine and each raced portfolio helper.
+	// SiteSolverWorker fires before a solver session's engine runs a
+	// query.
 	SiteSolverWorker = "solver.worker"
 	// SiteStagePrefix prefixes per-stage sites in core ("core.stage.hazard").
 	SiteStagePrefix = "core.stage."

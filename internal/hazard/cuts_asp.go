@@ -45,14 +45,10 @@ func MinimalCutsASP(eng *epa.Engine, muts []faults.Mutation, req Requirement, ma
 	return MinimalCutsASPOpts(eng, muts, req, maxRounds, ASPOptions{})
 }
 
-// MinimalCutsASPOpts is MinimalCutsASP with a budget and solver portfolio
-// control: with SolverWorkers > 1 every optimization round races that
-// many diversified engines, sharing learned clauses and racing the
-// cardinality bound. The enumerated cut set is identical for any worker
-// count (each round's optimum and its complete optimal model set are
-// unique); only wall-clock time changes. A budget that trips mid-round
-// aborts with an *budget.ExhaustedError (stage "hazard-cuts"): a partial
-// cut set would be indistinguishable from a complete one.
+// MinimalCutsASPOpts is MinimalCutsASP with a budget. A budget that
+// trips mid-round aborts with an *budget.ExhaustedError (stage
+// "hazard-cuts"): a partial cut set would be indistinguishable from a
+// complete one.
 func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int, o ASPOptions) ([]epa.Scenario, error) {
 	base, err := cutsBase(eng, muts, req)
 	if err != nil {
@@ -61,11 +57,7 @@ func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement
 	if maxRounds <= 0 {
 		maxRounds = defaultCutRounds(len(muts))
 	}
-	sess, err := solver.NewSession(base, solver.Options{
-		Budget:        o.Budget,
-		Workers:       o.SolverWorkers,
-		Deterministic: o.Deterministic,
-	})
+	sess, err := solver.NewSession(base, solver.Options{Budget: o.Budget})
 	if err != nil {
 		return nil, err
 	}

@@ -331,14 +331,8 @@ func AnalyzeASP(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Req
 type ASPOptions struct {
 	// Budget governs grounding and search effort (nil = unlimited).
 	Budget *budget.Budget
-	// SolverWorkers > 1 races that many diversified solver engines per
-	// query (portfolio search with clause sharing); <= 1 is the exact
-	// single-engine solver. Extra engines beyond the first draw launch
-	// slots from the budget's worker-pool governor when one is present.
+	// Deprecated: ignored; a session is one engine.
 	SolverWorkers int
-	// Deterministic forces single-engine search regardless of
-	// SolverWorkers, for byte-identical reports across runs.
-	Deterministic bool
 	// Session, when non-nil, is a live multi-shot session already
 	// grounded for exactly this engine + mutation set + requirement
 	// encoding (an artifact-cache holdover — the caller must guarantee
@@ -355,12 +349,11 @@ type ASPOptions struct {
 	KeepSession func(*solver.Session)
 }
 
-// AnalyzeASPOpts is AnalyzeASP under resource governance and solver
-// portfolio control. The budget caps grounding (aborting with
-// *budget.ExhaustedError — callers fall back to the native engine) and
-// the answer-set search (returning the answer sets found so far with
-// Analysis.Truncation set). MaxScenarios bounds the number of enumerated
-// answer sets.
+// AnalyzeASPOpts is AnalyzeASP under resource governance. The budget
+// caps grounding (aborting with *budget.ExhaustedError — callers fall
+// back to the native engine) and the answer-set search (returning the
+// answer sets found so far with Analysis.Truncation set). MaxScenarios
+// bounds the number of enumerated answer sets.
 //
 // The analysis is multi-shot: the encoding is grounded once with an
 // unbounded fault choice, then one persistent solver session sweeps the
@@ -369,9 +362,7 @@ type ASPOptions struct {
 // models, so the union over the sweep equals the single bounded solve it
 // replaces, while learned clauses and branching heuristics carry from one
 // cardinality to the next and an interruption keeps a clean
-// cardinality-ordered prefix. The session races SolverWorkers
-// diversified engines per cardinality query; the answer-set union is
-// identical for any worker count, only wall-clock time changes.
+// cardinality-ordered prefix.
 func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, o ASPOptions) (*Analysis, error) {
 	bud := o.Budget
 	if err := validateReqs(reqs); err != nil {
@@ -398,11 +389,7 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 				return nil, err
 			}
 		}
-		sess, err = solver.NewSession(prog, solver.Options{
-			Budget:        abud,
-			Workers:       o.SolverWorkers,
-			Deterministic: o.Deterministic,
-		})
+		sess, err = solver.NewSession(prog, solver.Options{Budget: abud})
 		if err != nil {
 			return nil, err
 		}

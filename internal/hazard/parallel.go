@@ -161,9 +161,9 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	}
 	// Workers beyond the first draw launch slots from the run-wide
 	// worker-pool governor when the budget carries one, so a sweep racing
-	// other parallel stages (CEGAR validation, solver portfolios) shares
-	// one machine-sized pool instead of multiplying. Without a governor
-	// the grant is the full request. The first worker always runs.
+	// other parallel stages (CEGAR validation) shares one machine-sized
+	// pool instead of multiplying. Without a governor the grant is the
+	// full request. The first worker always runs.
 	gov := bud.Governor()
 	grantedWorkers := gov.AcquireUpTo(parallelism - 1)
 	defer gov.Release(grantedWorkers)

@@ -35,15 +35,13 @@ type Options struct {
 	KB *kb.KB
 
 	// Assessment configuration, mirroring the riskassess flags.
-	MaxCardinality      int // 0 = 2
-	UseASP              bool
-	Optimize            bool
-	MitBudget           int // 0 = unlimited
-	ActiveMitigations   map[string]bool
-	Parallelism         int // 0 = NumCPU; also sizes the shared governor
-	SolverWorkers       int
-	SolverDeterministic bool
-	NoPrune             bool
+	MaxCardinality    int // 0 = 2
+	UseASP            bool
+	Optimize          bool
+	MitBudget         int // 0 = unlimited
+	ActiveMitigations map[string]bool
+	Parallelism       int // 0 = NumCPU; also sizes the shared governor
+	NoPrune           bool
 	// Limits is the per-job resource budget (anytime degradation).
 	Limits budget.Limits
 	// CacheDir persists the EPA result cache across jobs (optional).
@@ -557,28 +555,26 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 
 	a, err := core.RunCtx(ctx, core.Config{
-		Model:               j.model,
-		Types:               s.opts.Types,
-		KB:                  s.opts.KB,
-		Requirements:        j.reqs,
-		MutationSources:     faults.AllSources(),
-		ActiveMitigations:   s.opts.ActiveMitigations,
-		MaxCardinality:      s.opts.MaxCardinality,
-		UseASP:              s.opts.UseASP,
-		Optimize:            s.opts.Optimize,
-		Budget:              s.opts.MitBudget,
-		Parallelism:         s.opts.Parallelism,
-		SolverWorkers:       s.opts.SolverWorkers,
-		SolverDeterministic: s.opts.SolverDeterministic,
-		NoPrune:             s.opts.NoPrune,
-		CacheDir:            s.opts.CacheDir,
-		Resources:           s.opts.Limits,
-		TraceID:             j.traceID,
-		Tenant:              j.tenant,
-		Trace:               trace,
-		Metrics:             metrics,
-		ArtifactCache:       s.cache,
-		Faults:              s.opts.Injector,
+		Model:             j.model,
+		Types:             s.opts.Types,
+		KB:                s.opts.KB,
+		Requirements:      j.reqs,
+		MutationSources:   faults.AllSources(),
+		ActiveMitigations: s.opts.ActiveMitigations,
+		MaxCardinality:    s.opts.MaxCardinality,
+		UseASP:            s.opts.UseASP,
+		Optimize:          s.opts.Optimize,
+		Budget:            s.opts.MitBudget,
+		Parallelism:       s.opts.Parallelism,
+		NoPrune:           s.opts.NoPrune,
+		CacheDir:          s.opts.CacheDir,
+		Resources:         s.opts.Limits,
+		TraceID:           j.traceID,
+		Tenant:            j.tenant,
+		Trace:             trace,
+		Metrics:           metrics,
+		ArtifactCache:     s.cache,
+		Faults:            s.opts.Injector,
 	})
 
 	now := time.Now()

@@ -15,8 +15,7 @@ import (
 // Every query must return exactly the brute-force models with k true
 // atoms of the predicate, with no model repeated, and the levels must
 // add up to the whole brute-force set. A MaxModels query per level must
-// return that many distinct models, all from the level's set. The sweep
-// runs on a single engine and on a two-engine portfolio.
+// return that many distinct models, all from the level's set.
 func TestSessionCountSweepVsBruteForce(t *testing.T) {
 	const programs = 400
 	rng := rand.New(rand.NewSource(20261018))
@@ -27,9 +26,7 @@ func TestSessionCountSweepVsBruteForce(t *testing.T) {
 		if pred == "" {
 			continue
 		}
-		for _, workers := range []int{1, 2} {
-			checkCountSweep(t, src, pred, workers, rng)
-		}
+		checkCountSweep(t, src, pred, rng)
 		checked++
 	}
 	if checked < 200 {
@@ -60,15 +57,15 @@ func FuzzEnumerateVsBruteForce(f *testing.F) {
 				src, len(got), got, len(want), want)
 		}
 		if pred := choicePred(src); pred != "" {
-			checkCountSweep(t, src, pred, 1+int(uint64(seed)%2), rng)
+			checkCountSweep(t, src, pred, rng)
 		}
 	})
 }
 
 // checkCountSweep runs the per-k count-assumption sweep over pred on a
-// fresh session with the given worker count and compares it with brute
-// force; rng draws the MaxModels caps.
-func checkCountSweep(t *testing.T, src, pred string, workers int, rng *rand.Rand) {
+// fresh session and compares it with brute force; rng draws the MaxModels
+// caps.
+func checkCountSweep(t *testing.T, src, pred string, rng *rand.Rand) {
 	t.Helper()
 	prog := mustParse(t, src)
 	gp, err := Ground(prog)
@@ -87,7 +84,7 @@ func checkCountSweep(t *testing.T, src, pred string, workers int, rng *rand.Rand
 			maxK++
 		}
 	}
-	sess, err := NewSession(prog, Options{Workers: workers})
+	sess, err := NewSession(prog, Options{})
 	if err != nil {
 		t.Fatalf("NewSession: %v\n%s", err, src)
 	}
@@ -98,12 +95,12 @@ func checkCountSweep(t *testing.T, src, pred string, workers int, rng *rand.Rand
 		for q := 0; q < 2; q++ {
 			res, err := sess.SolveAssuming(assumps, Options{})
 			if err != nil {
-				t.Fatalf("workers=%d k=%d query %d: %v\n%s", workers, k, q, err, src)
+				t.Fatalf("k=%d query %d: %v\n%s", k, q, err, src)
 			}
 			got := renderModelSet(res.Models)
 			if !equalStringSets(got, byK[k]) {
-				t.Fatalf("workers=%d #count{%s}=%d query %d: answer sets disagree\nprogram:\n%s\nsession (%d): %v\nbrute force (%d): %v",
-					workers, pred, k, q, src, len(got), got, len(byK[k]), byK[k])
+				t.Fatalf("#count{%s}=%d query %d: answer sets disagree\nprogram:\n%s\nsession (%d): %v\nbrute force (%d): %v",
+					pred, k, q, src, len(got), got, len(byK[k]), byK[k])
 			}
 			if q == 0 {
 				union = append(union, got...)
@@ -116,11 +113,11 @@ func checkCountSweep(t *testing.T, src, pred string, workers int, rng *rand.Rand
 		limit := 1 + rng.Intn(n-1)
 		res, err := sess.SolveAssuming(assumps, Options{MaxModels: limit})
 		if err != nil {
-			t.Fatalf("workers=%d k=%d MaxModels=%d: %v\n%s", workers, k, limit, err, src)
+			t.Fatalf("k=%d MaxModels=%d: %v\n%s", k, limit, err, src)
 		}
 		got := renderModelSet(res.Models)
 		if len(got) != limit {
-			t.Fatalf("workers=%d k=%d: MaxModels=%d returned %d models\n%s", workers, k, limit, len(got), src)
+			t.Fatalf("k=%d: MaxModels=%d returned %d models\n%s", k, limit, len(got), src)
 		}
 		level := map[string]bool{}
 		for _, m := range byK[k] {
@@ -128,15 +125,15 @@ func checkCountSweep(t *testing.T, src, pred string, workers int, rng *rand.Rand
 		}
 		for j, m := range got {
 			if !level[m] || (j > 0 && got[j-1] == m) {
-				t.Fatalf("workers=%d k=%d MaxModels=%d: model %q repeated or not stable with count %d\nprogram:\n%s\ngot: %v",
-					workers, k, limit, m, k, src, got)
+				t.Fatalf("k=%d MaxModels=%d: model %q repeated or not stable with count %d\nprogram:\n%s\ngot: %v",
+					k, limit, m, k, src, got)
 			}
 		}
 	}
 	sort.Strings(union)
 	if !equalStringSets(union, want) {
-		t.Fatalf("workers=%d: count levels 0..%d union to %d models, brute force has %d\nprogram:\n%s",
-			workers, maxK+1, len(union), len(want), src)
+		t.Fatalf("count levels 0..%d union to %d models, brute force has %d\nprogram:\n%s",
+			maxK+1, len(union), len(want), src)
 	}
 }
 
@@ -210,7 +207,7 @@ func TestBlockingClauseWidth(t *testing.T) {
 				models, len(c), st.decisionLevel(), gp.NumAtoms())
 		}
 		models++
-		tr.addLocalSearchClause(c)
+		tr.addSearchClause(c)
 		return false
 	})
 	if err != nil || searchErr != nil {
@@ -220,13 +217,17 @@ func TestBlockingClauseWidth(t *testing.T) {
 		t.Fatalf("enumerated %d models, want 8", models)
 	}
 
-	// Through a real session query: every stored blocking clause holds
-	// at most one decision per choice plus the guard.
+	// Through a real session query: every clause the query stores is a
+	// blocking clause (the program is tight, so no loop clauses), carries
+	// the query guard — the first variable allocated after translation —
+	// and holds at most one decision per choice plus the guard.
 	sess, err := NewSession(mustParse(t, src), Options{})
 	if err != nil {
 		t.Fatalf("NewSession: %v", err)
 	}
 	defer sess.Close()
+	st = sess.tr.s
+	translated, guard := len(st.clauses), lit(st.nVars)
 	res, err := sess.SolveAssuming(nil, Options{})
 	if err != nil {
 		t.Fatalf("SolveAssuming: %v", err)
@@ -235,11 +236,15 @@ func TestBlockingClauseWidth(t *testing.T) {
 		t.Fatalf("session enumerated %d models, want 8", len(res.Models))
 	}
 	blocking := 0
-	for _, c := range sess.engines[0].tr.s.clauses {
-		if !c.local {
-			continue
-		}
+	for _, c := range st.clauses[translated:] {
 		blocking++
+		guarded := false
+		for _, l := range c.lits {
+			guarded = guarded || l == guard
+		}
+		if !guarded {
+			t.Fatalf("stored clause %v lacks the query guard %d", c.lits, guard)
+		}
 		if len(c.lits) > 4 {
 			t.Fatalf("stored blocking clause has %d literals, want <= 4 (3 choices + guard)", len(c.lits))
 		}

@@ -20,17 +20,9 @@ import (
 // carry over from query to query. Single-shot Solve is a one-query
 // session, so every search runs through SolveAssuming.
 //
-// A Session is strictly single-goroutine: concurrent use panics. Callers
-// that parallelize (hazard sweeps, CEGAR oracles) keep one session per
-// worker.
-//
-// With Options.Workers > 1 a session becomes a portfolio: it keeps
-// additional diversified engines in lockstep with the primary (same
-// deltas, same variable numbering) and races all of them on each query,
-// sharing learned clauses through the session's exchange ring. The first
-// engine to answer wins; the others are cancelled but keep whatever they
-// learned for the next query. The Session API is unchanged and remains
-// single-goroutine from the caller's perspective.
+// A Session is one CDCL engine and strictly single-goroutine: concurrent
+// use panics. Callers that parallelize (hazard sweeps, CEGAR oracles)
+// keep one session per worker.
 type Session struct {
 	gr   *grounder // nil for Solve's one-query session, which never Adds
 	opts Options
@@ -39,33 +31,18 @@ type Session struct {
 	broken error // set when an Add/solve error leaves the state inconsistent
 	closed bool
 
-	// engines are kept in lockstep: engines[0] is the primary, the rest
-	// are portfolio helpers (none for single-worker sessions). exch is
-	// the clause exchange the helpers share with the primary; race
-	// counters are cumulative.
-	engines        []*sessHelper
-	exch           *exchange
-	helperLaunches int64
-	helperWins     int64
-	lastWinner     int
+	// tr is the session's engine. cardFns caches its cardinality circuits
+	// (predicate -> at-least-k literal function over the predicate's
+	// ground atoms); the cache is dropped whenever an Add emits
+	// non-constraint rules (the predicate's atom set may grow).
+	tr      *translation
+	cardFns map[string]func(int) lit
 
 	// Cumulative session counters and engine counters banked from
 	// translations discarded by slow-path rebuilds.
 	queries, adds               int64
 	groundReused, learnedReused int64
 	accum                       Stats
-}
-
-// sessHelper is one engine of a session: its translation plus its own
-// cardinality-circuit cache (predicate -> at-least-k literal function
-// over the predicate's ground atoms). Circuits allocate variables, so
-// each engine builds its own, in lockstep with the primary to keep the
-// variable spaces aligned; the caches are dropped whenever an Add emits
-// non-constraint rules (the predicate's atom set may grow).
-type sessHelper struct {
-	id      int
-	tr      *translation
-	cardFns map[string]func(int) lit
 }
 
 // Assumption fixes a literal for the duration of one SolveAssuming call
@@ -138,27 +115,14 @@ func NewSession(prog *logic.Program, opts Options) (*Session, error) {
 	return newSession(gr, gr.out, opts)
 }
 
-// newSession translates gp into the session's engines: the primary plus,
-// for a portfolio, diversified helpers wired to one clause exchange. gr
-// is the grounder Add extends; Solve passes nil.
+// newSession translates gp into the session's engine. gr is the grounder
+// Add extends; Solve passes nil.
 func newSession(gr *grounder, gp *GroundProgram, opts Options) (*Session, error) {
-	n := effectiveWorkers(opts)
-	sess := &Session{gr: gr, opts: opts}
-	if n > 1 {
-		sess.exch = newExchange(exchangeSlots)
+	tr, err := translate(gp)
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		tr, err := translate(gp)
-		if err != nil {
-			return nil, err
-		}
-		if sess.exch != nil {
-			diversify(tr.s, i, true)
-			wireWorker(tr.s, i, sess.exch)
-		}
-		sess.engines = append(sess.engines, &sessHelper{id: i, tr: tr, cardFns: map[string]func(int) lit{}})
-	}
-	return sess, nil
+	return &Session{gr: gr, opts: opts, tr: tr, cardFns: map[string]func(int) lit{}}, nil
 }
 
 func (s *Session) acquire() {
@@ -186,8 +150,7 @@ func (s *Session) Close() {
 	defer s.release()
 	s.closed = true
 	s.gr = nil
-	s.engines = nil
-	s.exch = nil
+	s.tr = nil
 }
 
 // Add grounds a program delta into the live session. The delta is
@@ -222,15 +185,14 @@ func (s *Session) Add(prog *logic.Program) error {
 	asp := startSpan(s.opts.Budget, "add#%d", s.adds)
 	defer asp.End()
 	s.groundReused += s.gr.numPossible
-	primary := s.engines[0].tr
-	prevKnown := primary.knownAtoms
+	prevKnown := s.tr.knownAtoms
 	retracted, err := s.gr.addRules(prog.Rules)
 	if err != nil {
 		s.fail(err)
 		return err
 	}
 	if retracted {
-		s.clearCardFns()
+		s.cardFns = map[string]func(int) lit{}
 		if err := s.rebuildTranslation(); err != nil {
 			s.fail(err)
 			return err
@@ -238,7 +200,7 @@ func (s *Session) Add(prog *logic.Program) error {
 		return nil
 	}
 	constraintsOnly, freshHeads := true, true
-	for _, r := range primary.gp.Rules[primary.translatedRules:] {
+	for _, r := range s.tr.gp.Rules[s.tr.translatedRules:] {
 		switch r.Kind {
 		case KindBasic:
 			if r.Head != 0 {
@@ -259,19 +221,15 @@ func (s *Session) Add(prog *logic.Program) error {
 		}
 	}
 	if constraintsOnly {
-		for _, e := range s.engines {
-			e.tr.addConstraintsInSearch()
-		}
+		s.tr.addConstraintsInSearch()
 		return nil
 	}
-	s.clearCardFns()
+	s.cardFns = map[string]func(int) lit{}
 	if freshHeads {
-		for _, e := range s.engines {
-			e.tr.s.cancelUntil(0)
-			if err := e.tr.extendTranslation(); err != nil {
-				s.fail(err)
-				return err
-			}
+		s.tr.s.cancelUntil(0)
+		if err := s.tr.extendTranslation(); err != nil {
+			s.fail(err)
+			return err
 		}
 		return nil
 	}
@@ -282,49 +240,19 @@ func (s *Session) Add(prog *logic.Program) error {
 	return nil
 }
 
-// clearCardFns drops every engine's cached cardinality circuits.
-func (s *Session) clearCardFns() {
-	for _, e := range s.engines {
-		e.cardFns = map[string]func(int) lit{}
-	}
-}
-
 // rebuildTranslation retranslates the (compacted) ground program from
-// scratch, banking the old engines' statistics and carrying each atom's
-// branching activity and saved phase into the new engines. Learned
+// scratch, banking the old engine's statistics and carrying each atom's
+// branching activity and saved phase into the new engine. Learned
 // clauses are dropped: after a retraction they may no longer be
-// consequences of the program. In a portfolio session every engine is
-// rebuilt and the clause exchange is replaced wholesale — clauses learned
-// before the retraction are no longer safe to share either.
+// consequences of the program.
 func (s *Session) rebuildTranslation() error {
-	if s.exch != nil {
-		s.exch = newExchange(exchangeSlots)
-	}
-	for _, e := range s.engines {
-		ntr, err := s.rebuildOne(e.tr)
-		if err != nil {
-			return err
-		}
-		e.tr = ntr
-		if s.exch != nil {
-			// The carried phases already encode this engine's personality;
-			// re-apply only the search-schedule knobs.
-			diversify(ntr.s, e.id, false)
-			wireWorker(ntr.s, e.id, s.exch)
-		}
-	}
-	return nil
-}
-
-// rebuildOne rebuilds a single engine, banking its statistics into the
-// session accumulator and carrying activities and phases across.
-func (s *Session) rebuildOne(old *translation) (*translation, error) {
+	old := s.tr
 	var tmp Stats
 	old.fillStats(&tmp)
 	addEngineStats(&s.accum, &tmp)
 	ntr, err := translate(old.gp)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	oldS, newS := old.s, ntr.s
 	newS.varInc = oldS.varInc
@@ -341,7 +269,8 @@ func (s *Session) rebuildOne(old *translation) (*translation, error) {
 	for i := len(newS.heap)/2 - 1; i >= 0; i-- {
 		newS.heapDown(i)
 	}
-	return ntr, nil
+	s.tr = ntr
+	return nil
 }
 
 func addEngineStats(dst, src *Stats) {
@@ -354,19 +283,16 @@ func addEngineStats(dst, src *Stats) {
 	dst.LearnedClauses += src.LearnedClauses
 	dst.Backjumps += src.Backjumps
 	dst.DBReductions += src.DBReductions
-	dst.ClausesExported += src.ClausesExported
-	dst.ClausesImported += src.ClausesImported
-	dst.ExchangeDrops += src.ExchangeDrops
 }
 
 // countFn returns (building and caching on first use) the at-least-k
 // literal function over the predicate's ground atoms, in atom-id order.
 // Must be called at decision level 0.
-func (e *sessHelper) countFn(pred string) func(int) lit {
-	if fn, ok := e.cardFns[pred]; ok {
+func (s *Session) countFn(pred string) func(int) lit {
+	if fn, ok := s.cardFns[pred]; ok {
 		return fn
 	}
-	tr := e.tr
+	tr := s.tr
 	gp := tr.gp
 	var lits []lit
 	for id := AtomID(1); id <= AtomID(gp.NumAtoms()); id++ {
@@ -380,7 +306,7 @@ func (e *sessHelper) countFn(pred string) func(int) lit {
 		}
 	}
 	fn := tr.seqCounter(lits, len(lits))
-	e.cardFns[pred] = fn
+	s.cardFns[pred] = fn
 	return fn
 }
 
@@ -388,19 +314,19 @@ func (e *sessHelper) countFn(pred string) func(int) lit {
 // false when the assumption names an atom absent from the ground program:
 // such an atom is false in every answer set, so assuming it false is
 // vacuous and assuming it true is immediately unsatisfiable.
-func (e *sessHelper) assumptionLit(a Assumption) (l lit, known bool) {
+func (s *Session) assumptionLit(a Assumption) (l lit, known bool) {
 	if a.Count != "" {
-		l = e.countFn(a.Count)(a.K)
+		l = s.countFn(a.Count)(a.K)
 		if !a.True {
 			l = -l
 		}
 		return l, true
 	}
-	id, ok := e.tr.gp.LookupAtom(a.Atom)
+	id, ok := s.tr.gp.LookupAtom(a.Atom)
 	if !ok {
 		return 0, false
 	}
-	l = e.tr.atomLit(id)
+	l = s.tr.atomLit(id)
 	if !a.True {
 		l = -l
 	}
@@ -441,119 +367,76 @@ func (s *Session) SolveAssuming(assumptions []Assumption, opts Options) (*Result
 	return res, nil
 }
 
-// queryPrep is one engine's per-query state: the query guard (and, for
-// optimizing queries, the pass-2 guard, pre-allocated so every engine's
-// variable space stays aligned whether or not it runs pass 2).
+// queryPrep is the per-query state: the query guard and, for optimizing
+// queries, the pass-2 guard.
 type queryPrep struct {
 	qg, qg2 lit
 }
 
-// query is the solver's one search driver. Every engine is prepared in
-// lockstep (cancel to level 0, build assumption circuits, allocate
-// guards), so literals carry the same meaning in every engine — the basis
-// for clause sharing and for reading any engine's unsat core. The primary
-// then runs alone under the caller's budget or, when the worker-pool
-// governor grants helpers, races them (see race). Afterwards every engine
-// is wound down, granted or not: the guards must be retired everywhere to
-// keep the engines aligned and the enumeration space whole for later
-// queries.
+// query is the solver's one search driver: cancel to level 0, build the
+// assumption circuits, allocate the guards, run the search under the
+// caller's budget, then retire the guards so the enumeration space is
+// whole again for later queries.
 func (s *Session) query(assumptions []Assumption, opts Options) (*Result, error) {
-	for _, e := range s.engines {
-		s.learnedReused += int64(len(e.tr.s.learnts))
-	}
-	primary := s.engines[0]
-	res := &Result{}
-	optimize := opts.Optimize && len(primary.tr.gp.Minimize) > 0
+	st := s.tr.s
+	s.learnedReused += int64(len(st.learnts))
+	optimize := opts.Optimize && len(s.tr.gp.Minimize) > 0
 
-	for _, e := range s.engines {
-		e.tr.s.cancelUntil(0)
-	}
+	st.cancelUntil(0)
 	names := map[lit]string{}
-	lits := make([][]lit, len(s.engines))
+	var lits []lit
 	for _, a := range assumptions {
-		l, known := primary.assumptionLit(a)
+		l, known := s.assumptionLit(a)
 		if !known {
-			// Unknown atoms allocate nothing anywhere, so the lockstep
-			// short-circuit keeps the var spaces aligned. A program that
-			// is unsatisfiable outright reports no core.
+			// A program that is unsatisfiable outright reports no core.
 			if a.True {
-				if !primary.tr.s.unsatRoot {
+				res := &Result{}
+				if !st.unsatRoot {
 					res.Core = []string{a.describe()}
 				}
 				return res, nil
 			}
 			continue
 		}
-		lits[0] = append(lits[0], l)
+		lits = append(lits, l)
 		if _, ok := names[l]; !ok {
 			names[l] = a.describe()
 		}
-		for i, e := range s.engines[1:] {
-			li, _ := e.assumptionLit(a)
-			lits[i+1] = append(lits[i+1], li)
-		}
 	}
-	preps := make([]queryPrep, len(s.engines))
-	for i, e := range s.engines {
-		st := e.tr.s
-		p := &preps[i]
-		p.qg = lit(st.newVar())
-		if optimize {
-			// The pass-2 guard rides the assumption prefix so it is never
-			// branched on while unused (a free variable would perturb the
-			// search and the model count).
-			p.qg2 = lit(st.newVar())
-			st.assumps = append([]lit{-p.qg, -p.qg2}, lits[i]...)
-		} else {
-			st.assumps = append([]lit{-p.qg}, lits[i]...)
-		}
-		st.assumpFailed = false
-		st.finalCore = nil
-	}
-
-	gov := opts.Budget.Governor()
-	granted := gov.AcquireUpTo(len(s.engines) - 1)
-	s.helperLaunches += int64(granted)
-	outs := make([]sessOutcome, 1+granted)
-	w := 0
-	if granted == 0 {
-		outs[0] = runQueryWorker(primary, preps[0], opts, opts.Budget, optimize)
+	var p queryPrep
+	p.qg = lit(st.newVar())
+	if optimize {
+		// The pass-2 guard rides the assumption prefix so it is never
+		// branched on while unused (a free variable would perturb the
+		// search and the model count).
+		p.qg2 = lit(st.newVar())
+		st.assumps = append([]lit{-p.qg, -p.qg2}, lits...)
 	} else {
-		w = s.race(outs, preps, opts, optimize)
+		st.assumps = append([]lit{-p.qg}, lits...)
 	}
-	gov.Release(granted)
-	for _, out := range outs {
-		if out.err != nil {
-			return nil, out.err
-		}
-	}
-	winSt := s.engines[w].tr.s
-	core, failed := winSt.finalCore, winSt.assumpFailed
+	st.assumpFailed = false
+	st.finalCore = nil
 
-	for i, e := range s.engines {
-		st := e.tr.s
-		st.assumps = nil
-		st.assumpFailed = false
-		st.finalCore = nil
-		st.pruning = false
-		st.bound = 1 << 62
-		st.costGuard = 0
-		st.sharedBound = nil
-		e.tr.shared = nil
-		st.addClause([]lit{preps[i].qg})
-		if optimize {
-			st.addClause([]lit{preps[i].qg2})
-		}
+	res, err := s.runQuery(p, opts, optimize)
+	if err != nil {
+		return nil, err
+	}
+	core, failed := st.finalCore, st.assumpFailed
+
+	st.assumps = nil
+	st.assumpFailed = false
+	st.finalCore = nil
+	st.pruning = false
+	st.bound = 1 << 62
+	st.costGuard = 0
+	st.addClause([]lit{p.qg})
+	if optimize {
+		st.addClause([]lit{p.qg2})
 	}
 
-	res = outs[w].res
-	if w != 0 {
-		s.helperWins++
-	}
-	s.lastWinner = w
 	if len(res.Models) == 0 && failed {
 		for _, l := range core {
-			if v := l.variable(); v == preps[w].qg.variable() || v == preps[w].qg2.variable() {
+			if v := l.variable(); v == p.qg.variable() || v == p.qg2.variable() {
 				continue
 			}
 			if n, ok := names[l]; ok {
@@ -565,54 +448,35 @@ func (s *Session) query(assumptions []Assumption, opts Options) (*Result, error)
 	return res, nil
 }
 
-// sessOutcome is one engine's result for a query.
-type sessOutcome struct {
-	res *Result
-	err error
-}
-
-// runQueryWorker runs one engine's query under bud, converting panics
-// into errors; a panicked engine's clause database is suspect, so the
-// caller poisons the whole session.
-func runQueryWorker(e *sessHelper, p queryPrep, opts Options, bud *budget.Budget, optimize bool) (out sessOutcome) {
+// runQuery runs the prepared query under the caller's budget, converting
+// panics into errors; a panicked engine's clause database is suspect, so
+// the caller poisons the session.
+func (s *Session) runQuery(p queryPrep, opts Options, optimize bool) (res *Result, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			out.err = fmt.Errorf("solver: engine %d panicked: %v", e.id, r)
+			res, err = nil, fmt.Errorf("solver: engine panicked: %v", r)
 		}
 	}()
-	if err := bud.Injector().Fire(faultinject.SiteSolverWorker); err != nil {
-		out.err = err
-		return out
+	if err := opts.Budget.Injector().Fire(faultinject.SiteSolverWorker); err != nil {
+		return nil, err
 	}
-	st := e.tr.s
-	st.applyBudget(bud)
-	res := &Result{}
-	if st.unsatRoot {
-		// Imports proved the program unsatisfiable outright.
-		out.res = res
-		return out
-	}
-	var err error
+	s.tr.s.applyBudget(opts.Budget)
+	res = &Result{}
 	if optimize {
-		err = optimizeQueryWorker(e.tr, p, opts, res)
+		err = optimizeQuery(s.tr, p, opts, res)
 	} else {
-		err = enumerateOn(e.tr, opts, res, -1, p.qg)
+		err = enumerateOn(s.tr, opts, res, -1, p.qg)
 	}
-	out.res, out.err = res, err
-	return out
+	return res, err
 }
 
-// optimizeQueryWorker runs one engine's optimizing query: branch-and-
-// bound under the first guard, then exact-cost re-enumeration under the
-// pre-allocated second guard. Both passes are query-local: pass 1's bound
-// clauses carry the first guard and are retired before pass 2 (they would
-// otherwise prune the optimum itself). In a race, incumbents are
-// published to (and bounds adopted from) the race-wide shared state;
-// pass-1 exhaustion proves no model beats the final bound — even when
-// that bound was adopted from a peer — so the best incumbent race-wide at
-// or below it is the optimum. On budget exhaustion the best model found
-// so far is returned with Interrupted set (anytime optimization).
-func optimizeQueryWorker(tr *translation, p queryPrep, opts Options, res *Result) error {
+// optimizeQuery runs an optimizing query: branch-and-bound under the
+// first guard, then exact-cost re-enumeration under the pre-allocated
+// second guard. Both passes are query-local: pass 1's bound clauses carry
+// the first guard and are retired before pass 2 (they would otherwise
+// prune the optimum itself). On budget exhaustion the best model found so
+// far is returned with Interrupted set (anytime optimization).
+func optimizeQuery(tr *translation, p queryPrep, opts Options, res *Result) error {
 	st := tr.s
 	st.pruning = true
 	st.bound = 1 << 62
@@ -635,21 +499,12 @@ func optimizeQueryWorker(tr *translation, p queryPrep, opts Options, res *Result
 		best = st.curCost
 		incumbent = tr.extractModel()
 		st.bound = best // require strictly better from now on
-		if tr.shared != nil {
-			tr.shared.publish(best, incumbent)
-		}
 		return false
 	}
 	err := st.search(onTotal)
-	harvest := func() {
-		if m, c, ok := tr.harvestShared(); ok && (!found || c < best) {
-			found, best, incumbent = true, c, m
-		}
-	}
 	if ex, ok := budget.Exhausted(err); ok {
 		res.Interrupted = true
 		res.InterruptReason = ex.Reason
-		harvest()
 		if found {
 			res.Models = []Model{incumbent}
 		}
@@ -661,7 +516,6 @@ func optimizeQueryWorker(tr *translation, p queryPrep, opts Options, res *Result
 	if searchErr != nil {
 		return searchErr
 	}
-	harvest()
 	if !found {
 		// Unsatisfiable under the assumptions; finalCore (if any) is
 		// harvested by the caller.
@@ -673,7 +527,6 @@ func optimizeQueryWorker(tr *translation, p queryPrep, opts Options, res *Result
 	st.pruning = false
 	st.costGuard = 0
 	st.bound = 1 << 62
-	st.sharedBound = nil // the exact cost is fixed; no more bound racing
 	st.assumps = append([]lit{-p.qg2}, st.assumps[2:]...)
 	st.assumpFailed = false
 	st.finalCore = nil
@@ -694,14 +547,11 @@ func optimizeQueryWorker(tr *translation, p queryPrep, opts Options, res *Result
 // only models whose combined objective equals exactCost are kept (with
 // pruning above it). Blocking clauses (and, when exactCost >= 0,
 // objective-bound clauses) carry the query guard qg so they can be
-// retired afterwards. They are engine-local: the guard variable is
-// aligned across portfolio workers, but the clause itself is a per-engine
-// axiom, not a program consequence, so it must never be exported. A
-// blocking clause negates the model's decision literals (blockingClause).
+// retired afterwards. A blocking clause negates the model's decision literals (blockingClause).
 // ¬qg heads the assumption prefix and qg occurs only positively in
 // clauses, so ¬qg is never implied before it is assumed: it is always
 // level 1's pseudo-decision, and blockingClause already holds qg. The
-// appended guard is a copy that addClauseTagged drops; it is kept so that
+// appended guard is a copy that addClause drops; it is kept so that
 // retiring the clause does not depend on the assumption order.
 func enumerateOn(tr *translation, opts Options, res *Result, exactCost int64, qg lit) error {
 	st := tr.s
@@ -722,14 +572,14 @@ func enumerateOn(tr *translation, opts Options, res *Result, exactCost int64, qg
 			return false
 		}
 		if exactCost >= 0 && st.curCost != exactCost {
-			tr.addLocalSearchClause(append(tr.blockingClause(), qg))
+			tr.addSearchClause(append(tr.blockingClause(), qg))
 			return false
 		}
 		res.Models = append(res.Models, tr.extractModel())
 		if opts.MaxModels > 0 && len(res.Models) >= opts.MaxModels {
 			return true
 		}
-		tr.addLocalSearchClause(append(tr.blockingClause(), qg))
+		tr.addSearchClause(append(tr.blockingClause(), qg))
 		return false
 	}
 	err := st.search(onTotal)
@@ -751,19 +601,12 @@ func (s *Session) Stats() Stats {
 	return s.stats()
 }
 
-// stats is Stats for callers already holding the session: program sizes
-// from the primary, effort summed over every engine and the banked
-// counters of rebuilt ones.
+// stats is Stats for callers already holding the session: the engine's
+// counters plus the banked counters of engines that rebuilds replaced.
 func (s *Session) stats() Stats {
 	var st Stats
-	for i, e := range s.engines {
-		if i == 0 {
-			e.tr.fillStats(&st)
-			continue
-		}
-		var tmp Stats
-		e.tr.fillStats(&tmp)
-		addEngineStats(&st, &tmp)
+	if s.tr != nil {
+		s.tr.fillStats(&st)
 	}
 	addEngineStats(&st, &s.accum)
 	st.Sessions = 1
@@ -771,8 +614,5 @@ func (s *Session) stats() Stats {
 	st.Adds = s.adds
 	st.GroundAtomsReused = s.groundReused
 	st.LearnedReused = s.learnedReused
-	st.PortfolioWorkers = s.helperLaunches
-	st.PortfolioWins = s.helperWins
-	st.PortfolioWinner = s.lastWinner
 	return st
 }

@@ -1,9 +1,13 @@
 package solver
 
 import (
+	"context"
 	"strings"
 	"testing"
+	"time"
 
+	"cpsrisk/internal/budget"
+	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/logic"
 )
 
@@ -237,5 +241,55 @@ func TestSessionOptimizeQueryLocal(t *testing.T) {
 	}
 	if !res.Optimal || len(res.Models) != 2 {
 		t.Fatalf("got optimal=%v models=%d, want 2", res.Optimal, len(res.Models))
+	}
+}
+
+// TestSessionCancellationPrompt runs a session query on a hard
+// unsatisfiable instance (pigeonhole, from budget_test.go) under a short
+// wall-clock budget and requires it to return an interrupted result
+// promptly after the deadline.
+func TestSessionCancellationPrompt(t *testing.T) {
+	sess := newTestSession(t, pigeonhole(9))
+	defer sess.Close()
+	bud, cancel := budget.WithTimeout(context.Background(), budget.Limits{Timeout: 100 * time.Millisecond})
+	defer cancel()
+	start := time.Now()
+	res, err := sess.SolveAssuming(nil, Options{Budget: bud})
+	elapsed := time.Since(start)
+	if err != nil {
+		t.Fatalf("session solve: %v", err)
+	}
+	if !res.Interrupted {
+		t.Fatalf("expected an interrupted session result (elapsed %v)", elapsed)
+	}
+	if elapsed > 5*time.Second {
+		t.Fatalf("session query took %v to unwind after a 100ms deadline", elapsed)
+	}
+}
+
+// TestSessionPanicPoisons injects a panic into the engine's first query
+// and requires the session to surface it as an error and refuse further
+// use: a panicked engine's clause database cannot be trusted, so the
+// session is poisoned, diagnosably.
+func TestSessionPanicPoisons(t *testing.T) {
+	inj, err := faultinject.New(1, faultinject.SiteSolverWorker+"=panic@1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	bud := budget.New(faultinject.ContextWith(context.Background(), inj), budget.Limits{})
+	sess, err := NewSession(mustParse(t, "{ a; b }.\n:- a, b.\n"), Options{Budget: bud})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sess.Close()
+	if _, err := sess.SolveAssuming(nil, Options{}); err == nil {
+		t.Fatal("expected the injected engine panic to surface as an error")
+	} else if !strings.Contains(err.Error(), "panicked") {
+		t.Fatalf("error does not identify the panic: %v", err)
+	}
+	if _, err := sess.SolveAssuming(nil, Options{}); err == nil {
+		t.Fatal("session must be poisoned after an engine panic")
+	} else if !strings.Contains(err.Error(), "unusable") {
+		t.Fatalf("poisoned session error not diagnosable: %v", err)
 	}
 }

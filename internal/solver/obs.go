@@ -39,14 +39,6 @@ func PublishStats(reg *obs.Registry, st *Stats) {
 	reg.Counter("solver.adds").Add(st.Adds)
 	reg.Counter("solver.ground_atoms_reused").Add(st.GroundAtomsReused)
 	reg.Counter("solver.learned_reused").Add(st.LearnedReused)
-	if st.PortfolioWorkers > 0 {
-		reg.Gauge("solver.portfolio_workers").Set(st.PortfolioWorkers)
-		reg.Counter("solver.portfolio_wins").Add(st.PortfolioWins)
-		reg.Gauge("solver.portfolio_winner").Set(int64(st.PortfolioWinner))
-		reg.Counter("solver.clauses_exported").Add(st.ClausesExported)
-		reg.Counter("solver.clauses_imported").Add(st.ClausesImported)
-		reg.Counter("solver.exchange_drops").Add(st.ExchangeDrops)
-	}
 	reg.Histogram("solver.solve_us").Observe(st.Duration.Microseconds())
 }
 

@@ -36,16 +36,11 @@ func watchIdx(l lit) int {
 
 // clause is one disjunction of literals; lits[0] and lits[1] are the
 // watched literals. Learned clauses additionally carry an activity score
-// driving learned-DB reduction. local marks clauses that are NOT
-// consequences of the ground program (blocking clauses, optimization
-// bounds, and anything learned from them): a portfolio worker must never
-// export a local clause, because another worker enumerating the same
-// space still needs the models it excludes.
+// driving learned-DB reduction.
 type clause struct {
 	lits   []lit
 	act    float64
 	learnt bool
-	local  bool
 }
 
 // sat is a CDCL SAT engine: two-watched-literal propagation, first-UIP
@@ -119,33 +114,6 @@ type sat struct {
 
 	unsatRoot bool // an empty clause was added: trivially unsatisfiable
 
-	// Portfolio diversification. Worker 0 keeps the engine defaults
-	// (restartBase units, 0.95 decay, no randomness) so single-worker
-	// behaviour is bit-identical to the pre-portfolio engine; helpers get
-	// distinct profiles via diversify.
-	restartUnit int64   // Luby unit in conflicts
-	decayInv    float64 // 1/decay, applied per conflict
-	rng         *prng   // nil: fully deterministic branching
-	randPolPct  int     // percent of branch decisions taking a random polarity
-
-	// Portfolio clause sharing. exch is the bounded broadcast ring shared
-	// by all workers of one race (nil outside portfolio mode); exchCursor
-	// is this worker's private read position. level0Tainted latches when a
-	// local clause forces a level-0 assignment: from that point derived
-	// clauses can silently depend on it (analysis skips level-0 literals),
-	// so the worker stops exporting entirely rather than export unsound
-	// clauses. sharedBound, when non-nil, is the race-wide best achieved
-	// objective cost; workers adopt it to tighten their own pruning.
-	exch          *exchange
-	exchID        int
-	exchCursor    uint64
-	importTick    int
-	level0Tainted bool
-	sharedBound   *atomicInt64
-	shExported    int64
-	shImported    int64
-	shDrops       int64
-
 	// Resource governance: zero caps mean unlimited, nil ctx means no
 	// cancellation. The context is polled every ctxPollInterval budget
 	// checks to keep the hot loop cheap.
@@ -160,6 +128,9 @@ const ctxPollInterval = 64
 
 // restartBase is the Luby restart unit, in conflicts.
 const restartBase = 100
+
+// varDecayInv is the inverse EVSIDS decay factor, applied per conflict.
+const varDecayInv = 1 / 0.95
 
 // checkBudget reports why the search must stop now (as an
 // *budget.ExhaustedError with stage "solve"), or nil.
@@ -207,8 +178,6 @@ func newSAT() *sat {
 		varInc:       1,
 		claInc:       1,
 		restartLimit: restartBase,
-		restartUnit:  restartBase,
-		decayInv:     1 / 0.95,
 	}
 	s.newVar() // allocate var 0 placeholder so vars start at 1
 	return s
@@ -326,7 +295,7 @@ func (s *sat) varBump(v int) {
 	}
 }
 
-func (s *sat) varDecay() { s.varInc *= s.decayInv }
+func (s *sat) varDecay() { s.varInc *= varDecayInv }
 
 func (s *sat) claBump(c *clause) {
 	c.act += s.claInc
@@ -380,14 +349,7 @@ func (s *sat) detach(c *clause) {
 // against the fixed assignment; during search the caller must ensure the
 // solver is backtracked (via backtrackForClause) until the clause is not
 // conflicting.
-func (s *sat) addClause(ls []lit) { s.addClauseTagged(ls, false) }
-
-// addLocalClause installs a clause that is NOT a consequence of the
-// ground program (blocking clause, exact-cost filter): it participates in
-// search normally but taints everything learned from it against export.
-func (s *sat) addLocalClause(ls []lit) { s.addClauseTagged(ls, true) }
-
-func (s *sat) addClauseTagged(ls []lit, local bool) {
+func (s *sat) addClause(ls []lit) {
 	// Simplify: drop duplicate literals; detect tautologies. markBuf
 	// stamps variables with the polarity seen (1 pos, 2 neg). The input
 	// slice is filtered in place and retained; callers always pass fresh
@@ -441,9 +403,6 @@ func (s *sat) addClauseTagged(ls []lit, local bool) {
 			s.unsatRoot = true
 			return
 		}
-		if local {
-			s.level0Tainted = true
-		}
 		s.uncheckedEnqueue(out[0], nil)
 		return
 	}
@@ -453,15 +412,12 @@ func (s *sat) addClauseTagged(ls []lit, local bool) {
 		w2 = w1
 	}
 	out[1], out[w2] = out[w2], out[1]
-	c := &clause{lits: out, local: local}
+	c := &clause{lits: out}
 	s.clauses = append(s.clauses, c)
 	s.attach(c)
 	// If unit under the current assignment, enqueue with the clause as
 	// reason.
 	if s.value(out[0]) == 0 && s.value(out[1]) == -1 {
-		if local && s.decisionLevel() == 0 {
-			s.level0Tainted = true
-		}
 		s.uncheckedEnqueue(out[0], c)
 	}
 }
@@ -562,11 +518,6 @@ func (s *sat) propagate() *clause {
 				s.watches[wi] = kept
 				return c
 			}
-			if c.local && len(s.trailLim) == 0 {
-				// A local clause just forced a permanent (level-0) fact;
-				// derived clauses can no longer be proven program-global.
-				s.level0Tainted = true
-			}
 			s.uncheckedEnqueue(li[0], c)
 		}
 		s.watches[wi] = kept
@@ -607,21 +558,15 @@ func (s *sat) cancelUntil(lvl int) {
 // analyze performs first-UIP conflict analysis. The conflicting clause
 // must be falsified with at least one literal at the current decision
 // level. It returns the learned clause (asserting literal first, a
-// deepest-level literal second), the backjump level, and whether the
-// derivation touched any local clause (tainting the result against
-// portfolio export).
-func (s *sat) analyze(confl *clause) ([]lit, int, bool) {
+// deepest-level literal second) and the backjump level.
+func (s *sat) analyze(confl *clause) ([]lit, int) {
 	learnt := make([]lit, 1, 8)
 	counter := 0
-	local := false
 	p := litTrue
 	idx := len(s.trail) - 1
 	for {
 		if confl.learnt {
 			s.claBump(confl)
-		}
-		if confl.local {
-			local = true
 		}
 		for _, q := range confl.lits {
 			if q == p {
@@ -680,10 +625,6 @@ func (s *sat) analyze(confl *clause) ([]lit, int, bool) {
 		if !redundant {
 			learnt[j] = learnt[i]
 			j++
-		} else if r.local {
-			// Minimization consumed a local reason: the shortened clause
-			// now depends on it.
-			local = true
 		}
 	}
 	learnt = learnt[:j]
@@ -704,7 +645,7 @@ func (s *sat) analyze(confl *clause) ([]lit, int, bool) {
 		learnt[1], learnt[maxI] = learnt[maxI], learnt[1]
 		bt = s.level[learnt[1].variable()]
 	}
-	return learnt, bt, local
+	return learnt, bt
 }
 
 // analyzeFinal computes the subset of the assumption set responsible for
@@ -741,65 +682,17 @@ func (s *sat) analyzeFinal(p lit) []lit {
 }
 
 // record installs a learned clause after backjumping and enqueues its
-// asserting literal. Untainted short clauses are offered to the
-// portfolio exchange.
-func (s *sat) record(learnt []lit, local bool) {
+// asserting literal.
+func (s *sat) record(learnt []lit) {
 	if len(learnt) == 1 {
-		if local && s.decisionLevel() == 0 {
-			s.level0Tainted = true
-		}
-		s.exportClause(learnt, local)
 		s.uncheckedEnqueue(learnt[0], nil)
 		return
 	}
-	c := &clause{lits: learnt, learnt: true, act: s.claInc, local: local}
+	c := &clause{lits: learnt, learnt: true, act: s.claInc}
 	s.learnts = append(s.learnts, c)
 	s.learned++
 	s.attach(c)
-	s.exportClause(learnt, local)
 	s.uncheckedEnqueue(learnt[0], c)
-}
-
-// Export caps: a clause goes onto the exchange ring when it is short
-// outright or glue-ish (low literal-block distance).
-const (
-	shareMaxLen = 24
-	shareMaxLBD = 4
-)
-
-// exportClause publishes a freshly learned clause to the exchange when
-// it is provably a program consequence (untainted, no tainted level-0
-// facts) and short enough to be worth the receivers' import cost.
-func (s *sat) exportClause(learnt []lit, local bool) {
-	if s.exch == nil || local || s.level0Tainted || len(learnt) > shareMaxLen {
-		return
-	}
-	if len(learnt) > 2 && s.lbd(learnt) > shareMaxLBD {
-		return
-	}
-	s.exch.publish(s.exchID, learnt)
-	s.shExported++
-}
-
-// lbd is the literal-block distance: the number of distinct decision
-// levels among the clause's literals (quadratic scan; clauses here are
-// shareMaxLen-bounded).
-func (s *sat) lbd(ls []lit) int {
-	n := 0
-	for i, l := range ls {
-		lv := s.level[l.variable()]
-		dup := false
-		for _, m := range ls[:i] {
-			if s.level[m.variable()] == lv {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			n++
-		}
-	}
-	return n
 }
 
 // handleConflict runs conflict analysis and backjumps. It returns false
@@ -821,12 +714,12 @@ func (s *sat) handleConflict(confl *clause) bool {
 		return false
 	}
 	s.cancelUntil(ml)
-	learnt, bt, local := s.analyze(confl)
+	learnt, bt := s.analyze(confl)
 	if s.decisionLevel()-bt > 1 {
 		s.backjumps++
 	}
 	s.cancelUntil(bt)
-	s.record(learnt, local)
+	s.record(learnt)
 	s.varDecay()
 	s.claDecay()
 	return true
@@ -838,9 +731,7 @@ func (s *sat) handleConflict(confl *clause) bool {
 // bound only ever decreases. It returns false when no improving
 // assignment exists.
 func (s *sat) costConflict() bool {
-	// Bound clauses derive from an incumbent model, not the program:
-	// always local, whether or not a session guard is attached.
-	c := clause{local: true}
+	var c clause
 	ml := 0
 	for v := 1; v < s.nVars; v++ {
 		if s.weight[v] > 0 && s.assign[v] == 1 {
@@ -853,10 +744,9 @@ func (s *sat) costConflict() bool {
 	if s.costGuard != 0 && s.value(s.costGuard) != 0 {
 		// Session query: the bound clause is only valid while this query's
 		// guard is assumed false; the guard literal makes it retirable.
-		// At level 0, before the assumptions are re-asserted, a bound
-		// adopted from a racing peer can already be violated; the guard
-		// is then unassigned and its recorded level stale, so level-0
-		// cost alone decides the conflict.
+		// An unassigned guard (level 0, before the assumptions are
+		// re-asserted) has a stale recorded level, so level-0 cost alone
+		// decides the conflict.
 		c.lits = append(c.lits, s.costGuard)
 		if lv := s.level[s.costGuard.variable()]; lv > ml {
 			ml = lv
@@ -878,10 +768,7 @@ func (s *sat) restart() {
 	s.cancelUntil(0)
 	s.sinceRestart = 0
 	s.lubySeq++
-	s.restartLimit = s.restartUnit * luby(s.lubySeq)
-	// A restart is a free synchronization point: drain the exchange while
-	// the trail is short.
-	s.importShared()
+	s.restartLimit = restartBase * luby(s.lubySeq)
 }
 
 // luby returns the i-th element (0-based) of the Luby restart sequence
@@ -986,25 +873,6 @@ func (s *sat) search(onTotal func() (stop bool)) error {
 			}
 			continue
 		}
-		if s.exch != nil {
-			// Portfolio hooks, off the single-worker path entirely: adopt
-			// the race-wide best bound, and periodically drain the clause
-			// exchange (restarts also drain it).
-			if s.sharedBound != nil && s.pruning {
-				if sb := s.sharedBound.Load(); sb < s.bound {
-					s.bound = sb
-				}
-			}
-			s.importTick++
-			if s.importTick >= importInterval {
-				s.importTick = 0
-				s.importShared()
-				if s.unsatRoot {
-					return nil
-				}
-				continue // imports may leave pending propagations
-			}
-		}
 		if s.pruning && s.curCost >= s.bound {
 			if !s.costConflict() {
 				return nil
@@ -1057,11 +925,7 @@ func (s *sat) search(onTotal func() (stop bool)) error {
 			}
 			continue
 		}
-		pol := s.phase[v] > 0
-		if s.rng != nil && s.randPolPct > 0 && int(s.rng.next()%100) < s.randPolPct {
-			pol = s.rng.next()&1 == 0
-		}
-		if pol {
+		if s.phase[v] > 0 {
 			s.decide(lit(v))
 		} else {
 			s.decide(lit(-v))

@@ -23,32 +23,6 @@ type Options struct {
 	// returns the models found so far with Result.Interrupted set instead
 	// of an error.
 	Budget *budget.Budget
-	// Workers is the portfolio width: how many diversified CDCL engines
-	// race on the same ground translation, sharing short learned clauses
-	// and objective bounds. 0 and 1 mean the exact single-threaded
-	// engine. Helpers beyond the first worker are throttled by the
-	// worker-pool governor carried on Budget (when one is present), so a
-	// wide portfolio under a busy sweep degrades to fewer helpers rather
-	// than oversubscribing the machine.
-	Workers int
-	// Deterministic pins the answer to the primary engine: no helpers
-	// are launched, no clauses are imported, and the output is
-	// byte-identical to Workers=1 regardless of the Workers value. Use
-	// it when reports must be reproducible (differential batteries,
-	// chaos baselines); it trades the portfolio speedup for stability.
-	Deterministic bool
-}
-
-// effectiveWorkers resolves the portfolio width: deterministic mode and
-// widths below 2 collapse to the single-threaded engine.
-func effectiveWorkers(opts Options) int {
-	if opts.Deterministic || opts.Workers < 2 {
-		return 1
-	}
-	if opts.Workers > maxPortfolioWorkers {
-		return maxPortfolioWorkers
-	}
-	return opts.Workers
 }
 
 // Model is one answer set.
@@ -125,18 +99,6 @@ type Stats struct {
 	// LearnedReused counts learned clauses carried into a query from
 	// earlier queries of the same session instead of being rediscovered.
 	LearnedReused int64
-
-	// Portfolio counters, zero when portfolio search was off. Workers
-	// launched, who answered, and exchange-ring traffic: clauses a worker
-	// published, clauses actually installed by peers, and publications
-	// overwritten before every peer read them (ring bounded, writers never
-	// block).
-	PortfolioWorkers int64
-	PortfolioWins    int64 // races answered by a helper instead of worker 0
-	PortfolioWinner  int   // worker ID that produced the most recent answer
-	ClausesExported  int64
-	ClausesImported  int64
-	ExchangeDrops    int64
 }
 
 // Result is the outcome of a Solve call.
@@ -252,11 +214,6 @@ type translation struct {
 	factHead        map[AtomID]bool
 	translatedRules int
 	knownAtoms      int
-
-	// shared, when non-nil, is the race-wide objective state of a
-	// portfolio solve: optimize passes publish incumbents to it and
-	// harvest the global best before re-enumeration.
-	shared *raceShared
 }
 
 func translate(gp *GroundProgram) (*translation, error) {
@@ -764,9 +721,6 @@ func (tr *translation) fillStats(st *Stats) {
 	st.LearnedClauses = tr.s.learned
 	st.Backjumps = tr.s.backjumps
 	st.DBReductions = tr.s.dbReductions
-	st.ClausesExported = tr.s.shExported
-	st.ClausesImported = tr.s.shImported
-	st.ExchangeDrops = tr.s.shDrops
 }
 
 // atomTrue reports the truth of an atom in the current total assignment.
@@ -896,25 +850,13 @@ func (tr *translation) loopClause(unfounded []AtomID) []lit {
 }
 
 func (tr *translation) addSearchClause(c []lit) {
-	tr.searchClauseTagged(c, false)
-}
-
-// addLocalSearchClause is addSearchClause for clauses that are not
-// program consequences (blocking clauses, exact-cost filters): the
-// clause is tagged so portfolio workers never export anything derived
-// from it.
-func (tr *translation) addLocalSearchClause(c []lit) {
-	tr.searchClauseTagged(c, true)
-}
-
-func (tr *translation) searchClauseTagged(c []lit, local bool) {
 	tr.s.backtrackForClause(c)
 	if tr.s.clauseStatus(c) == -1 {
 		// Conflicting even at level 0: no further models exist.
 		tr.s.unsatRoot = true
 		return
 	}
-	tr.s.addClauseTagged(c, local)
+	tr.s.addClause(c)
 }
 
 // sortedExternal returns (and caches) the non-internal atom IDs sorted

@@ -7,8 +7,11 @@
 # of the host cancels out). For every end-to-end metric of BENCHMARK.json
 # it prints both medians, both interquartile ranges, the relative change
 # of the medians, the number of pairs the change won, and a flag when the
-# change is worse than the base by more than the metric's bound. Runs that
-# report correct=false or failed operations are flagged too.
+# change is worse than the base by more than the metric's bound. A metric
+# whose base IQR, relative to the base median, is wider than its bound is
+# flagged unresolved rather than read as unchanged, unless every run of
+# the change beats every run of the base. Runs that report correct=false
+# or failed operations are flagged too.
 #
 #   scripts/ab.sh                        # every workload, 10 pairs
 #   scripts/ab.sh -w plan-asp -n 10
@@ -39,7 +42,7 @@ while getopts "b:n:w:d:" opt; do
 	n) pairs="$OPTARG" ;;
 	w) workloads+=("$OPTARG") ;;
 	d) work="$OPTARG" ;;
-	*) sed -n '2,29p' "$0" >&2; exit 2 ;;
+	*) sed -n '2,32p' "$0" >&2; exit 2 ;;
 	esac
 done
 
@@ -141,9 +144,12 @@ for wl in "${workloads[@]}"; do
 			rel = bm != 0 ? (cm - bm) / bm : 0
 			worse = better[m] == "lower" ? rel : -rel
 			shift = cm > bm ? cm - bm : bm - cm
+			spread = bm != 0 ? biqr / (bm < 0 ? -bm : bm) : 0
+			disjoint = better[m] == "lower" ? C[n] < B[1] : C[1] > B[n]
 			flag = ""
 			if (worse > bound[m]) flag = "OUT OF BOUND"
 			else if (worse < 0 && shift > biqr && wins >= 0.9 * n) flag = "gain (>= 90% wins, beyond base IQR)"
+			else if (spread > bound[m] && !disjoint) flag = sprintf("unresolved (base IQR %.0f%% > bound)", 100 * spread)
 			printf "%-12s %10.4g %9.3g %10.4g %9.3g %+7.1f%% %3d/%-2d %5.0f%%  %s\n",
 				name[m], bm, biqr, cm, ciqr, 100 * rel, wins, n, 100 * bound[m], flag
 		}

@@ -35,10 +35,10 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-# The engine, the sweep, the result cache, the rank/unrank enumerator,
-# and the solver portfolio are documented safe for concurrent use;
-# hammer them under the race detector at both ends of the parallelism
-# range.
+# The engine, the sweep, the result cache, the rank/unrank enumerator
+# and the service are documented safe for concurrent use, and a solver
+# session panics on concurrent use; hammer them under the race detector
+# at both ends of the parallelism range.
 echo "== go test -race -cpu=1,4 (epa, hazard, faults, store, solver, serve) =="
 go test -race -cpu=1,4 -count=1 ./internal/epa ./internal/hazard ./internal/faults ./internal/store ./internal/solver ./internal/serve
 
@@ -51,19 +51,11 @@ go test -race -cpu=1,4 -count=1 -run 'TestDelta|TestArtifact' ./internal/core
 # Differential check: CDCL answer sets vs a brute-force stable-model
 # enumerator over a seeded random program battery, always re-run fresh.
 # The battery covers the single-shot entry point, an optimize arm
-# (brute-force lexicographic optimum and optimal-model set vs Solve, a
-# Session query and a 4-worker portfolio), and the incremental Session
-# arm (assumption queries and incremental Add against fresh ground-truth
-# re-solves).
+# (brute-force lexicographic optimum and optimal-model set vs Solve and
+# a Session query), and the incremental Session arm (assumption queries
+# and incremental Add against fresh ground-truth re-solves).
 echo "== go test -run TestDifferential (solver) =="
 go test -run TestDifferential -count=1 ./internal/solver
-
-# Portfolio battery: the same differential generators race 4 diversified
-# engines against the sequential reference (models, costs, cores), plus
-# determinism-mode collapse, cancellation promptness, and panic
-# poisoning — under the race detector at both parallelism extremes.
-echo "== go test -race -cpu=1,4 -run TestPortfolio|TestSessionPortfolio (solver) =="
-go test -race -cpu=1,4 -count=1 -run 'TestPortfolio|TestSessionPortfolio' ./internal/solver
 
 # Trace exporter end-to-end: assess the sample plant with tracing on and
 # validate the emitted Chrome trace (sorted timestamps, matched B/E
