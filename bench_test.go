@@ -200,7 +200,7 @@ func BenchmarkFig3_HierarchicalEvaluation(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		analysis, err := hazard.Analyze(eng, muts, 1, watertank.Requirements())
+		analysis, err := hazard.AnalyzeSweep(eng, muts, 1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -259,7 +259,7 @@ func BenchmarkX2_ScenarioRanking(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	analysis, err := hazard.Analyze(eng, watertank.PaperCandidates(), -1, watertank.Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func BenchmarkX4_CEGARLoop(b *testing.B) {
 	oracle := cegar.NewPlantOracle()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := cegar.Run(levels, oracle, -1)
+		res, err := cegar.RunParallel(levels, oracle, -1, nil, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -341,7 +341,7 @@ func BenchmarkX5_MitigationOptimization(b *testing.B) {
 		b.Fatal(err)
 	}
 	muts := watertank.PaperCandidates()
-	analysis, err := hazard.Analyze(eng, muts, -1, watertank.Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, muts, -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -680,7 +680,7 @@ func BenchmarkS4_MultiShot(b *testing.B) {
 	eng, muts, req := guardedChain(b, guards)
 	b.Run("cuts/incremental", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			cuts, err := hazard.MinimalCutsASP(eng, muts, req, 0)
+			cuts, err := hazard.MinimalCutsASP(eng, muts, req, 0, hazard.ASPOptions{})
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -939,7 +939,7 @@ func BenchmarkAblation_Abstraction(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			var hazards int
 			for i := 0; i < b.N; i++ {
-				analysis, err := hazard.Analyze(tc.eng, watertank.PaperCandidates(), -1, watertank.Requirements())
+				analysis, err := hazard.AnalyzeSweep(tc.eng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -962,7 +962,7 @@ func BenchmarkAblation_MaxCardinality(b *testing.B) {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
 			var hazards int
 			for i := 0; i < b.N; i++ {
-				analysis, err := hazard.Analyze(eng, watertank.PaperCandidates(), k, watertank.Requirements())
+				analysis, err := hazard.AnalyzeSweep(eng, watertank.PaperCandidates(), k, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 				if err != nil {
 					b.Fatal(err)
 				}

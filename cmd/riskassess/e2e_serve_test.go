@@ -169,6 +169,34 @@ func TestServedReportMatchesCLIASP(t *testing.T) {
 	}
 }
 
+// TestServedReportMatchesCLIBudgetZero: a mitigation budget of 0 means
+// the same to the service as to the CLI — the optimizer may spend
+// nothing — rather than being read as unlimited.
+func TestServedReportMatchesCLIBudgetZero(t *testing.T) {
+	ts := startServer(t, serve.Options{MaxCardinality: 1, Optimize: true, MitBudget: 0})
+	served := serveReport(t, ts, "e2e-budget0", "/report")
+
+	var cli bytes.Buffer
+	err := run([]string{
+		"-model", "../../models/sme-plant.json",
+		"-types", "../../models/types.json",
+		"-maxcard", "1",
+		"-budget", "0",
+		"-optimize",
+		"-json",
+		"-trace-id", "e2e-budget0",
+		"-artifact-cache",
+	}, &cli)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	got, want := stripVolatile(string(served)), stripVolatile(cli.String())
+	if got != want {
+		t.Errorf("served budget-0 report diverges from the CLI:\n--- served ---\n%s\n--- cli ---\n%s", got, want)
+	}
+}
+
 // TestServedReportMatchesCLIText: same contract for the text deliverable.
 func TestServedReportMatchesCLIText(t *testing.T) {
 	ts := startServer(t, serve.Options{MaxCardinality: 1})

@@ -80,12 +80,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	loop, err := cegar.Run([]cegar.Level{
+	loop, err := cegar.RunParallel([]cegar.Level{
 		{Name: "coarse (default behaviours)", Engine: coarse,
 			Mutations: watertank.PaperCandidates(), Requirements: watertank.Requirements()},
 		{Name: "fine (detailed behaviours)", Engine: fine,
 			Mutations: watertank.PaperCandidates(), Requirements: watertank.Requirements()},
-	}, cegar.NewPlantOracle(), -1)
+	}, cegar.NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		return err
 	}
@@ -131,7 +131,7 @@ func run() error {
 	}
 
 	// Most severe confirmed scenario.
-	analysis, err := hazard.Analyze(fine, watertank.PaperCandidates(), -1, watertank.Requirements())
+	analysis, err := hazard.AnalyzeSweep(fine, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		return err
 	}

@@ -133,7 +133,7 @@ func TestSectionVII_S5OutranksS7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysis, err := hazard.Analyze(eng, watertank.PaperCandidates(), -1, watertank.Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -205,12 +205,12 @@ func TestCEGAR_EliminatesSpuriousKeepsReal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := cegar.Run([]cegar.Level{
+	res, err := cegar.RunParallel([]cegar.Level{
 		{Name: "coarse", Engine: coarse,
 			Mutations: watertank.PaperCandidates(), Requirements: watertank.Requirements()},
 		{Name: "fine", Engine: fine,
 			Mutations: watertank.PaperCandidates(), Requirements: watertank.Requirements()},
-	}, cegar.NewPlantOracle(), -1)
+	}, cegar.NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -240,7 +240,7 @@ func TestNoHazardOverlooked(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysis, err := hazard.Analyze(eng, watertank.PaperCandidates(), -1, watertank.Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,11 +275,11 @@ func TestAbstractionHierarchyNested(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	coarse, err := hazard.Analyze(coarseEng, watertank.PaperCandidates(), -1, watertank.Requirements())
+	coarse, err := hazard.AnalyzeSweep(coarseEng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fine, err := hazard.Analyze(fineEng, watertank.PaperCandidates(), -1, watertank.Requirements())
+	fine, err := hazard.AnalyzeSweep(fineEng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

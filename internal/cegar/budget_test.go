@@ -2,10 +2,13 @@ package cegar
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"cpsrisk/internal/budget"
+	"cpsrisk/internal/hazard"
+	"cpsrisk/internal/obs"
 )
 
 // cancellingOracle cancels the shared context after n checks, simulating
@@ -31,7 +34,7 @@ func TestRunBudgetExhaustionRoutesRestToUndetermined(t *testing.T) {
 	bud := budget.New(ctx, budget.Limits{})
 	oracle := &cancellingOracle{inner: NewPlantOracle(), cancel: cancel, left: 2}
 
-	res, err := RunBudget(levels(t), oracle, -1, bud)
+	res, err := RunParallel(levels(t), oracle, -1, bud, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +68,7 @@ func TestRunBudgetExhaustionRoutesRestToUndetermined(t *testing.T) {
 
 func TestRunBudgetScenarioCapRecordsAnalysisTruncation(t *testing.T) {
 	bud := budget.New(context.Background(), budget.Limits{MaxScenarios: 3})
-	res, err := RunBudget(levels(t), NewPlantOracle(), -1, bud)
+	res, err := RunParallel(levels(t), NewPlantOracle(), -1, bud, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,12 +83,13 @@ func TestRunBudgetScenarioCapRecordsAnalysisTruncation(t *testing.T) {
 	}
 }
 
+// A nil budget runs the loop exactly as an unlimited one does.
 func TestRunBudgetNilBudgetMatchesRun(t *testing.T) {
-	want, err := Run(levels(t), NewPlantOracle(), -1)
+	want, err := RunParallel(levels(t), NewPlantOracle(), -1, budget.New(context.Background(), budget.Limits{}), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := RunBudget(levels(t), NewPlantOracle(), -1, nil)
+	got, err := RunParallel(levels(t), NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,5 +99,57 @@ func TestRunBudgetNilBudgetMatchesRun(t *testing.T) {
 	}
 	if len(got.Truncations) != 0 {
 		t.Errorf("truncations = %+v", got.Truncations)
+	}
+}
+
+// Judge validates the analysis it is given and nothing else: its
+// findings are the analysis's violations in Hazards() order, and a
+// truncated analysis's own truncation is left to whoever produced it.
+func TestJudgeValidatesTheGivenAnalysis(t *testing.T) {
+	fine := levels(t)[1]
+	analysis, err := hazard.AnalyzeSweep(fine.Engine, fine.Mutations, -1, fine.Requirements,
+		hazard.SweepConfig{Budget: budget.New(context.Background(), budget.Limits{MaxScenarios: 6}), Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if analysis.Truncation == nil {
+		t.Fatal("scenario cap did not truncate the analysis")
+	}
+	var want []Finding
+	for _, s := range analysis.Hazards() {
+		for _, req := range s.Violated {
+			want = append(want, Finding{Scenario: s.Scenario, ReqID: req})
+		}
+	}
+	if len(want) == 0 {
+		t.Fatal("truncated analysis holds no violation")
+	}
+	for _, par := range []int{1, 4} {
+		reg := obs.NewRegistry()
+		bud := budget.New(obs.ContextWithRegistry(context.Background(), reg), budget.Limits{})
+		res, err := Judge("given", analysis, NewPlantOracle(), bud, par)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got []Finding
+		for _, j := range res.Findings {
+			got = append(got, j.Finding)
+			if j.Level != "given" {
+				t.Errorf("parallelism %d: %v judged at level %q", par, j.Finding, j.Level)
+			}
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("parallelism %d: findings %v, want %v", par, got, want)
+		}
+		if res.Iterations != 1 || !reflect.DeepEqual(res.PerLevelFindings, []int{len(want)}) {
+			t.Errorf("parallelism %d: loop shape %d iterations, %v per level", par, res.Iterations, res.PerLevelFindings)
+		}
+		if len(res.Truncations) != 0 {
+			t.Errorf("parallelism %d: truncations %+v, want none", par, res.Truncations)
+		}
+		c := reg.Snapshot().Counters
+		if c["cegar.levels"] != 1 || c["cegar.findings"] != int64(len(want)) {
+			t.Errorf("parallelism %d: counters %v", par, c)
+		}
 	}
 }

@@ -6,6 +6,11 @@
 // concrete oracle, spurious ones trigger refinement to the next, more
 // precise abstraction level and re-analysis, until the remaining findings
 // are confirmed or marked for expert review.
+//
+// Judge validates the findings of one existing analysis: the pipeline's
+// step 5 judges exactly the analysis its report holds. RunParallel drives
+// the multi-level loop, sweeping each level and judging it through Judge,
+// so there is one path from findings to verdicts.
 package cegar
 
 import (
@@ -64,7 +69,7 @@ func (v Verdict) String() string {
 
 // Oracle validates an abstract counterexample concretely.
 //
-// When the refinement loop runs with parallelism > 1 (RunParallel),
+// When findings are judged with parallelism > 1 (Judge, RunParallel),
 // Check is called from multiple goroutines concurrently and the
 // implementation must be safe for that. PlantOracle is: a check reads
 // the configuration, steps its probes on run state local to the call,
@@ -131,92 +136,99 @@ func (r *Result) filter(v Verdict) []Judged {
 	return out
 }
 
-// Run executes the refinement loop: analyze the coarsest level; validate
-// its findings; while any finding is spurious and a finer level exists,
-// move to the next level and re-analyze. The final level's findings are
-// returned with their verdicts. maxCard bounds scenario cardinality.
-func Run(levels []Level, oracle Oracle, maxCard int) (*Result, error) {
-	return RunBudget(levels, oracle, maxCard, nil)
-}
-
-// RunBudget is Run under a resource budget. Each level's hazard analysis
-// degrades as hazard.AnalyzeSweep does under a budget (truncations are
-// collected on the result); the budget is also polled between oracle calls — concrete
-// validation can dominate wall-clock time — and on exhaustion every
-// not-yet-validated finding of the current level is routed to
-// Undetermined (expert review), matching the paper's handling of
-// undecidable counterexamples. A nil budget is unlimited. It is
-// RunParallel at width 1: one sweep worker and one oracle worker.
-func RunBudget(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget) (*Result, error) {
-	return RunParallel(levels, oracle, maxCard, bud, 1)
-}
-
-// RunParallel is RunBudget with a worker pool: each level's hazard
-// analysis uses the parallel scenario sweep and its abstract
-// counterexamples are validated against the oracle concurrently (the
-// oracle must be safe for concurrent Check calls). parallelism <= 0
-// picks GOMAXPROCS; 1 runs a pool of one worker for both. Verdicts are
-// deterministic and in the findings' order at every width; only the
-// point at which a wall-clock exhaustion cuts validation over to
-// Undetermined can vary.
+// RunParallel executes the refinement loop: analyze the coarsest level;
+// judge its findings; while any finding is spurious and a finer level
+// exists, move to the next level and re-analyze. The final level's
+// findings are returned with their verdicts. maxCard bounds scenario
+// cardinality.
+//
+// Each level is one hazard.AnalyzeSweep under bud followed by Judge, so
+// a level degrades as the sweep does under a budget (its truncation is
+// collected on the result, stage-prefixed "cegar/<level>/") and is
+// validated exactly as Judge validates. Validation cut short by the
+// budget stops the loop. A nil budget is unlimited; parallelism sizes
+// both the sweep's and the oracle's worker pool (<= 0 picks GOMAXPROCS,
+// 1 runs a pool of one).
 func RunParallel(levels []Level, oracle Oracle, maxCard int, bud *budget.Budget, parallelism int) (*Result, error) {
 	if len(levels) == 0 {
 		return nil, fmt.Errorf("cegar: no abstraction levels")
 	}
 	res := &Result{}
-	reg := obs.RegistryFromContext(bud.Context())
 	for li, level := range levels {
-		res.Iterations++
-		// Each refinement level gets its own span; the level's hazard
-		// re-analysis and oracle validation nest under it through the
-		// derived budget.
-		lctx, lspan := obs.StartSpan(bud.Context(), "level["+level.Name+"]")
-		lbud := bud
-		if lspan != nil {
-			lbud = budget.New(lctx, bud.Limits())
-		}
-		endLevel := func(err error) error { lspan.End(); return err }
-		reg.Counter("cegar.levels").Inc()
 		analysis, err := hazard.AnalyzeSweep(level.Engine, level.Mutations, maxCard, level.Requirements,
-			hazard.SweepConfig{Budget: lbud, Parallelism: parallelism})
+			hazard.SweepConfig{Budget: bud, Parallelism: parallelism})
 		if err != nil {
-			return nil, endLevel(fmt.Errorf("cegar: level %q: %w", level.Name, err))
+			return nil, fmt.Errorf("cegar: level %q: %w", level.Name, err)
 		}
 		if analysis.Truncation != nil {
 			t := *analysis.Truncation
 			t.Stage = "cegar/" + level.Name + "/" + t.Stage
 			res.Truncations = append(res.Truncations, t)
 		}
-		var findings []Finding
-		for _, s := range analysis.Hazards() {
-			for _, reqID := range s.Violated {
-				findings = append(findings, Finding{Scenario: s.Scenario, ReqID: reqID})
-			}
-		}
-		reg.Counter("cegar.findings").Add(int64(len(findings)))
-		judged, trunc, err := validateFindings(level.Name, findings, oracle, lbud, parallelism)
+		lres, err := Judge(level.Name, analysis, oracle, bud, parallelism)
 		if err != nil {
-			return nil, endLevel(err)
+			return nil, err
 		}
-		if trunc != nil {
-			trunc.Stamp(lctx)
-			res.Truncations = append(res.Truncations, *trunc)
-		}
-		anySpurious := false
-		for _, j := range judged {
-			reg.Counter("cegar.verdict." + j.Verdict.String()).Inc()
-			if j.Verdict == Spurious {
-				anySpurious = true
-			}
-		}
-		res.PerLevelFindings = append(res.PerLevelFindings, len(judged))
-		res.Findings = judged
-		endLevel(nil)
-		if trunc != nil || !anySpurious || li == len(levels)-1 {
-			return res, nil
+		res.Iterations++
+		res.PerLevelFindings = append(res.PerLevelFindings, len(lres.Findings))
+		res.Truncations = append(res.Truncations, lres.Truncations...)
+		res.Findings = lres.Findings
+		if len(lres.Truncations) > 0 || len(lres.Spurious()) == 0 || li == len(levels)-1 {
+			break
 		}
 		// Spurious findings remain: refine (continue with the next finer
 		// level) and re-analyze.
+	}
+	return res, nil
+}
+
+// Judge validates the findings of an analysis that already exists, as
+// one refinement level named name: every hazardous scenario paired with
+// each requirement it violates, in Hazards() order, is checked against
+// the oracle. Nothing is re-analyzed, so the verdicts annotate exactly
+// the findings the analysis holds. The result has one iteration. The
+// analysis's own Truncation is not re-recorded; whoever produced the
+// analysis reports it.
+//
+// The budget is polled before every oracle call (concrete validation can
+// dominate wall-clock time); once it trips, every not-yet-validated
+// finding is routed to Undetermined (expert review), matching the
+// paper's handling of undecidable counterexamples, and one truncation
+// says how many were validated. A nil budget is unlimited. Findings are
+// checked from a worker pool (the oracle must be safe for concurrent
+// Check calls); parallelism <= 0 picks GOMAXPROCS and 1 runs a pool of
+// one. Verdicts are deterministic and in the findings' order at every
+// width; only the point at which a wall-clock exhaustion cuts validation
+// over to Undetermined can vary.
+func Judge(name string, analysis *hazard.Analysis, oracle Oracle, bud *budget.Budget, parallelism int) (*Result, error) {
+	// The level gets its own span; oracle checks nest under it through
+	// the derived budget.
+	lctx, lspan := obs.StartSpan(bud.Context(), "level["+name+"]")
+	defer lspan.End()
+	lbud := bud
+	if lspan != nil {
+		lbud = budget.New(lctx, bud.Limits())
+	}
+	reg := obs.RegistryFromContext(bud.Context())
+	reg.Counter("cegar.levels").Inc()
+	var findings []Finding
+	for _, s := range analysis.Scenarios {
+		for _, reqID := range s.Violated {
+			findings = append(findings, Finding{Scenario: s.Scenario, ReqID: reqID})
+		}
+	}
+	reg.Counter("cegar.findings").Add(int64(len(findings)))
+	judged, trunc, err := validateFindings(name, findings, oracle, lbud, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	res := &Result{Findings: judged, Iterations: 1, PerLevelFindings: []int{len(judged)}}
+	if trunc != nil {
+		trunc.Stamp(lctx)
+		res.Truncations = []budget.Truncation{*trunc}
+	}
+	for _, j := range judged {
+		reg.Counter("cegar.verdict." + j.Verdict.String()).Inc()
 	}
 	return res, nil
 }

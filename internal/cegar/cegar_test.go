@@ -35,7 +35,7 @@ func levels(t testing.TB) []Level {
 }
 
 func TestLoopRefinesAndClassifies(t *testing.T) {
-	res, err := Run(levels(t), NewPlantOracle(), -1)
+	res, err := RunParallel(levels(t), NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestLoopRefinesAndClassifies(t *testing.T) {
 // confirmed at the fine level corresponds to a real concrete violation
 // (oracle soundness is exercised through the plant directly).
 func TestNoConfirmedFindingIsFalse(t *testing.T) {
-	res, err := Run(levels(t), NewPlantOracle(), -1)
+	res, err := RunParallel(levels(t), NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestNoConfirmedFindingIsFalse(t *testing.T) {
 
 func TestSingleLevelStopsImmediately(t *testing.T) {
 	ls := levels(t)
-	res, err := Run(ls[1:], NewPlantOracle(), -1)
+	res, err := RunParallel(ls[1:], NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +106,7 @@ func TestSingleLevelStopsImmediately(t *testing.T) {
 }
 
 func TestRunValidation(t *testing.T) {
-	if _, err := Run(nil, NewPlantOracle(), -1); err == nil {
+	if _, err := RunParallel(nil, NewPlantOracle(), -1, nil, 1); err == nil {
 		t.Error("no levels must fail")
 	}
 }
@@ -118,7 +118,7 @@ type yesOracle struct{}
 func (yesOracle) Check(Finding) (Verdict, error) { return Confirmed, nil }
 
 func TestLoopStopsWhenAllConfirmed(t *testing.T) {
-	res, err := Run(levels(t), yesOracle{}, -1)
+	res, err := RunParallel(levels(t), yesOracle{}, -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -285,7 +285,7 @@ func BenchmarkCEGARLoop(b *testing.B) {
 	oracle := NewPlantOracle()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Run(ls, oracle, -1); err != nil {
+		if _, err := RunParallel(ls, oracle, -1, nil, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

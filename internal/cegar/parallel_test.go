@@ -14,7 +14,7 @@ import (
 // counterexample validation produces exactly the sequential verdicts, in
 // the same order, on the two-level case-study loop.
 func TestRunParallelMatchesSequential(t *testing.T) {
-	want, err := Run(levels(t), NewPlantOracle(), -1)
+	want, err := RunParallel(levels(t), NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,7 @@ import (
 
 func TestSuggestRefinements(t *testing.T) {
 	ls := levels(t)
-	res, err := Run(ls, NewPlantOracle(), -1)
+	res, err := RunParallel(ls, NewPlantOracle(), -1, nil, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

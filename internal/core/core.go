@@ -540,11 +540,14 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 		return nil, err
 	}
 
-	// Step 5: CEGAR-styled validation (single-level loop against the
-	// configured oracle; multi-level refinement is driven via the cegar
-	// package directly). Skipped entirely when the budget is already
-	// spent — validating against a concrete oracle is the most expensive
-	// stage and partial hazard results are still worth reporting.
+	// Step 5: CEGAR-styled validation. The oracle judges the findings of
+	// out.Analysis, the analysis step 4 produced and the report shows, as
+	// one level named "assessment"; nothing is swept again, so warm, delta,
+	// ASP, capped and sharded runs validate exactly what they report.
+	// Multi-level refinement is driven via the cegar package directly.
+	// Skipped entirely when the budget is already spent — validating
+	// against a concrete oracle is the most expensive stage and partial
+	// hazard results are still worth reporting.
 	if cfg.Oracle != nil {
 		if budErr := bud.Err("validate"); budErr != nil {
 			if !out.Degradation.RecordError(budErr) {
@@ -553,12 +556,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 			stampLast(out.Degradation, baseCtx)
 		} else {
 			err = stage("validate", func(b *budget.Budget) error {
-				ref, err := cegar.RunParallel([]cegar.Level{{
-					Name:         "assessment",
-					Engine:       eng,
-					Mutations:    analyzed,
-					Requirements: cfg.Requirements,
-				}}, cfg.Oracle, cfg.MaxCardinality, b, cfg.Parallelism)
+				ref, err := cegar.Judge("assessment", out.Analysis, cfg.Oracle, b, cfg.Parallelism)
 				if err != nil {
 					return err
 				}

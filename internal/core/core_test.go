@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cpsrisk/internal/budget"
 	"cpsrisk/internal/cegar"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/kb"
@@ -196,6 +197,57 @@ func TestRefinementASPMatchesNative(t *testing.T) {
 	sort.Strings(findings)
 	if strings.Join(findings, "\n") != strings.Join(violations, "\n") {
 		t.Errorf("refinement findings %v != ASP analysis violations %v", findings, violations)
+	}
+}
+
+// The validate stage judges the analysis the report holds, not a second
+// sweep of its own: on Fig. 1 over the full mutation surface with the
+// plant oracle, under a scenario cap on both hazard paths and on one
+// shard of a sharded sweep, Refinement.Findings are exactly the reported
+// analysis's violations in Hazards() order, and no truncation of a
+// re-analysis inside validation is recorded.
+func TestRefinementJudgesTheReport(t *testing.T) {
+	for _, arm := range []struct {
+		name string
+		set  func(*Config)
+	}{
+		{"native-capped", func(c *Config) { c.Resources = budget.Limits{MaxScenarios: 40} }},
+		{"asp-capped", func(c *Config) { c.UseASP = true; c.Resources = budget.Limits{MaxScenarios: 40} }},
+		{"native-shard", func(c *Config) { c.ShardIndex, c.ShardCount = 0, 2 }},
+	} {
+		t.Run(arm.name, func(t *testing.T) {
+			cfg := caseStudyConfig()
+			cfg.MutationSources = faults.AllSources()
+			cfg.MaxCardinality = 3
+			cfg.Oracle = cegar.NewPlantOracle()
+			arm.set(&cfg)
+			a, err := Run(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want []string
+			for _, s := range a.Analysis.Hazards() {
+				for _, req := range s.Violated {
+					want = append(want, cegar.Finding{Scenario: s.Scenario, ReqID: req}.String())
+				}
+			}
+			if len(want) == 0 {
+				t.Fatal("the report holds no violation")
+			}
+			var got []string
+			for _, j := range a.Refinement.Findings {
+				got = append(got, j.Finding.String())
+			}
+			if strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Errorf("judged %d findings, report holds %d violations:\njudged:\n%s\nreported:\n%s",
+					len(got), len(want), strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			for _, tr := range a.Degradation.Truncations {
+				if strings.HasPrefix(tr.Stage, "cegar/") && strings.HasSuffix(tr.Stage, "/hazard") {
+					t.Errorf("validation re-analyzed the plant: %+v", tr)
+				}
+			}
+		})
 	}
 }
 

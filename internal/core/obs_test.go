@@ -42,6 +42,9 @@ func TestRunSpanTreeShape(t *testing.T) {
 	if a.Trace.Find("validate").Find("level[assessment]") == nil {
 		t.Error("cegar level span not nested under validate")
 	}
+	if a.Trace.Find("validate").Find("sweep") != nil {
+		t.Error("validate sweeps again instead of judging the reported analysis")
+	}
 
 	if a.Duration <= 0 {
 		t.Error("Assessment.Duration not populated")

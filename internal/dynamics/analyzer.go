@@ -3,9 +3,7 @@ package dynamics
 import (
 	"fmt"
 
-	"cpsrisk/internal/budget"
 	"cpsrisk/internal/logic"
-	"cpsrisk/internal/obs"
 	"cpsrisk/internal/solver"
 	"cpsrisk/internal/temporal"
 )
@@ -21,7 +19,6 @@ type Analyzer struct {
 	horizon    int
 	candidates []string
 	sess       *solver.Session
-	bud        *budget.Budget
 }
 
 // NewAnalyzer compiles the synthesis encoding (see Synthesize for the
@@ -29,35 +26,19 @@ type Analyzer struct {
 // persistent session.
 func NewAnalyzer(sys *System, horizon int, candidates []string, maxActive int,
 	requirement temporal.Formula) (*Analyzer, error) {
-	return NewAnalyzerBudget(sys, horizon, candidates, maxActive, requirement, nil)
-}
-
-// NewAnalyzerBudget is NewAnalyzer under resource governance: session
-// grounding and every probe query poll the budget, and — when the
-// budget's context carries a trace span or metrics registry — attach
-// spans and publish cumulative solver stats on Close.
-func NewAnalyzerBudget(sys *System, horizon int, candidates []string, maxActive int,
-	requirement temporal.Formula, bud *budget.Budget) (*Analyzer, error) {
 	prog, err := synthesisProgram(sys, horizon, candidates, maxActive, requirement)
 	if err != nil {
 		return nil, err
 	}
-	sess, err := solver.NewSession(prog, solver.Options{Budget: bud})
+	sess, err := solver.NewSession(prog, solver.Options{})
 	if err != nil {
 		return nil, err
 	}
-	return &Analyzer{horizon: horizon, candidates: candidates, sess: sess, bud: bud}, nil
+	return &Analyzer{horizon: horizon, candidates: candidates, sess: sess}, nil
 }
 
-// Close publishes the session's cumulative solver effort onto the
-// budget's metrics registry (if any) and releases the session.
-func (a *Analyzer) Close() {
-	if a.bud != nil {
-		st := a.sess.Stats()
-		solver.PublishStats(obs.RegistryFromContext(a.bud.Context()), &st)
-	}
-	a.sess.Close()
-}
+// Close releases the session.
+func (a *Analyzer) Close() { a.sess.Close() }
 
 // Stats returns the session's cumulative solver effort.
 func (a *Analyzer) Stats() solver.Stats { return a.sess.Stats() }
@@ -79,7 +60,7 @@ func (a *Analyzer) SynthesizeAvoiding(disabled []string) (Schedule, bool, error)
 	for _, key := range disabled {
 		assumps = append(assumps, solver.AssumeFalse(logic.A("scheduled", logic.Sym(key)).Key()))
 	}
-	res, err := a.sess.SolveAssuming(assumps, solver.Options{Optimize: true, MaxModels: 1, Budget: a.bud})
+	res, err := a.sess.SolveAssuming(assumps, solver.Options{Optimize: true, MaxModels: 1})
 	if err != nil {
 		return nil, false, err
 	}
@@ -106,7 +87,7 @@ func (a *Analyzer) ConfirmAttack(schedule Schedule) (bool, error) {
 			solver.AssumeTrue(logic.A("starts", logic.Sym(inj.Key), logic.Num(inj.AtStep)).Key()))
 	}
 	assumps = append(assumps, solver.AssumeCountLT("starts", len(schedule)+1))
-	res, err := a.sess.SolveAssuming(assumps, solver.Options{MaxModels: 2, Budget: a.bud})
+	res, err := a.sess.SolveAssuming(assumps, solver.Options{MaxModels: 2})
 	if err != nil {
 		return false, err
 	}

@@ -41,15 +41,10 @@ func defaultCutRounds(n int) int {
 //
 // maxRounds bounds the iteration defensively; the space of minimal cuts
 // over n candidates is finite, so the loop always terminates on its own.
-func MinimalCutsASP(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int) ([]epa.Scenario, error) {
-	return MinimalCutsASPOpts(eng, muts, req, maxRounds, ASPOptions{})
-}
-
-// MinimalCutsASPOpts is MinimalCutsASP with a budget. A budget that
-// trips mid-round aborts with an *budget.ExhaustedError (stage
-// "hazard-cuts"): a partial cut set would be indistinguishable from a
-// complete one.
-func MinimalCutsASPOpts(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int, o ASPOptions) ([]epa.Scenario, error) {
+// A budget in o (nil = unlimited) that trips mid-round aborts with an
+// *budget.ExhaustedError (stage "hazard-cuts"): a partial cut set would
+// be indistinguishable from a complete one.
+func MinimalCutsASP(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int, o ASPOptions) ([]epa.Scenario, error) {
 	base, err := cutsBase(eng, muts, req)
 	if err != nil {
 		return nil, err

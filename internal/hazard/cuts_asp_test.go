@@ -27,7 +27,7 @@ func cutKeys(cuts []epa.Scenario) []string {
 // computation on the guarded-chain model, for every requirement.
 func TestMinimalCutsASPAgreesWithNative(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	analysis, err := Analyze(eng, muts, -1, reqs)
+	analysis, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -37,7 +37,7 @@ func TestMinimalCutsASPAgreesWithNative(t *testing.T) {
 		for _, n := range native {
 			nativeScenarios = append(nativeScenarios, n.Scenario)
 		}
-		asp, err := MinimalCutsASP(eng, muts, req, 0)
+		asp, err := MinimalCutsASP(eng, muts, req, 0, ASPOptions{})
 		if err != nil {
 			t.Fatalf("%s: %v", req.ID, err)
 		}
@@ -53,14 +53,14 @@ func TestMinimalCutsASPAgreesWithNative(t *testing.T) {
 // best a non-optimal incumbent, which is not a minimal cut.
 func TestMinimalCutsASPInterruptedIsExhausted(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	want, err := MinimalCutsASP(eng, muts, reqs[0], 0)
+	want, err := MinimalCutsASP(eng, muts, reqs[0], 0, ASPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tripped := 0
 	for cap := int64(1); cap <= 40; cap++ {
 		bud := budget.New(context.Background(), budget.Limits{MaxDecisions: cap})
-		got, err := MinimalCutsASPOpts(eng, muts, reqs[0], 0, ASPOptions{Budget: bud})
+		got, err := MinimalCutsASP(eng, muts, reqs[0], 0, ASPOptions{Budget: bud})
 		if err != nil {
 			ex, ok := budget.Exhausted(err)
 			if !ok || ex.Stage != "hazard-cuts" || ex.Reason != budget.ReasonDecisions {
@@ -84,7 +84,7 @@ func TestMinimalCutsASPNoViolation(t *testing.T) {
 		ID: "RX", Severity: 0,
 		Condition: All(Fault("src", "corrupt"), Not(Fault("src", "corrupt"))),
 	}
-	cuts, err := MinimalCutsASP(eng, muts, impossible, 0)
+	cuts, err := MinimalCutsASP(eng, muts, impossible, 0, ASPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,12 +95,12 @@ func TestMinimalCutsASPNoViolation(t *testing.T) {
 
 func TestMinimalCutsASPValidation(t *testing.T) {
 	eng, muts, _ := setup(t)
-	if _, err := MinimalCutsASP(eng, muts, Requirement{ID: ""}, 0); err == nil {
+	if _, err := MinimalCutsASP(eng, muts, Requirement{ID: ""}, 0, ASPOptions{}); err == nil {
 		t.Error("empty requirement must fail")
 	}
 	// A tiny round budget must be reported, not silently truncated.
 	reqs := []Requirement{{ID: "R1", Condition: Comp("sink", epa.ErrValue)}}
-	if _, err := MinimalCutsASP(eng, muts, reqs[0], 1); err == nil {
+	if _, err := MinimalCutsASP(eng, muts, reqs[0], 1, ASPOptions{}); err == nil {
 		t.Error("exceeding maxRounds must error (two cardinality levels exist)")
 	}
 }
@@ -143,7 +143,9 @@ func BenchmarkMinimalCutsASP(b *testing.B) {
 		name string
 		cuts func(*epa.Engine, []faults.Mutation, Requirement, int) ([]epa.Scenario, error)
 	}{
-		{"incremental", MinimalCutsASP},
+		{"incremental", func(eng *epa.Engine, muts []faults.Mutation, req Requirement, maxRounds int) ([]epa.Scenario, error) {
+			return MinimalCutsASP(eng, muts, req, maxRounds, ASPOptions{})
+		}},
 		{"single-shot", refMinimalCutsSingleShot},
 	} {
 		b.Run(arm.name, func(b *testing.B) {
@@ -162,7 +164,7 @@ func BenchmarkMinimalCutsASP(b *testing.B) {
 func TestMinimalCutsASPIncrementalMatchesSingleShot(t *testing.T) {
 	eng, muts, reqs := setup(t)
 	for _, req := range reqs {
-		inc, err := MinimalCutsASP(eng, muts, req, 0)
+		inc, err := MinimalCutsASP(eng, muts, req, 0, ASPOptions{})
 		if err != nil {
 			t.Fatalf("%s incremental: %v", req.ID, err)
 		}

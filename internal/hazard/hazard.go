@@ -132,15 +132,6 @@ func (s *SweepStats) Throughput() float64 {
 	return float64(s.Scenarios) / s.Duration.Seconds()
 }
 
-// Analyze enumerates the scenario space (cardinality <= maxCard, negative
-// = unbounded) and evaluates every requirement on every scenario with the
-// native EPA engine, scoring scenario risk from the mutation likelihoods
-// and requirement severities. It is the sweep engine with one worker and
-// no budget, cache, pruning or sharding: the exhaustive reference.
-func Analyze(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement) (*Analysis, error) {
-	return AnalyzeSweep(eng, muts, maxCard, reqs, SweepConfig{Parallelism: 1})
-}
-
 // publishSweep files one sweep's effort onto the metrics registry
 // (no-op without a registry).
 func publishSweep(reg *obs.Registry, sw *SweepStats, epaRuns int) {
@@ -318,15 +309,6 @@ func validateReqs(reqs []Requirement) error {
 	return nil
 }
 
-// AnalyzeASP performs the same exhaustive analysis through the embedded
-// formal method: the EPA encoding plus the scenario-space choice plus the
-// compiled violation rules, solved for all answer sets. Scenario IDs are
-// assigned after sorting models into the native enumeration order so the
-// two paths are directly comparable.
-func AnalyzeASP(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement) (*Analysis, error) {
-	return AnalyzeASPOpts(eng, muts, maxCard, reqs, ASPOptions{})
-}
-
 // ASPOptions parameterizes the ASP analysis.
 type ASPOptions struct {
 	// Budget governs grounding and search effort (nil = unlimited).
@@ -349,11 +331,17 @@ type ASPOptions struct {
 	KeepSession func(*solver.Session)
 }
 
-// AnalyzeASPOpts is AnalyzeASP under resource governance. The budget
-// caps grounding (aborting with *budget.ExhaustedError — callers fall
-// back to the native engine) and the answer-set search (returning the
-// answer sets found so far with Analysis.Truncation set). MaxScenarios
-// bounds the number of enumerated answer sets.
+// AnalyzeASPOpts performs the same exhaustive analysis as AnalyzeSweep
+// through the embedded formal method: the EPA encoding plus the
+// scenario-space choice plus the compiled violation rules, solved for all
+// answer sets. Scenario IDs are assigned after sorting models into the
+// native enumeration order so the two paths are directly comparable.
+//
+// The options' budget (nil = unlimited) caps grounding (aborting with
+// *budget.ExhaustedError — callers fall back to the native engine) and
+// the answer-set search (returning the answer sets found so far with
+// Analysis.Truncation set). MaxScenarios bounds the number of enumerated
+// answer sets.
 //
 // The analysis is multi-shot: the encoding is grounded once with an
 // unbounded fault choice, then one persistent solver session sweeps the

@@ -71,7 +71,7 @@ func setup(t testing.TB) (*epa.Engine, []faults.Mutation, []Requirement) {
 
 func TestAnalyzeExhaustive(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := Analyze(eng, muts, -1, reqs)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestAnalyzeExhaustive(t *testing.T) {
 
 func TestAnalyzeCardinalityBound(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := Analyze(eng, muts, 1, reqs)
+	a, err := AnalyzeSweep(eng, muts, 1, reqs, SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,11 +127,11 @@ func TestASPAgreesWithNative(t *testing.T) {
 			for i, j := range perm {
 				pm[i] = muts[j]
 			}
-			native, err := Analyze(eng, pm, -1, reqs)
+			native, err := AnalyzeSweep(eng, pm, -1, reqs, SweepConfig{Parallelism: 1})
 			if err != nil {
 				t.Fatal(err)
 			}
-			asp, err := AnalyzeASP(eng, pm, -1, reqs)
+			asp, err := AnalyzeASPOpts(eng, pm, -1, reqs, ASPOptions{})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -154,7 +154,7 @@ func TestASPAgreesWithNative(t *testing.T) {
 
 func TestRanked(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := Analyze(eng, muts, -1, reqs)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestRankedMatchesRiskRank(t *testing.T) {
 
 func TestMinimalCuts(t *testing.T) {
 	eng, muts, reqs := setup(t)
-	a, err := Analyze(eng, muts, -1, reqs)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,10 +261,10 @@ func TestRequirementValidation(t *testing.T) {
 			{ID: "R", Condition: Comp("y", epa.ErrValue)}},
 	}
 	for i, reqs := range bad {
-		if _, err := Analyze(eng, muts, 0, reqs); err == nil {
+		if _, err := AnalyzeSweep(eng, muts, 0, reqs, SweepConfig{Parallelism: 1}); err == nil {
 			t.Errorf("case %d: expected error", i)
 		}
-		if _, err := AnalyzeASP(eng, muts, 0, reqs); err == nil {
+		if _, err := AnalyzeASPOpts(eng, muts, 0, reqs, ASPOptions{}); err == nil {
 			t.Errorf("case %d (asp): expected error", i)
 		}
 	}
@@ -314,7 +314,7 @@ func BenchmarkAnalyzeNative(b *testing.B) {
 	eng, muts, reqs := setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Analyze(eng, muts, -1, reqs); err != nil {
+		if _, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -324,7 +324,7 @@ func BenchmarkAnalyzeASP(b *testing.B) {
 	eng, muts, reqs := setup(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeASP(eng, muts, -1, reqs); err != nil {
+		if _, err := AnalyzeASPOpts(eng, muts, -1, reqs, ASPOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

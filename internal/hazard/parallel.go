@@ -116,7 +116,14 @@ type producerOutcome struct {
 	trunc   *budget.Truncation
 }
 
-// AnalyzeSweep is the native sweep engine: a pool of cfg.Parallelism
+// AnalyzeSweep enumerates the scenario space (cardinality <= maxCard,
+// negative = unbounded) and evaluates every requirement on every scenario
+// with the native EPA engine, scoring scenario risk from the mutation
+// likelihoods and requirement severities. SweepConfig{Parallelism: 1}
+// (one worker, no budget, cache, pruning or sharding) is the exhaustive
+// reference.
+//
+// It is the native sweep engine: a pool of cfg.Parallelism
 // workers (<= 0 uses runtime.GOMAXPROCS(0); 1 runs one producer and one
 // worker goroutine) sweeps the scenario space, with the optional
 // persistent result cache and checkpoint/resume. The output is

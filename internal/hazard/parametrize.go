@@ -27,7 +27,7 @@ type ParamSensitivity struct {
 // finding are safe to leave rough — exactly the guidance an SME analyst
 // needs when filling in the model.
 func ParametrizationSensitivity(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement) ([]ParamSensitivity, error) {
-	nominal, err := Analyze(eng, muts, maxCard, reqs)
+	nominal, err := AnalyzeSweep(eng, muts, maxCard, reqs, SweepConfig{Parallelism: 1})
 	if err != nil {
 		return nil, err
 	}
@@ -47,7 +47,7 @@ func ParametrizationSensitivity(eng *epa.Engine, muts []faults.Mutation, maxCard
 			if perturbed[i].Likelihood == muts[i].Likelihood {
 				continue // saturated: no perturbation possible
 			}
-			analysis, err := Analyze(eng, perturbed, maxCard, reqs)
+			analysis, err := AnalyzeSweep(eng, perturbed, maxCard, reqs, SweepConfig{Parallelism: 1})
 			if err != nil {
 				return nil, err
 			}

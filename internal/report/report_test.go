@@ -61,7 +61,7 @@ func tableIIFixtures(t *testing.T) (*hazard.Analysis, []string, []epa.Activation
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysis, err := hazard.Analyze(eng, watertank.PaperCandidates(), -1, watertank.Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, watertank.PaperCandidates(), -1, watertank.Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -26,7 +26,8 @@ import (
 )
 
 // Options configures a Server. The zero value plus Types is runnable:
-// nil/zero fields pick the same defaults the riskassess CLI uses.
+// nil/zero fields pick the same defaults the riskassess CLI uses, except
+// MitBudget, which reaches core.Config.Budget as given.
 type Options struct {
 	// Types is the component-type library every submitted model is
 	// validated against (required).
@@ -38,7 +39,7 @@ type Options struct {
 	MaxCardinality    int // 0 = 2
 	UseASP            bool
 	Optimize          bool
-	MitBudget         int // 0 = unlimited
+	MitBudget         int // negative = unlimited; 0 spends nothing (riskserve's -budget defaults to -1)
 	ActiveMitigations map[string]bool
 	Parallelism       int // 0 = NumCPU; also sizes the shared governor
 	NoPrune           bool
@@ -127,9 +128,6 @@ func New(opts Options) (*Server, error) {
 	}
 	if opts.MaxCardinality == 0 {
 		opts.MaxCardinality = 2
-	}
-	if opts.MitBudget == 0 {
-		opts.MitBudget = -1
 	}
 	if opts.Parallelism <= 0 {
 		opts.Parallelism = runtime.NumCPU()

@@ -62,7 +62,7 @@ func TestSolveInterruptedByCancelledContext(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	gp, err := Ground(prog)
+	gp, err := Ground(prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,7 +36,7 @@ func TestDifferentialCDCLvsBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: generated unparsable source:\n%s\n%v", i, src, err)
 		}
-		gp, err := Ground(prog)
+		gp, err := Ground(prog, nil)
 		if err != nil {
 			t.Fatalf("program %d: ground: %v\n%s", i, err, src)
 		}
@@ -106,7 +106,7 @@ func checkOptimizeArm(t *testing.T, i int, src string) {
 	if err != nil {
 		t.Fatalf("program %d: generated unparsable source:\n%s\n%v", i, src, err)
 	}
-	gp, err := Ground(prog)
+	gp, err := Ground(prog, nil)
 	if err != nil {
 		t.Fatalf("program %d: ground: %v\n%s", i, err, src)
 	}
@@ -585,7 +585,7 @@ func TestPortfolioDifferential(t *testing.T) {
 		if err != nil {
 			t.Fatalf("program %d: parse: %v\n%s", i, err, src)
 		}
-		gp, err := Ground(prog)
+		gp, err := Ground(prog, nil)
 		if err != nil {
 			t.Fatalf("program %d: ground: %v\n%s", i, err, src)
 		}

@@ -44,7 +44,7 @@ func FuzzEnumerateVsBruteForce(f *testing.F) {
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
 		src := randomDiffProgram(rng, rng.Intn(4))
-		gp, err := Ground(mustParse(t, src))
+		gp, err := Ground(mustParse(t, src), nil)
 		if err != nil {
 			t.Fatalf("ground: %v\n%s", err, src)
 		}
@@ -68,7 +68,7 @@ func FuzzEnumerateVsBruteForce(f *testing.F) {
 func checkCountSweep(t *testing.T, src, pred string, rng *rand.Rand) {
 	t.Helper()
 	prog := mustParse(t, src)
-	gp, err := Ground(prog)
+	gp, err := Ground(prog, nil)
 	if err != nil {
 		t.Fatalf("ground: %v\n%s", err, src)
 	}
@@ -178,7 +178,7 @@ func TestBlockingClauseWidth(t *testing.T) {
 		c(N+1) :- c(N), n(N+1).
 		e(N) :- c(N), x(2), not x(3).
 	`
-	gp, err := Ground(mustParse(t, src))
+	gp, err := Ground(mustParse(t, src), nil)
 	if err != nil {
 		t.Fatalf("ground: %v", err)
 	}

@@ -14,17 +14,13 @@ import (
 // bottom-up evaluation over the over-approximation of derivable atoms
 // (negative literals are ignored while computing possibility, so every atom
 // of every stable model is instantiated — the same guarantee clingo gives).
-func Ground(prog *logic.Program) (*GroundProgram, error) {
-	return GroundBudget(prog, nil)
-}
-
-// GroundBudget grounds with resource governance: the context is polled
-// periodically during instantiation and MaxGroundRules bounds the emitted
-// ground rules. Exceeding either aborts with an *budget.ExhaustedError
-// (stage "ground") — a partially grounded program would be unsound to
-// solve, so grounding has no partial-result mode; callers degrade by
-// switching engine instead.
-func GroundBudget(prog *logic.Program, bud *budget.Budget) (*GroundProgram, error) {
+//
+// The budget (nil = unlimited) governs the instantiation: its context is
+// polled periodically and MaxGroundRules bounds the emitted ground rules.
+// Exceeding either aborts with an *budget.ExhaustedError (stage "ground")
+// — a partially grounded program would be unsound to solve, so grounding
+// has no partial-result mode; callers degrade by switching engine instead.
+func Ground(prog *logic.Program, bud *budget.Budget) (*GroundProgram, error) {
 	if err := prog.CheckSafety(); err != nil {
 		return nil, err
 	}

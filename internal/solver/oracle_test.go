@@ -96,7 +96,7 @@ func TestSolverAgreesWithBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: parse: %v\n%s", trial, err, src)
 		}
-		gp, err := Ground(prog)
+		gp, err := Ground(prog, nil)
 		if err != nil {
 			t.Fatalf("trial %d: ground: %v\n%s", trial, err, src)
 		}
@@ -135,7 +135,7 @@ func TestOptimizeAgreesWithBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: parse: %v\n%s", trial, err, src)
 		}
-		gp, err := Ground(prog)
+		gp, err := Ground(prog, nil)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -186,7 +186,7 @@ func TestEnumerationCountStress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gp, err := Ground(prog)
+		gp, err := Ground(prog, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

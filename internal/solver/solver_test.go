@@ -456,7 +456,7 @@ func TestStableModelsAreFixpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		gp, err := Ground(prog)
+		gp, err := Ground(prog, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -640,7 +640,7 @@ func TestGroundProgramString(t *testing.T) {
 	prog := logic.MustParse(`
 		a. b :- a, not c. { d } 1.
 	`)
-	gp, err := Ground(prog)
+	gp, err := Ground(prog, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -750,7 +750,7 @@ func BenchmarkGroundChain(b *testing.B) {
 	prog := logic.MustParse(src)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := Ground(prog); err != nil {
+		if _, err := Ground(prog, nil); err != nil {
 			b.Fatal(err)
 		}
 	}

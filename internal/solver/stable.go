@@ -127,7 +127,7 @@ type Result struct {
 // during grounding) aborts with an *budget.ExhaustedError, because a
 // partially grounded program would be unsound to solve.
 func SolveProgram(prog *logic.Program, opts Options) (*Result, error) {
-	gp, err := GroundBudget(prog, opts.Budget)
+	gp, err := Ground(prog, opts.Budget)
 	if err != nil {
 		return nil, err
 	}

@@ -33,9 +33,9 @@ func PaperTableII(useASP bool) (string, error) {
 	}
 	var analysis *hazard.Analysis
 	if useASP {
-		analysis, err = hazard.AnalyzeASP(eng, PaperCandidates(), -1, Requirements())
+		analysis, err = hazard.AnalyzeASPOpts(eng, PaperCandidates(), -1, Requirements(), hazard.ASPOptions{})
 	} else {
-		analysis, err = hazard.Analyze(eng, PaperCandidates(), -1, Requirements())
+		analysis, err = hazard.AnalyzeSweep(eng, PaperCandidates(), -1, Requirements(), hazard.SweepConfig{Parallelism: 1})
 	}
 	if err != nil {
 		return "", err

@@ -70,7 +70,7 @@ func TestTableIIMatchesPaper(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysis, err := hazard.Analyze(eng, PaperCandidates(), -1, Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, PaperCandidates(), -1, Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestTableIIViaASP(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysis, err := hazard.AnalyzeASP(eng, PaperCandidates(), -1, Requirements())
+	analysis, err := hazard.AnalyzeASPOpts(eng, PaperCandidates(), -1, Requirements(), hazard.ASPOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,7 +278,7 @@ func TestRiskRankingS2OverS7(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	analysis, err := hazard.Analyze(eng, PaperCandidates(), -1, Requirements())
+	analysis, err := hazard.AnalyzeSweep(eng, PaperCandidates(), -1, Requirements(), hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +333,7 @@ func BenchmarkTableIINative(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hazard.Analyze(eng, PaperCandidates(), -1, Requirements()); err != nil {
+		if _, err := hazard.AnalyzeSweep(eng, PaperCandidates(), -1, Requirements(), hazard.SweepConfig{Parallelism: 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -346,7 +346,7 @@ func BenchmarkTableIIASP(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := hazard.AnalyzeASP(eng, PaperCandidates(), -1, Requirements()); err != nil {
+		if _, err := hazard.AnalyzeASPOpts(eng, PaperCandidates(), -1, Requirements(), hazard.ASPOptions{}); err != nil {
 			b.Fatal(err)
 		}
 	}

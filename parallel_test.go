@@ -33,9 +33,9 @@ func canonicalAnalysis(t *testing.T, a *hazard.Analysis) []byte {
 }
 
 // TestParallelSweep_DeterministicOnTableII (experiment D1): sweep the
-// Table II candidate set (all cardinalities) through Analyze and at
-// parallelism 1, 4, and NumCPU; every run must produce byte-identical
-// results.
+// Table II candidate set (all cardinalities) at parallelism 1, 4, and
+// NumCPU; every run must produce results byte-identical to a first
+// width-1 sweep.
 func TestParallelSweep_DeterministicOnTableII(t *testing.T) {
 	eng, err := watertank.Engine()
 	if err != nil {
@@ -44,7 +44,7 @@ func TestParallelSweep_DeterministicOnTableII(t *testing.T) {
 	muts := watertank.PaperCandidates()
 	reqs := watertank.Requirements()
 
-	seq, err := hazard.Analyze(eng, muts, -1, reqs)
+	seq, err := hazard.AnalyzeSweep(eng, muts, -1, reqs, hazard.SweepConfig{Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

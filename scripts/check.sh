@@ -35,12 +35,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-# The engine, the sweep, the result cache, the rank/unrank enumerator
-# and the service are documented safe for concurrent use, and a solver
-# session panics on concurrent use; hammer them under the race detector
-# at both ends of the parallelism range.
-echo "== go test -race -cpu=1,4 (epa, hazard, faults, store, solver, serve) =="
-go test -race -cpu=1,4 -count=1 ./internal/epa ./internal/hazard ./internal/faults ./internal/store ./internal/solver ./internal/serve
+# The engine, the sweep, the result cache, the rank/unrank enumerator,
+# the CEGAR oracle pool and the service are documented safe for
+# concurrent use, and a solver session panics on concurrent use; hammer
+# them under the race detector at both ends of the parallelism range.
+echo "== go test -race -cpu=1,4 (epa, hazard, faults, store, solver, cegar, serve) =="
+go test -race -cpu=1,4 -count=1 ./internal/epa ./internal/hazard ./internal/faults ./internal/store ./internal/solver ./internal/cegar ./internal/serve
 
 # Differential corpus for delta re-assessment: ~20 scripted model edits,
 # each asserting the incremental report is byte-identical to a cold run
