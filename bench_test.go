@@ -395,7 +395,7 @@ func BenchmarkS2_EPAScaling(b *testing.B) {
 			sc := epa.Scenario{muts[0].Activation}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if _, err := eng.Run(sc); err != nil {
+				if _, err := eng.RunBudget(sc, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -62,7 +62,7 @@ func run() error {
 		return err
 	}
 	sc := epa.Scenario{{Component: "ews.email_client", Fault: plant.FaultCompromised}}
-	res, err := eng.Run(sc)
+	res, err := eng.RunBudget(sc, nil)
 	if err != nil {
 		return err
 	}

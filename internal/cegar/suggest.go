@@ -27,7 +27,7 @@ type RefinementSuggestion struct {
 func SuggestRefinements(eng *epa.Engine, spurious []Judged) ([]RefinementSuggestion, error) {
 	counts := map[string]int{}
 	for _, j := range spurious {
-		res, err := eng.Run(j.Finding.Scenario)
+		res, err := eng.RunBudget(j.Finding.Scenario, nil)
 		if err != nil {
 			return nil, err
 		}

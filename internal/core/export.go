@@ -5,6 +5,8 @@ import (
 	"io"
 
 	"cpsrisk/internal/budget"
+	"cpsrisk/internal/epa"
+	"cpsrisk/internal/hazard"
 	"cpsrisk/internal/obs"
 	"cpsrisk/internal/qual"
 	"cpsrisk/internal/risk"
@@ -161,20 +163,7 @@ func (a *Assessment) Summarize() *Summary {
 		})
 	}
 	out.Compromisable = a.Compromisable
-	for _, sc := range a.Ranked {
-		row := ScenarioSummary{
-			ID:         sc.ID,
-			Violated:   sc.Violated,
-			Likelihood: s.Label(sc.Risk.Likelihood),
-			Severity:   s.Label(sc.Risk.Severity),
-			Risk:       s.Label(sc.Risk.Risk),
-			Treatment:  risk.TreatmentFor(sc.Risk.Risk).String(),
-		}
-		for _, act := range sc.Scenario {
-			row.Activations = append(row.Activations, act.String())
-		}
-		out.Scenarios = append(out.Scenarios, row)
-	}
+	out.Scenarios = summarizeRows(a.Ranked)
 	if len(a.Plan.Selected) > 0 || a.Plan.Total > 0 {
 		out.Plan = &PlanSummary{
 			Selected:     a.Plan.Selected,
@@ -254,6 +243,49 @@ func (a *Assessment) Summarize() *Summary {
 	out.DurationMS = a.Duration.Milliseconds()
 	out.Trace = a.Trace
 	out.Metrics = a.Metrics
+	return out
+}
+
+// summarizeRows projects the ranked rows. Each distinct activation is
+// rendered once, and the rows' Activations are capacity-clipped windows
+// of one slab, so appending to one row's cannot reach the next. An empty
+// scenario keeps nil Activations (JSON null), and no rows give nil.
+func summarizeRows(ranked []hazard.ScenarioResult) []ScenarioSummary {
+	if len(ranked) == 0 {
+		return nil
+	}
+	s := qual.FiveLevel()
+	acts := 0
+	for _, sc := range ranked {
+		acts += len(sc.Scenario)
+	}
+	names := map[epa.Activation]string{}
+	slab := make([]string, 0, acts)
+	out := make([]ScenarioSummary, len(ranked))
+	for i, sc := range ranked {
+		row := &out[i]
+		*row = ScenarioSummary{
+			ID:         sc.ID,
+			Violated:   sc.Violated,
+			Likelihood: s.Label(sc.Risk.Likelihood),
+			Severity:   s.Label(sc.Risk.Severity),
+			Risk:       s.Label(sc.Risk.Risk),
+			Treatment:  risk.TreatmentFor(sc.Risk.Risk).String(),
+		}
+		if len(sc.Scenario) == 0 {
+			continue
+		}
+		lo := len(slab)
+		for _, act := range sc.Scenario {
+			name, ok := names[act]
+			if !ok {
+				name = act.String()
+				names[act] = name
+			}
+			slab = append(slab, name)
+		}
+		row.Activations = slab[lo:len(slab):len(slab)]
+	}
 	return out
 }
 

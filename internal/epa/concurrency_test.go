@@ -40,7 +40,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 	}
 	want := make([]snapshot, len(scenarios))
 	for i, sc := range scenarios {
-		r, err := eng.Run(sc)
+		r, err := eng.RunBudget(sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -57,7 +57,7 @@ func TestEngineConcurrentRuns(t *testing.T) {
 			defer wg.Done()
 			for round := 0; round < rounds; round++ {
 				i := (g + round) % len(scenarios)
-				r, err := eng.Run(scenarios[i])
+				r, err := eng.RunBudget(scenarios[i], nil)
 				if err != nil {
 					errs <- fmt.Errorf("goroutine %d scenario %d: %w", g, i, err)
 					return
@@ -85,7 +85,7 @@ func TestComponentStateUsesPortSpans(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r, err := eng.Run(Scenario{{Component: "src", Fault: "corrupt"}, {Component: "mid", Fault: "crash"}})
+	r, err := eng.RunBudget(Scenario{{Component: "src", Fault: "corrupt"}, {Component: "mid", Fault: "crash"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +163,7 @@ func TestWorklistMatchesRescanOnRandomModels(t *testing.T) {
 			{Component: "r", Fault: "mute"}, {Component: "s", Fault: "glitch"}},
 	}
 	for _, sc := range scenarios {
-		got, err := eng.Run(sc)
+		got, err := eng.RunBudget(sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}

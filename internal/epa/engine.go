@@ -155,10 +155,10 @@ func (r *Result) Path(component, port string, mode ErrMode) []PathStep {
 // Engine runs EPA over a flattened model. NewEngine compiles the model
 // and behaviour library once into dense integer-indexed tables (port
 // interning, per-port connection fan-out, per-port transfer buckets,
-// per-activation fault seeds); Run then only walks slices.
+// per-activation fault seeds); RunBudget then only walks slices.
 //
 // An Engine is immutable after NewEngine and therefore safe for
-// concurrent use: any number of goroutines may call Run / RunBudget on
+// concurrent use: any number of goroutines may call RunBudget on
 // the same Engine simultaneously (each run owns its Result). This is
 // what makes the parallel scenario sweep in internal/hazard possible.
 type Engine struct {
@@ -270,26 +270,23 @@ func NewEngine(model *sysmodel.Model, lib *BehaviorLibrary) (*Engine, error) {
 // Model returns the analyzed model.
 func (e *Engine) Model() *sysmodel.Model { return e.model }
 
-// Run computes the propagation fixpoint for a scenario. Unknown
-// activations (component or fault not in the model/type) are an error —
-// scenario construction bugs must not silently under-approximate.
-//
-// Run is safe for concurrent use on a shared Engine.
-func (e *Engine) Run(scenario Scenario) (*Result, error) {
-	return e.RunBudget(scenario, nil)
-}
-
 // budgetPollInterval is how many worklist pops pass between budget
 // checks. Polling touches a context (and under -race, a mutex), so the
 // hot loop amortizes it; 64 pops keep cancellation latency well under a
 // millisecond on any realistic model.
 const budgetPollInterval = 64
 
-// RunBudget is Run with cancellation: the budget context is polled on
-// entry and every budgetPollInterval worklist steps; exhaustion aborts
-// with an *budget.ExhaustedError (stage "epa"). A partial fixpoint would
+// RunBudget computes the propagation fixpoint for a scenario. Unknown
+// activations (component or fault not in the model/type) are an error —
+// scenario construction bugs must not silently under-approximate.
+//
+// The budget (nil = unlimited) is polled on entry and every
+// budgetPollInterval worklist steps; exhaustion aborts with an
+// *budget.ExhaustedError (stage "epa"). A partial fixpoint would
 // under-approximate the propagation, so there is no partial-result mode
 // at this granularity — callers degrade at the scenario level instead.
+//
+// RunBudget is safe for concurrent use on a shared Engine.
 //
 // The fixpoint is a worklist algorithm: only ports whose state changed
 // are revisited, so a run is O(edges touched), not O(iterations × model

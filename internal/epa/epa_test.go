@@ -75,7 +75,7 @@ func TestChainPropagation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run(Scenario{{Component: "src", Fault: "corrupt"}})
+	res, err := eng.RunBudget(Scenario{{Component: "src", Fault: "corrupt"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestChainPropagation(t *testing.T) {
 func TestEmptyScenarioIsClean(t *testing.T) {
 	m, lib := chainModel(t)
 	eng, _ := NewEngine(m, lib)
-	res, err := eng.Run(nil)
+	res, err := eng.RunBudget(nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,10 +114,10 @@ func TestEmptyScenarioIsClean(t *testing.T) {
 func TestScenarioValidation(t *testing.T) {
 	m, lib := chainModel(t)
 	eng, _ := NewEngine(m, lib)
-	if _, err := eng.Run(Scenario{{Component: "ghost", Fault: "crash"}}); err == nil {
+	if _, err := eng.RunBudget(Scenario{{Component: "ghost", Fault: "crash"}}, nil); err == nil {
 		t.Error("unknown component must fail")
 	}
-	if _, err := eng.Run(Scenario{{Component: "src", Fault: "melt"}}); err == nil {
+	if _, err := eng.RunBudget(Scenario{{Component: "src", Fault: "melt"}}, nil); err == nil {
 		t.Error("unknown fault must fail")
 	}
 }
@@ -125,7 +125,7 @@ func TestScenarioValidation(t *testing.T) {
 func TestPathProvenance(t *testing.T) {
 	m, lib := chainModel(t)
 	eng, _ := NewEngine(m, lib)
-	res, _ := eng.Run(Scenario{{Component: "src", Fault: "corrupt"}})
+	res, _ := eng.RunBudget(Scenario{{Component: "src", Fault: "corrupt"}}, nil)
 	path := res.Path("dst", "in", ErrValue)
 	if len(path) == 0 {
 		t.Fatal("no path")
@@ -173,7 +173,7 @@ func TestQuantityFlowBidirectional(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Fault on b must reach a against the connection direction.
-	res, _ := eng.Run(Scenario{{Component: "b", Fault: "leak"}})
+	res, _ := eng.RunBudget(Scenario{{Component: "b", Fault: "leak"}}, nil)
 	if !res.PortState("a", "pipe").Has(ErrValue) {
 		t.Error("quantity flow must propagate bidirectionally")
 	}
@@ -219,15 +219,15 @@ func TestGuardedTransfers(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Without bypass the filter masks the error.
-	res, _ := eng.Run(Scenario{{Component: "s", Fault: "corrupt"}})
+	res, _ := eng.RunBudget(Scenario{{Component: "s", Fault: "corrupt"}}, nil)
 	if !res.PortState("f", "out").IsOK() {
 		t.Errorf("filter must mask: %v", res.PortState("f", "out"))
 	}
 	// With bypass it propagates.
-	res, _ = eng.Run(Scenario{
+	res, _ = eng.RunBudget(Scenario{
 		{Component: "s", Fault: "corrupt"},
 		{Component: "f", Fault: "bypass"},
-	})
+	}, nil)
 	if !res.PortState("f", "out").Has(ErrValue) {
 		t.Error("bypassed filter must propagate")
 	}
@@ -261,14 +261,14 @@ func TestUnlessFaultSuppression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, _ := eng.Run(Scenario{{Component: "r", Fault: "noise"}})
+	res, _ := eng.RunBudget(Scenario{{Component: "r", Fault: "noise"}}, nil)
 	if !res.PortState("r", "out").Has(ErrValue) {
 		t.Error("value must forward when not stuck")
 	}
-	res, _ = eng.Run(Scenario{
+	res, _ = eng.RunBudget(Scenario{
 		{Component: "r", Fault: "noise"},
 		{Component: "r", Fault: "stuck"},
-	})
+	}, nil)
 	if res.PortState("r", "out").Has(ErrValue) {
 		t.Error("stuck relay must not forward")
 	}
@@ -289,8 +289,8 @@ func TestMonotoneInScenario(t *testing.T) {
 		{Component: "src", Fault: "corrupt"},
 		{Component: "dst", Fault: "crash"},
 	}
-	rs, _ := eng.Run(small)
-	rl, _ := eng.Run(large)
+	rs, _ := eng.RunBudget(small, nil)
+	rl, _ := eng.RunBudget(large, nil)
 	for _, pk := range eng.ports {
 		ss, sl := rs.PortState(pk.Component, pk.Port), rl.PortState(pk.Component, pk.Port)
 		if !ss.Leq(sl) {
@@ -394,7 +394,7 @@ func TestASPAgreesWithNative(t *testing.T) {
 				sc = append(sc, Activation{Component: c.ID, Fault: fault})
 			}
 		}
-		native, err := eng.Run(sc)
+		native, err := eng.RunBudget(sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -496,7 +496,7 @@ func BenchmarkEPAChain(b *testing.B) {
 			sc := Scenario{{Component: "n0", Fault: "corrupt"}}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				res, err := eng.Run(sc)
+				res, err := eng.RunBudget(sc, nil)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -150,11 +150,11 @@ func TestSwapEquivariance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, err := eng.Run(Scenario{{Component: "s00", Fault: "corrupt"}})
+	ra, err := eng.RunBudget(Scenario{{Component: "s00", Fault: "corrupt"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	rb, err := eng.Run(Scenario{{Component: "s02", Fault: "corrupt"}})
+	rb, err := eng.RunBudget(Scenario{{Component: "s02", Fault: "corrupt"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

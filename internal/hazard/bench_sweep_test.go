@@ -100,9 +100,10 @@ var (
 // BenchmarkSweepRow splits a pruned sweep row on the star plant into its
 // stages, each op one row (cycling through the k=5 space) against the
 // pruning state a finished sweep leaves: enumerate (next combination and
-// its scenario), mask, lookup (dominance, then the orbit memo), orbitKey,
-// record (the read-locked no-op path), row (synthesizeResult), and Ranked, whose op ranks the
-// whole analysis and which reports ns/row besides.
+// its scenario, written into a per-chunk slab as the producer does),
+// mask, lookup (dominance, then the orbit memo), orbitKey, record (the
+// read-locked no-op path), row (synthesizeResult), and Ranked, whose op
+// ranks the whole analysis and which reports ns/row besides.
 func BenchmarkSweepRow(b *testing.B) {
 	eng, muts, reqs := setupStar(b)
 	a, err := AnalyzeSweep(eng, muts, starMaxCard, reqs, SweepConfig{Parallelism: 1, Prune: true})
@@ -130,9 +131,13 @@ func BenchmarkSweepRow(b *testing.B) {
 
 	b.Run("enumerate", func(b *testing.B) {
 		b.ReportAllocs()
+		var slab []epa.Activation
 		for n := 0; n < b.N; {
-			faults.EnumerateRange(muts, starMaxCard, 0, int64(min(b.N-n, rows)), func(sc epa.Scenario) bool {
-				sinkScenario = sc
+			faults.EnumerateRangeIndex(len(muts), starMaxCard, 0, int64(min(b.N-n, rows)), func(idx []int) bool {
+				if n%sweepChunkSize == 0 {
+					slab = make([]epa.Activation, 0, sweepChunkSize*max(len(idx), 1))
+				}
+				slab, sinkScenario = appendScenario(slab, muts, idx)
 				n++
 				return true
 			})
@@ -169,7 +174,7 @@ func BenchmarkSweepRow(b *testing.B) {
 		for n := 0; n < b.N; n++ {
 			i := n % rows
 			sr := &a.Scenarios[i]
-			sinkRow = synthesizeResult(i, sr.Scenario, masks[i], sr.Violated, muts, reqs)
+			sinkRow = synthesizeResult(sr.ID, sr.Scenario, masks[i], sr.Violated, muts, reqs)
 		}
 	})
 	b.Run("Ranked", func(b *testing.B) {
@@ -182,11 +187,12 @@ func BenchmarkSweepRow(b *testing.B) {
 }
 
 // maxAllocsPerRow bounds a pruned one-worker star sweep's heap
-// allocations per row: measured 3.12 with go1.24 on linux/amd64 (the
-// row's scenario slice, ID string and Violated slice, plus per-chunk
-// buffers), plus a margin of 0.5 — less than the one allocation per row
-// any per-row regression adds.
-const maxAllocsPerRow = 3.62
+// allocations per row: measured 0.19 with go1.24 on linux/amd64 (per
+// chunk of 32 rows: the scenario headers, the masks, the activation
+// slab and the ID string; the executed rows' Violated slices; the
+// pruning state), plus a margin of 0.5 — less than the one allocation
+// per row any per-row regression adds.
+const maxAllocsPerRow = 0.69
 
 // TestPrunedSweepAllocsPerRow is the per-row allocation gate: a
 // regression in the row path (a map or a string built per row) shows as

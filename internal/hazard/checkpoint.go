@@ -93,17 +93,13 @@ type Checkpoint struct {
 	loaded *ckptState // state found on disk at Open (nil = fresh)
 }
 
-// OpenCheckpoint loads (or prepares) the checkpoint in dir. every is the
-// number of newly completed scenarios between persisted frontier updates
-// (0 = DefaultCheckpointEvery). A corrupt checkpoint file is quarantined
-// — moved to <file>.quarantined — and the sweep starts fresh; only an
-// unusable directory is an error.
-func OpenCheckpoint(dir string, every int) (*Checkpoint, error) {
-	return OpenCheckpointShard(dir, every, 0, 0)
-}
-
-// OpenCheckpointShard is OpenCheckpoint for one shard of a sharded
-// sweep: each shard owns its own frontier file
+// OpenCheckpointShard loads (or prepares) the checkpoint in dir. every
+// is the number of newly completed scenarios between persisted frontier
+// updates (0 = DefaultCheckpointEvery). A corrupt checkpoint file is
+// quarantined — moved to <file>.quarantined — and the sweep starts
+// fresh; only an unusable directory is an error.
+//
+// Each shard of a sharded sweep owns its own frontier file
 // (sweep.<index>of<count>.ckpt) in the shared directory, so m
 // cooperating processes checkpoint independently. shardCount <= 1 is
 // the plain whole-space checkpoint.

@@ -144,7 +144,7 @@ func TestCrashMatrix(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer cache.Close()
-				ck, err := OpenCheckpoint(filepath.Join(dir, "ckpt"), 8)
+				ck, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 8, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -219,7 +219,7 @@ func TestBudgetTruncatedSweepMakesProgress(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ck, err := OpenCheckpoint(filepath.Join(dir, "ckpt"), 4)
+		ck, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 4, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -307,7 +307,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 
 func TestCheckpointCorruptionQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir, 1)
+	ck, err := OpenCheckpointShard(dir, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -332,7 +332,7 @@ func TestCheckpointCorruptionQuarantined(t *testing.T) {
 			if err := os.WriteFile(path, tc.mutate(append([]byte(nil), data...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ck2, err := OpenCheckpoint(dir, 1)
+			ck2, err := OpenCheckpointShard(dir, 1, 0, 1)
 			if err != nil {
 				t.Fatalf("corrupt checkpoint must not fail open: %v", err)
 			}
@@ -349,7 +349,7 @@ func TestCheckpointCorruptionQuarantined(t *testing.T) {
 
 func TestResumeRejectsMismatchedSweep(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := OpenCheckpoint(dir, 1)
+	ck, err := OpenCheckpointShard(dir, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -363,7 +363,7 @@ func TestResumeRejectsMismatchedSweep(t *testing.T) {
 	if err := ck.save(st); err != nil {
 		t.Fatal(err)
 	}
-	ck2, err := OpenCheckpoint(dir, 1)
+	ck2, err := OpenCheckpointShard(dir, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

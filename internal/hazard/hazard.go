@@ -2,6 +2,7 @@ package hazard
 
 import (
 	"cmp"
+	"encoding/binary"
 	"fmt"
 	"math"
 	"math/bits"
@@ -36,7 +37,9 @@ type ScenarioResult struct {
 	// ID is S<n> in enumeration order (S1 = fault-free).
 	ID       string
 	Scenario epa.Scenario
-	// Violated lists the IDs of violated requirements, sorted.
+	// Violated lists the IDs of violated requirements, sorted. Rows may
+	// share it — synthesized and reused rows hold the pruner's or the
+	// reuse oracle's slice, clipped to its length — so it is read-only.
 	Violated []string
 	// Risk is the qualitative scenario risk.
 	Risk risk.ScenarioRisk
@@ -166,36 +169,56 @@ func publishSweep(reg *obs.Registry, sw *SweepStats, epaRuns int) {
 }
 
 // scoreResult evaluates every requirement on one EPA outcome and scores
-// the scenario risk. seq is the 0-based enumeration position; the
-// scenario ID is S<seq+1> (S1 = fault-free), identical at every pool
-// width.
-func scoreResult(seq int, sc epa.Scenario, mask []byte, res *epa.Result, muts []faults.Mutation, reqs []Requirement) ScenarioResult {
-	return newRow(seq, sc, mask, muts, reqs, 0, func(i int) bool {
+// the scenario risk. id is the row's S<n> ID (see scenarioID).
+func scoreResult(id string, sc epa.Scenario, mask []byte, res *epa.Result, muts []faults.Mutation, reqs []Requirement) ScenarioResult {
+	return newRow(id, sc, mask, muts, reqs, nil, func(i int) bool {
 		return Eval(reqs[i].Condition, sc, res)
 	})
 }
 
 // newRow is the one row constructor: the executed, synthesized and ASP
 // rows all come from it, which is what keeps their IDs, Violated order
-// and risk scores byte-identical. mask is the scenario's candidate
-// bitmask over muts (see appendMask); violated reports whether
-// requirement reqs[i] is violated; hint sizes Violated (0 = unknown).
-// Violated stays nil when nothing is violated.
-func newRow(seq int, sc epa.Scenario, mask []byte, muts []faults.Mutation, reqs []Requirement, hint int, violated func(i int) bool) ScenarioResult {
-	sr := ScenarioResult{ID: scenarioID(seq), Scenario: sc}
+// and risk scores byte-identical. id is the row's ID, which derives from
+// its 0-based stream position alone (see scenarioID); mask is the
+// scenario's candidate bitmask over muts (see appendMask); violated
+// reports whether requirement reqs[i] is violated. known, when non-nil,
+// is the sorted violated set the caller already holds: if every ID in it
+// is a requirement of reqs, the row shares it, clipped to its length,
+// instead of building a copy; otherwise the row builds its own. Violated
+// stays nil when nothing is violated.
+func newRow(id string, sc epa.Scenario, mask []byte, muts []faults.Mutation, reqs []Requirement, known []string, violated func(i int) bool) ScenarioResult {
+	sr := ScenarioResult{ID: id, Scenario: sc}
 	var maxSeverity qual.Level
+	n := 0
 	for i := range reqs {
 		if !violated(i) {
 			continue
 		}
-		if sr.Violated == nil {
-			sr.Violated = make([]string, 0, max(hint, 1))
+		if n == 0 || reqs[i].Severity > maxSeverity {
 			maxSeverity = reqs[i].Severity
 		}
-		maxSeverity = max(maxSeverity, reqs[i].Severity)
-		sr.Violated = append(sr.Violated, reqs[i].ID)
+		n++
+		if known == nil {
+			sr.Violated = append(sr.Violated, reqs[i].ID)
+		}
 	}
-	sort.Strings(sr.Violated)
+	// reqs holds distinct IDs, so n counts the IDs of known that are
+	// requirements; n == len(known) means known is exactly the set.
+	switch {
+	case known == nil:
+		sort.Strings(sr.Violated)
+	case n == 0:
+	case n == len(known):
+		sr.Violated = known[:n:n]
+	default:
+		sr.Violated = make([]string, 0, n)
+		for i := range reqs {
+			if violated(i) {
+				sr.Violated = append(sr.Violated, reqs[i].ID)
+			}
+		}
+		sort.Strings(sr.Violated)
+	}
 	minLikelihood, first := qual.VeryLow, true
 	for j, b := range mask {
 		for ; b != 0; b &= b - 1 {
@@ -205,7 +228,7 @@ func newRow(seq int, sc epa.Scenario, mask []byte, muts []faults.Mutation, reqs 
 			}
 		}
 	}
-	sr.Risk = risk.Score(sr.ID, len(sc), minLikelihood, len(sr.Violated), maxSeverity)
+	sr.Risk = risk.Score(sr.ID, len(sc), minLikelihood, n, maxSeverity)
 	return sr
 }
 
@@ -223,8 +246,37 @@ func appendMask(dst []byte, idx []int, maskLen int) []byte {
 // scenarioID renders the ID of the row at 0-based stream position seq.
 func scenarioID(seq int) string {
 	var b [24]byte
-	return string(strconv.AppendInt(append(b[:0], 'S'), int64(seq)+1, 10))
+	return string(appendScenarioID(b[:0], seq))
 }
+
+// appendScenarioID appends the ID of the row at stream position seq to
+// dst.
+func appendScenarioID(dst []byte, seq int) []byte {
+	return strconv.AppendInt(append(dst, 'S'), int64(seq)+1, 10)
+}
+
+// chunkIDs holds the IDs of one sweep chunk's rows, rendered into one
+// string so a chunk allocates one ID string instead of one per row.
+type chunkIDs struct {
+	s    string
+	ends [sweepChunkSize + 1]int32
+}
+
+// render fills ids with the IDs of the n rows from stream position
+// baseSeq (n <= sweepChunkSize).
+func (ids *chunkIDs) render(baseSeq, n int) {
+	var sb strings.Builder
+	var b [24]byte
+	sb.Grow(n * len(appendScenarioID(b[:0], baseSeq+n-1)))
+	for i := 0; i < n; i++ {
+		sb.Write(appendScenarioID(b[:0], baseSeq+i))
+		ids.ends[i+1] = int32(sb.Len())
+	}
+	ids.s = sb.String()
+}
+
+// id returns row i's ID, a substring of the rendered string.
+func (ids *chunkIDs) id(i int) string { return ids.s[ids.ends[i]:ids.ends[i+1]] }
 
 // truncateToCompletedCardinality implements the graceful-degradation
 // policy after an interruption: drop results of the cardinality that was
@@ -457,7 +509,7 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 	maskLen := (len(muts) + 7) / 8
 	results := make([]ScenarioResult, len(rows))
 	for i, row := range rows {
-		results[i] = newRow(i, row.sc, appendMask(nil, row.idx, maskLen), muts, reqs, 0, func(j int) bool {
+		results[i] = newRow(scenarioID(i), row.sc, appendMask(nil, row.idx, maskLen), muts, reqs, nil, func(j int) bool {
 			return row.m.Contains(violatedAtoms[j])
 		})
 	}
@@ -522,24 +574,60 @@ func (a *Analysis) ByScenario(sc epa.Scenario) (ScenarioResult, bool) {
 
 // Ranked returns the scenarios ordered by risk (paper §IV: prioritize by
 // severity and potential impact), in risk.Rank's order.
+//
+// It sorts a compact key per row rather than the rows: rankKeyOf packs
+// risk.Compare's level and fault-count fields into one integer, and the
+// ID's first eight bytes, big-endian, order like the ID itself unless
+// they tie, when the IDs themselves are compared. The row index breaks
+// the remaining ties, which makes the unstable sort reproduce
+// risk.Rank's stable one.
 func (a *Analysis) Ranked() []ScenarioResult {
-	order := make([]int, len(a.Scenarios))
-	for i := range order {
-		order[i] = i
+	keys := make([]rankKey, len(a.Scenarios))
+	for i := range a.Scenarios {
+		keys[i] = rankKeyOf(&a.Scenarios[i].Risk, i)
 	}
-	// The index tiebreak makes the unstable sort reproduce risk.Rank's
-	// stable one.
-	slices.SortFunc(order, func(i, j int) int {
-		if c := risk.Compare(a.Scenarios[i].Risk, a.Scenarios[j].Risk); c != 0 {
-			return c
+	slices.SortFunc(keys, func(x, y rankKey) int {
+		if x.key != y.key {
+			return cmp.Compare(x.key, y.key)
 		}
-		return cmp.Compare(i, j)
+		if x.prefix != y.prefix {
+			return cmp.Compare(x.prefix, y.prefix)
+		}
+		if xid, yid := a.Scenarios[x.index].Risk.ID, a.Scenarios[y.index].Risk.ID; len(xid) > 8 || len(yid) > 8 || len(xid) != len(yid) {
+			if c := strings.Compare(xid, yid); c != 0 {
+				return c
+			}
+		}
+		return cmp.Compare(x.index, y.index)
 	})
-	out := make([]ScenarioResult, len(order))
-	for k, i := range order {
-		out[k] = a.Scenarios[i]
+	out := make([]ScenarioResult, len(keys))
+	for k, key := range keys {
+		out[k] = a.Scenarios[key.index]
 	}
 	return out
+}
+
+// rankKey is one row's sort key in Ranked.
+type rankKey struct {
+	// key packs risk, severity and likelihood (descending) and the fault
+	// count (ascending), 16 bits each, most significant first.
+	key uint64
+	// prefix is the ID's first eight bytes, big-endian, zero-padded.
+	prefix uint64
+	index  int
+}
+
+// rankKeyOf builds row i's rank key. Levels from risk.Score lie on the
+// five-level scale and a fault count is a scenario's length, so 16 bits
+// per field order them exactly; values past the field saturate.
+func rankKeyOf(r *risk.ScenarioRisk, i int) rankKey {
+	desc := func(l qual.Level) uint64 { return math.MaxUint16 - uint64(min(max(l, 0), math.MaxUint16)) }
+	k := rankKey{index: i}
+	k.key = desc(r.Risk)<<48 | desc(r.Severity)<<32 | desc(r.Likelihood)<<16 | uint64(min(max(r.Faults, 0), math.MaxUint16))
+	var p [8]byte
+	copy(p[:], r.ID)
+	k.prefix = binary.BigEndian.Uint64(p[:])
+	return k
 }
 
 // MinimalCuts returns, per requirement, the minimal hazardous scenarios:

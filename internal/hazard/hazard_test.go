@@ -3,6 +3,7 @@ package hazard
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -200,32 +201,64 @@ func TestRankedTies(t *testing.T) {
 	}
 }
 
-// TestRankedMatchesRiskRank: Ranked orders rows exactly as risk.Rank
-// orders their risks, on random sets dense in ties.
+// TestRankedMatchesRiskRank: Ranked orders rows exactly as a stable
+// risk.Compare sort orders them. The seeded rows tie densely on every
+// field of the packed key, repeat whole rows (which only the row index
+// orders), and carry IDs on both sides of the eight-byte prefix Ranked
+// sorts by: S99999999 against S100000000, S10 against S2, and prefixes
+// that tie with lengths that differ. An empty analysis and the rows of a
+// real sweep are checked too.
 func TestRankedMatchesRiskRank(t *testing.T) {
+	stableRank := func(rows []ScenarioResult) []ScenarioResult {
+		out := slices.Clone(rows)
+		slices.SortStableFunc(out, func(x, y ScenarioResult) int { return risk.Compare(x.Risk, y.Risk) })
+		return out
+	}
+	check := func(name string, a *Analysis) {
+		t.Helper()
+		got, want := a.Ranked(), stableRank(a.Scenarios)
+		if len(got) != len(want) {
+			t.Fatalf("%s: Ranked has %d rows, want %d", name, len(got), len(want))
+		}
+		for i := range want {
+			if got[i].ID != want[i].ID || got[i].Risk != want[i].Risk {
+				t.Fatalf("%s position %d: Ranked %+v, stable risk.Compare sort %+v", name, i, got[i].Risk, want[i].Risk)
+			}
+		}
+	}
+	check("empty", &Analysis{})
+
+	ids := []string{"S1", "S2", "S10", "S9999999", "S1000000", "S10000000",
+		"S99999999", "S100000000", "S100000001", "S1\x00"}
 	rng := rand.New(rand.NewSource(1))
 	for trial := 0; trial < 50; trial++ {
-		n := rng.Intn(300)
 		a := &Analysis{}
-		risks := make([]risk.ScenarioRisk, n)
-		for i, id := range rng.Perm(n) {
-			risks[i] = risk.ScenarioRisk{
-				ID:         fmt.Sprintf("S%d", id+1),
+		for i, n := 0, rng.Intn(300); i < n; i++ {
+			id := ids[rng.Intn(len(ids))]
+			if rng.Intn(2) == 0 {
+				id = fmt.Sprintf("S%d", rng.Intn(200_000_000)+1)
+			}
+			// Violations is outside the order, so it marks the row: a
+			// stable sort keeps repeated rows in index order.
+			r := risk.ScenarioRisk{
+				ID:         id,
 				Risk:       qual.Level(rng.Intn(3)),
 				Severity:   qual.Level(rng.Intn(3)),
 				Likelihood: qual.Level(rng.Intn(3)),
 				Faults:     rng.Intn(3),
-				Violations: rng.Intn(3),
+				Violations: i,
 			}
-			a.Scenarios = append(a.Scenarios, ScenarioResult{ID: risks[i].ID, Risk: risks[i]})
+			a.Scenarios = append(a.Scenarios, ScenarioResult{ID: id, Risk: r})
 		}
-		ranked := a.Ranked()
-		for i, r := range risk.Rank(risks) {
-			if ranked[i].Risk != r {
-				t.Fatalf("trial %d position %d: Ranked %+v, risk.Rank %+v", trial, i, ranked[i].Risk, r)
-			}
-		}
+		check(fmt.Sprintf("trial %d", trial), a)
 	}
+
+	eng, muts, reqs := setup(t)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2, Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("sweep", a)
 }
 
 func TestMinimalCuts(t *testing.T) {
@@ -273,7 +306,7 @@ func TestRequirementValidation(t *testing.T) {
 func TestConditionEval(t *testing.T) {
 	eng, _, _ := setup(t)
 	sc := epa.Scenario{{Component: "src", Fault: "corrupt"}}
-	res, err := eng.Run(sc)
+	res, err := eng.RunBudget(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

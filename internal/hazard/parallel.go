@@ -49,6 +49,12 @@ import (
 // in what order they are merged.
 const sweepChunkSize = 32
 
+// maxPresizedRows bounds the rows a sweep allocates for up front from
+// the size of its range; a larger range grows the row slice by append,
+// so a sweep a budget stops early never holds a slice sized for the
+// whole space.
+const maxPresizedRows = 1 << 16
+
 // sweepRetries bounds the retry-with-backoff attempts for transient
 // per-scenario failures before the failure is treated as real.
 const sweepRetries = 3
@@ -77,8 +83,9 @@ type SweepConfig struct {
 	ShardIndex, ShardCount int
 	// Reuse, when set, is the delta re-assessment oracle (see
 	// internal/artifact and core's delta path): it returns the known
-	// violated-requirement set for a scenario whose outcome is provably
-	// unchanged from a cached parent analysis. Rows it answers are
+	// violated-requirement set, sorted, for a scenario whose outcome is
+	// provably unchanged from a cached parent analysis. Rows share the
+	// returned slice, so it must never be modified. Rows it answers are
 	// synthesized without an EPA run and counted in SweepStats.Reused.
 	// The oracle must be deterministic for the duration of the sweep and
 	// safe for concurrent calls.
@@ -87,7 +94,9 @@ type SweepConfig struct {
 
 // sweepChunk is a contiguous run of scenarios starting at stream
 // position baseSeq, with their candidate bitmasks laid end to end
-// (maskLen bytes each, see appendMask).
+// (maskLen bytes each, see appendMask). The scenarios are
+// capacity-clipped sub-slices of one activation slab per chunk, so the
+// rows built from them share it without one allocation per row.
 type sweepChunk struct {
 	baseSeq int
 	scs     []epa.Scenario
@@ -98,7 +107,9 @@ type sweepChunk struct {
 // completed prefix, plus — if the chunk stopped early — the stream
 // position of the first failed scenario with its truncation or error.
 // n is the chunk length, which the merge needs to advance the
-// completion frontier past fully-completed chunks.
+// completion frontier past fully-completed chunks. Once the merge has
+// appended srs to the report's rows it hands the buffer back to the
+// workers for a later chunk.
 type sweepOutcome struct {
 	baseSeq int
 	n       int
@@ -249,6 +260,10 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	jobs := make(chan sweepChunk, parallelism*4)
 	outcomes := make(chan sweepOutcome, parallelism*4)
 	produced := make(chan producerOutcome, 1)
+	// free carries merged chunks' row buffers back to the workers. It
+	// holds as many as the jobs and outcomes buffers together, the
+	// chunks the pipeline keeps in flight; the merge drops any surplus.
+	free := make(chan []ScenarioResult, parallelism*8)
 
 	// Producer: enumerate in order, batching scenarios into chunks tagged
 	// with their starting stream position. Budget poll and scenario cap
@@ -260,6 +275,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		seq := shardLo
 		var trunc *budget.Truncation
 		chunk := sweepChunk{}
+		var slab []epa.Activation
 		flush := func() {
 			if len(chunk.scs) > 0 {
 				jobs <- chunk
@@ -289,8 +305,15 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				chunk.baseSeq = seq
 				chunk.scs = make([]epa.Scenario, 0, sweepChunkSize)
 				chunk.masks = make([]byte, 0, sweepChunkSize*maskLen)
+				// Cardinality only grows along the stream, so the
+				// chunk's first scenario sizes the slab; a chunk that
+				// crosses into the next cardinality grows it by append,
+				// which leaves the earlier scenarios on the old array.
+				slab = make([]epa.Activation, 0, sweepChunkSize*max(len(idx), 1))
 			}
-			chunk.scs = append(chunk.scs, faults.ScenarioOf(muts, idx))
+			var sc epa.Scenario
+			slab, sc = appendScenario(slab, muts, idx)
+			chunk.scs = append(chunk.scs, sc)
 			chunk.masks = appendMask(chunk.masks, idx, maskLen)
 			if len(chunk.scs) == sweepChunkSize {
 				flush()
@@ -311,9 +334,13 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	// killing the process.
 	var cacheHits, cacheMisses, retries atomic.Int64
 	var executed, prunedCnt, orbitHits, reused atomic.Int64
-	runChunk := func(jb sweepChunk, wCtx context.Context, keys *orbitScratch) (o sweepOutcome) {
-		o = sweepOutcome{baseSeq: jb.baseSeq, n: len(jb.scs), badSeq: -1,
-			srs: make([]ScenarioResult, 0, len(jb.scs)), masks: jb.masks}
+	runChunk := func(jb sweepChunk, wCtx context.Context, keys *orbitScratch, ids *chunkIDs) (o sweepOutcome) {
+		o = sweepOutcome{baseSeq: jb.baseSeq, n: len(jb.scs), badSeq: -1, masks: jb.masks}
+		select {
+		case o.srs = <-free:
+		default:
+			o.srs = make([]ScenarioResult, 0, sweepChunkSize)
+		}
 		defer func() {
 			if r := recover(); r != nil {
 				o.badSeq = jb.baseSeq + len(o.srs)
@@ -329,6 +356,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				return o
 			}
 		}
+		ids.render(jb.baseSeq, len(jb.scs))
 		for i, sc := range jb.scs {
 			seq := jb.baseSeq + i
 			if err := bud.Err("hazard"); err != nil {
@@ -358,7 +386,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 							cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 						}
 					}
-					o.srs = append(o.srs, synthesizeResult(seq, sc, mask, violated, muts, reqs))
+					o.srs = append(o.srs, synthesizeResult(ids.id(i), sc, mask, violated, muts, reqs))
 					continue
 				}
 			}
@@ -393,7 +421,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 					if cfg.Cache != nil {
 						cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 					}
-					o.srs = append(o.srs, synthesizeResult(seq, sc, mask, violated, muts, reqs))
+					o.srs = append(o.srs, synthesizeResult(ids.id(i), sc, mask, violated, muts, reqs))
 					continue
 				}
 			}
@@ -436,7 +464,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				}
 			}
 			executed.Add(1)
-			sr := scoreResult(seq, sc, mask, res, muts, reqs)
+			sr := scoreResult(ids.id(i), sc, mask, res, muts, reqs)
 			if pr != nil {
 				pr.record(mask, key, sr.Violated)
 			}
@@ -458,13 +486,14 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			}
 			defer wSpan.End()
 			var keys orbitScratch
+			var ids chunkIDs
 			for jb := range jobs {
 				var cSpan *obs.Span
 				if wSpan != nil {
 					cSpan = wSpan.StartChild(fmt.Sprintf("chunk[%d+%d]", jb.baseSeq, len(jb.scs)))
 				}
 				chunkStart := time.Now()
-				o := runChunk(jb, wCtx, &keys)
+				o := runChunk(jb, wCtx, &keys, &ids)
 				cChunks.Inc()
 				hChunk.Observe(time.Since(chunkStart).Microseconds())
 				cSpan.End()
@@ -478,10 +507,18 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	}()
 
 	// Merge: collect chunk outcomes, advancing the contiguous completion
-	// frontier online. Every checkpoint interval the result cache is
-	// flushed and THEN the frontier persisted — write-ahead ordering, so
-	// a crash between the two leaves a frontier that under-promises.
+	// frontier online and appending each frontier chunk's rows to the
+	// report — the rows past the frontier wait in chunks. Every
+	// checkpoint interval the result cache is flushed and THEN the
+	// frontier persisted — write-ahead ordering, so a crash between the
+	// two leaves a frontier that under-promises.
 	chunks := map[int]sweepOutcome{}
+	var rows []ScenarioResult
+	if size, ok := faults.SpaceSize(len(muts), maxCard); ok {
+		if n := min(size, int64(shardHi)) - int64(shardLo); n <= maxPresizedRows {
+			rows = make([]ScenarioResult, 0, n)
+		}
+	}
 	frontier := shardLo
 	lastSaved := -1
 	saveFrontier := func(complete bool) {
@@ -521,6 +558,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			if !ok {
 				return
 			}
+			delete(chunks, frontier)
 			// The accountant replays the contiguous row stream exactly
 			// once, here, in rank order — the only place rank order
 			// exists during a parallel sweep.
@@ -529,7 +567,12 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 					acct.row(o.baseSeq+i, sr, o.masks[i*maskLen:(i+1)*maskLen])
 				}
 			}
+			rows = append(rows, o.srs...)
 			frontier += len(o.srs)
+			select {
+			case free <- o.srs[:0]:
+			default:
+			}
 			if len(o.srs) < o.n {
 				return // partial chunk: the gap never closes this run
 			}
@@ -581,29 +624,11 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		// resumable.
 		return nil, badErr
 	}
-	out := &Analysis{Requirements: reqs, Scenarios: make([]ScenarioResult, 0, max(cut-shardLo, 0))}
+	// The rows end at the frontier: the merge appended exactly the
+	// contiguous completed prefix, and the frontier is clipped to the cut.
+	out := &Analysis{Requirements: reqs, Scenarios: rows[:max(frontier-shardLo, 0)]}
 	if resumeFrom > shardLo {
 		out.Resume = &ResumeInfo{FromRank: resumeFrom}
-	}
-merge:
-	for seq := shardLo; seq < cut; {
-		o, ok := chunks[seq]
-		if !ok {
-			// Defensive: a hole below the cut means a worker died
-			// without reporting; treat the prefix up to it as the
-			// result rather than mislabeling later scenarios.
-			break
-		}
-		for _, sr := range o.srs {
-			if seq >= cut {
-				break merge
-			}
-			out.Scenarios = append(out.Scenarios, sr)
-			seq++
-		}
-		if len(o.srs) == 0 {
-			break
-		}
 	}
 	if trunc != nil {
 		out.Truncation = trunc
@@ -649,6 +674,19 @@ merge:
 	}
 	publishSweep(reg, out.Sweep, prod.emitted-shardLo)
 	return out, nil
+}
+
+// appendScenario appends the activations of the candidates at the given
+// indices to slab and returns the grown slab and the scenario: a
+// capacity-clipped window of it, so an append to the scenario cannot
+// write into the next one. Like faults.ScenarioOf it never returns a nil
+// scenario when slab is non-nil.
+func appendScenario(slab []epa.Activation, muts []faults.Mutation, idx []int) ([]epa.Activation, epa.Scenario) {
+	lo := len(slab)
+	for _, j := range idx {
+		slab = append(slab, muts[j].Activation)
+	}
+	return slab, slab[lo:len(slab):len(slab)]
 }
 
 // capAccountant decides which rows the MaxScenarios cap charges when

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"cpsrisk/internal/budget"
+	"cpsrisk/internal/epa"
 	"cpsrisk/internal/obs"
 )
 
@@ -136,6 +137,31 @@ func TestViolatedSortedAndBinarySearch(t *testing.T) {
 		}
 		if s.Violates("ZZZ-not-a-requirement") || s.Violates("") {
 			t.Errorf("%s: Violates matched an absent requirement", s.ID)
+		}
+	}
+}
+
+// TestSweepRowsDoNotAlias: rows share per-chunk storage — one activation
+// slab for their scenarios, one string for their IDs — so each row's
+// Scenario is clipped to its length: appending to one row's scenario
+// leaves every other row unchanged.
+func TestSweepRowsDoNotAlias(t *testing.T) {
+	eng, muts, reqs := setup(t)
+	a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2, Prune: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	keys := make([]string, len(a.Scenarios))
+	for i, s := range a.Scenarios {
+		keys[i] = s.ID + s.Scenario.Key()
+	}
+	extra := epa.Activation{Component: "appended", Fault: "row"}
+	for i := range a.Scenarios {
+		a.Scenarios[i].Scenario = append(a.Scenarios[i].Scenario, extra)
+	}
+	for i, s := range a.Scenarios {
+		if got := s.ID + s.Scenario[:len(s.Scenario)-1].Key(); got != keys[i] {
+			t.Fatalf("row %d is %s after the appends, was %s", i, got, keys[i])
 		}
 	}
 }

@@ -584,10 +584,11 @@ func (p *pruner) decodeSynth(b []byte) ([]string, bool) {
 }
 
 // synthesizeResult builds the ScenarioResult a full evaluation would
-// have produced, from the known violated set (sorted). It shares newRow
-// with scoreResult, which is what makes pruned reports byte-identical.
-func synthesizeResult(seq int, sc epa.Scenario, mask []byte, violated []string, muts []faults.Mutation, reqs []Requirement) ScenarioResult {
-	return newRow(seq, sc, mask, muts, reqs, len(violated), func(i int) bool {
+// have produced, from the known violated set (sorted, read-only), which
+// the row shares. It shares newRow with scoreResult, which is what makes
+// pruned reports byte-identical.
+func synthesizeResult(id string, sc epa.Scenario, mask []byte, violated []string, muts []faults.Mutation, reqs []Requirement) ScenarioResult {
+	return newRow(id, sc, mask, muts, reqs, violated, func(i int) bool {
 		_, found := slices.BinarySearch(violated, reqs[i].ID)
 		return found
 	})

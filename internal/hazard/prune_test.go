@@ -212,12 +212,12 @@ func TestDominanceGates(t *testing.T) {
 	}
 	// Sanity: the plant really is non-monotone — adding c1.filter removes
 	// the violation that c0.corrupt alone causes.
-	r1, err := engNM.Run(epa.Scenario{{Component: "c0", Fault: "corrupt"}})
+	r1, err := engNM.RunBudget(epa.Scenario{{Component: "c0", Fault: "corrupt"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, err := engNM.Run(epa.Scenario{
-		{Component: "c0", Fault: "corrupt"}, {Component: "c1", Fault: "filter"}})
+	r2, err := engNM.RunBudget(epa.Scenario{
+		{Component: "c0", Fault: "corrupt"}, {Component: "c1", Fault: "filter"}}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -268,11 +268,11 @@ func TestMonotonicityContract(t *testing.T) {
 			if len(sub) >= len(super) || !isSubScenario(sub, super) {
 				continue
 			}
-			rSub, err := eng.Run(sub)
+			rSub, err := eng.RunBudget(sub, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
-			rSuper, err := eng.Run(super)
+			rSuper, err := eng.RunBudget(super, nil)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -350,7 +350,7 @@ func TestCrashResumeWithPruning(t *testing.T) {
 					t.Fatal(err)
 				}
 				defer cache.Close()
-				ck, err := OpenCheckpoint(filepath.Join(dir, "ckpt"), 8)
+				ck, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 8, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -525,7 +525,7 @@ func TestShardCheckpointResume(t *testing.T) {
 	}
 	// The whole-space checkpoint file name stays free for a whole-space
 	// sweep; the shard used its own.
-	if _, err := OpenCheckpoint(filepath.Join(dir, "ckpt"), 4); err != nil {
+	if _, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 4, 0, 1); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -539,5 +539,35 @@ func TestShardValidation(t *testing.T) {
 	}
 	if _, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{ShardIndex: -1, ShardCount: 3}); err == nil {
 		t.Error("negative shard index must fail")
+	}
+}
+
+// TestSynthesizedRowSharesViolated: a synthesized row holds the caller's
+// sorted violated set itself, clipped to its length so an append cannot
+// write into it, when every ID in it is a requirement of the sweep; an
+// ID outside the requirements makes the row build its own slice, which
+// drops that ID just as an executed row would never list it.
+func TestSynthesizedRowSharesViolated(t *testing.T) {
+	_, muts, reqs := setupSymmetric(t, 3)
+	mask := appendMask(nil, []int{0, 1}, (len(muts)+7)/8)
+	sc := epa.Scenario{muts[0].Activation, muts[1].Activation}
+
+	known := make([]string, 2, 4)
+	known[0], known[1] = "R-HUB", "R-OMIT"
+	sr := synthesizeResult("S9", sc, mask, known, muts, reqs)
+	if len(sr.Violated) != 2 || &sr.Violated[0] != &known[0] || cap(sr.Violated) != 2 {
+		t.Fatalf("row Violated %v (cap %d) does not share the known set clipped", sr.Violated, cap(sr.Violated))
+	}
+	if sr.Risk.Violations != 2 || sr.Risk.Severity != qual.High {
+		t.Fatalf("row risk %+v, want 2 violations at severity H", sr.Risk)
+	}
+
+	foreign := []string{"R-GONE", "R-HUB"}
+	sr = synthesizeResult("S9", sc, mask, foreign, muts, reqs)
+	if len(sr.Violated) != 1 || sr.Violated[0] != "R-HUB" || &sr.Violated[0] == &foreign[1] {
+		t.Fatalf("row Violated %v, want a fresh [R-HUB]", sr.Violated)
+	}
+	if sr.Risk.Violations != 1 {
+		t.Fatalf("row risk %+v, want 1 violation", sr.Risk)
 	}
 }

@@ -46,7 +46,7 @@ func refAnalyze(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Req
 		// The stream never skips, so the 1-based scenario ID is the
 		// stream position.
 		mask = appendMask(mask[:0], idx, maskLen)
-		out.Scenarios = append(out.Scenarios, scoreResult(processed, sc, mask, res, muts, reqs))
+		out.Scenarios = append(out.Scenarios, scoreResult(scenarioID(processed), sc, mask, res, muts, reqs))
 		processed++
 		return true
 	})

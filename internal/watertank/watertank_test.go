@@ -177,7 +177,7 @@ func TestEPAOverapproximatesPlant(t *testing.T) {
 		if !concreteR1 && !concreteR2 {
 			continue
 		}
-		res, err := eng.Run(sc)
+		res, err := eng.RunBudget(sc, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -219,7 +219,7 @@ func TestEPAFlagsTimedSensorLoss(t *testing.T) {
 		t.Fatal("expected concrete overflow")
 	}
 	sc := epa.Scenario{{Component: plant.CompLevelSensor, Fault: plant.FaultNoSignal}}
-	res, err := eng.Run(sc)
+	res, err := eng.RunBudget(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,7 +242,7 @@ func TestHierarchicalCompromiseChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	sc := epa.Scenario{{Component: "ews.email_client", Fault: plant.FaultCompromised}}
-	res, err := eng.Run(sc)
+	res, err := eng.RunBudget(sc, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

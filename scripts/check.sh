@@ -42,6 +42,12 @@ go test -race ./...
 echo "== go test -race -cpu=1,4 (epa, hazard, faults, store, solver, cegar, serve) =="
 go test -race -cpu=1,4 -count=1 ./internal/epa ./internal/hazard ./internal/faults ./internal/store ./internal/solver ./internal/cegar ./internal/serve
 
+# One iteration of the row-path benchmarks (the sweep row's stages,
+# Ranked, and Summarize on the sweep-star plant), so the benchmarks
+# behind the per-row numbers in EXPERIMENTS.md keep building and running.
+echo "== benchmark smoke (SweepRow, Summarize) =="
+go test -run '^$' -bench 'SweepRow|Summarize' -benchtime 1x ./internal/hazard ./internal/core
+
 # Differential corpus for delta re-assessment: ~20 scripted model edits,
 # each asserting the incremental report is byte-identical to a cold run
 # of the edited model, plus warm-hit and ASP session-migration checks.
