@@ -1217,7 +1217,9 @@ func BenchmarkS7_ServedWarmPath(b *testing.B) {
 	})
 
 	b.Run("served", func(b *testing.B) {
-		s, err := serve.New(serve.Options{Types: types, MaxCardinality: 1})
+		set := core.DefaultSettings()
+		set.MaxCardinality = 1
+		s, err := serve.New(serve.Options{Types: types, Settings: &set})
 		if err != nil {
 			b.Fatal(err)
 		}

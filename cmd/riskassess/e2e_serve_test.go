@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"flag"
 	"net/http"
 	"net/http/httptest"
 	"os"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"cpsrisk/internal/core"
 	"cpsrisk/internal/serve"
 	"cpsrisk/internal/sysmodel"
 )
@@ -114,107 +116,80 @@ func stripVolatile(s string) string {
 	return strings.Join(keep, "\n")
 }
 
-// TestServedReportMatchesCLIJSON: the service's JSON report for a model
-// is byte-identical to `riskassess -json` on the same model — same
-// configuration hash, same trace ID, same artifact-cache arming — once
-// wall-clock duration lines are stripped. This is the contract that lets
-// clients switch between the CLI and the service without re-parsing.
-func TestServedReportMatchesCLIJSON(t *testing.T) {
-	ts := startServer(t, serve.Options{MaxCardinality: 1})
-	served := serveReport(t, ts, "e2e-json", "/report")
+// checkServedMatchesCLI is the served-vs-CLI contract: a riskserve
+// whose settings come from flags, as the riskserve binary binds them,
+// serves the sample model's report byte-identical to `riskassess` run
+// with the same flags, the same trace ID and the same artifact-cache
+// arming, once wall-clock lines are stripped. text compares the text
+// report; otherwise the JSON one. This is what lets clients switch
+// between the CLI and the service without re-parsing.
+func checkServedMatchesCLI(t *testing.T, traceID string, text bool, flags ...string) {
+	t.Helper()
+	set := core.DefaultSettings()
+	fs := flag.NewFlagSet("riskserve", flag.ContinueOnError)
+	set.Bind(fs)
+	if err := fs.Parse(flags); err != nil {
+		t.Fatal(err)
+	}
+	ts := startServer(t, serve.Options{Settings: &set})
 
-	var cli bytes.Buffer
-	err := run([]string{
+	args := append([]string{
 		"-model", "../../models/sme-plant.json",
 		"-types", "../../models/types.json",
-		"-maxcard", "1",
-		"-json",
-		"-trace-id", "e2e-json",
+		"-trace-id", traceID,
 		"-artifact-cache",
-	}, &cli)
-	if err != nil {
+	}, flags...)
+	suffix := "/report"
+	if text {
+		suffix += "?format=text"
+	} else {
+		args = append(args, "-json")
+	}
+	served := serveReport(t, ts, traceID, suffix)
+	var cli bytes.Buffer
+	if err := run(args, &cli); err != nil {
 		t.Fatal(err)
 	}
 
 	got, want := stripVolatile(string(served)), stripVolatile(cli.String())
 	if got != want {
-		t.Errorf("served JSON report diverges from the CLI:\n--- served ---\n%s\n--- cli ---\n%s", got, want)
+		t.Errorf("served report (%d bytes) diverges from the CLI's (%d bytes) at %q:\n--- served ---\n%s\n--- cli ---\n%s",
+			len(served), cli.Len(), flags, got, want)
 	}
 }
 
-// TestServedReportMatchesCLIASP: same contract on the ASP path. The
-// service's defaults must leave the solver exactly as the CLI's do, so a
-// served ASP report carries the CLI's solver counters too.
+func TestServedReportMatchesCLIJSON(t *testing.T) {
+	checkServedMatchesCLI(t, "e2e-json", false, "-maxcard", "1")
+}
+
+// TestServedReportMatchesCLIASP: the service leaves the solver exactly
+// as the CLI does, so a served ASP report carries the CLI's solver
+// counters too.
 func TestServedReportMatchesCLIASP(t *testing.T) {
-	ts := startServer(t, serve.Options{MaxCardinality: 1, UseASP: true})
-	served := serveReport(t, ts, "e2e-asp", "/report")
-
-	var cli bytes.Buffer
-	err := run([]string{
-		"-model", "../../models/sme-plant.json",
-		"-types", "../../models/types.json",
-		"-maxcard", "1",
-		"-asp",
-		"-json",
-		"-trace-id", "e2e-asp",
-		"-artifact-cache",
-	}, &cli)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, want := stripVolatile(string(served)), stripVolatile(cli.String())
-	if got != want {
-		t.Errorf("served ASP JSON report diverges from the CLI:\n--- served ---\n%s\n--- cli ---\n%s", got, want)
-	}
+	checkServedMatchesCLI(t, "e2e-asp", false, "-maxcard", "1", "-asp")
 }
 
 // TestServedReportMatchesCLIBudgetZero: a mitigation budget of 0 means
 // the same to the service as to the CLI — the optimizer may spend
 // nothing — rather than being read as unlimited.
 func TestServedReportMatchesCLIBudgetZero(t *testing.T) {
-	ts := startServer(t, serve.Options{MaxCardinality: 1, Optimize: true, MitBudget: 0})
-	served := serveReport(t, ts, "e2e-budget0", "/report")
-
-	var cli bytes.Buffer
-	err := run([]string{
-		"-model", "../../models/sme-plant.json",
-		"-types", "../../models/types.json",
-		"-maxcard", "1",
-		"-budget", "0",
-		"-optimize",
-		"-json",
-		"-trace-id", "e2e-budget0",
-		"-artifact-cache",
-	}, &cli)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	got, want := stripVolatile(string(served)), stripVolatile(cli.String())
-	if got != want {
-		t.Errorf("served budget-0 report diverges from the CLI:\n--- served ---\n%s\n--- cli ---\n%s", got, want)
-	}
+	checkServedMatchesCLI(t, "e2e-budget0", false, "-maxcard", "1", "-budget", "0", "-optimize")
 }
 
-// TestServedReportMatchesCLIText: same contract for the text deliverable.
 func TestServedReportMatchesCLIText(t *testing.T) {
-	ts := startServer(t, serve.Options{MaxCardinality: 1})
-	served := serveReport(t, ts, "e2e-text", "/report?format=text")
+	checkServedMatchesCLI(t, "e2e-text", true, "-maxcard", "1")
+}
 
-	var cli bytes.Buffer
-	err := run([]string{
-		"-model", "../../models/sme-plant.json",
-		"-types", "../../models/types.json",
-		"-maxcard", "1",
-		"-artifact-cache",
-	}, &cli)
-	if err != nil {
-		t.Fatal(err)
-	}
+// TestServedReportMatchesCLIMaxCardZero: -maxcard 0 assesses the empty
+// scenario only, for the service as for the CLI, rather than being read
+// as the default cardinality.
+func TestServedReportMatchesCLIMaxCardZero(t *testing.T) {
+	checkServedMatchesCLI(t, "e2e-maxcard0", false, "-maxcard", "0")
+}
 
-	got, want := stripVolatile(string(served)), stripVolatile(cli.String())
-	if got != want {
-		t.Errorf("served text report diverges from the CLI:\n--- served ---\n%s\n--- cli ---\n%s", got, want)
-	}
+// TestServedReportMatchesCLITopZero: -top 0 renders every ranked
+// scenario in the served text report, as the flag's help says, rather
+// than the default 20.
+func TestServedReportMatchesCLITopZero(t *testing.T) {
+	checkServedMatchesCLI(t, "e2e-top0", true, "-top", "0")
 }

@@ -7,13 +7,15 @@
 //
 // Usage:
 //
-//	riskassess -model model.json -types types.json [-maxcard 2] [-asp]
-//	           [-optimize] [-budget N] [-mitigations M-0917,M-0949]
-//	           [-timeout 30s] [-max-decisions N] [-max-scenarios N]
-//	           [-parallel N] [-top N] [-trace out.json]
-//	           [-checkpoint dir] [-cache dir]
+//	riskassess -model model.json -types types.json [assessment flags]
+//	           [-json] [-dot out.dot] [-trace out.json] [-trace-id id]
+//	           [-checkpoint dir] [-shard i/m] [-artifact-cache]
 //	           [-delta old.json] [-watch [-watch-interval d] [-watch-max N]]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
+//
+// The assessment flags, shared with riskserve through core.Settings, are
+// -maxcard -asp -optimize -budget -mitigations -parallel -no-prune
+// -timeout -max-decisions -max-scenarios -cache -top.
 //
 // Repeat runs: -delta old.json assesses the older model first to warm an
 // in-process artifact cache, then assesses -model incrementally — only
@@ -44,7 +46,6 @@ import (
 	"time"
 
 	"cpsrisk/internal/artifact"
-	"cpsrisk/internal/budget"
 	"cpsrisk/internal/core"
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
@@ -55,6 +56,9 @@ import (
 	"cpsrisk/internal/sysmodel"
 )
 
+// runCore runs one assessment; tests swap it to capture the Config.
+var runCore = core.Run
+
 func main() {
 	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "riskassess:", err)
@@ -64,24 +68,14 @@ func main() {
 
 func run(args []string, stdout io.Writer) error {
 	fs := flag.NewFlagSet("riskassess", flag.ContinueOnError)
+	set := core.DefaultSettings()
+	set.Bind(fs)
 	modelPath := fs.String("model", "", "system model JSON (required)")
 	typesPath := fs.String("types", "", "component-type library JSON (required)")
-	maxCard := fs.Int("maxcard", 2, "maximum simultaneous activations (-1 = unbounded)")
-	useASP := fs.Bool("asp", false, "use the ASP engine for hazard identification")
-	doOpt := fs.Bool("optimize", false, "run mitigation cost-benefit optimization")
-	mitBudget := fs.Int("budget", -1, "mitigation budget (-1 = unlimited)")
-	mitigations := fs.String("mitigations", "", "comma-separated active mitigation IDs")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable JSON summary instead of text")
 	dotPath := fs.String("dot", "", "also write the model as GraphViz DOT to this file")
-	timeout := fs.Duration("timeout", 0, "wall-clock limit for the whole run (0 = none); partial results on expiry")
-	maxDecisions := fs.Int64("max-decisions", 0, "cap on ASP solver branching decisions (0 = unlimited)")
-	maxScenarios := fs.Int("max-scenarios", 0, "cap on analyzed scenarios (0 = unlimited)")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "scenario-sweep workers (1 = one worker; results are identical)")
-	topN := fs.Int("top", 20, "ranked scenarios to print (0 = all)")
-	noPrune := fs.Bool("no-prune", false, "disable sweep pruning (dominance skipping + symmetry orbits); every scenario runs through the EPA engine")
 	shard := fs.String("shard", "", "sweep one rank-range shard of the scenario space, as \"i/m\" (0-based index i of m shards); shards share -cache and merge via a final whole-space run")
 	checkpointDir := fs.String("checkpoint", "", "persist sweep checkpoints (and the result cache) in this directory; an interrupted run resumes from it")
-	cacheDir := fs.String("cache", "", "persist the EPA result cache in this directory (defaults to <checkpoint>/cache when -checkpoint is set)")
 	deltaOld := fs.String("delta", "", "assess this older model first to warm the artifact cache, then assess -model incrementally against it")
 	watch := fs.Bool("watch", false, "keep running and re-assess -model whenever the file changes; repeat runs resolve warm or delta from the artifact cache")
 	watchInterval := fs.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")
@@ -98,7 +92,12 @@ func run(args []string, stdout io.Writer) error {
 		fs.Usage()
 		return fmt.Errorf("-model and -types are required")
 	}
-	shardIndex, shardCount, err := parseShard(*shard)
+	base := set.Config()
+	base.MutationSources = faults.AllSources()
+	base.TraceID = *traceID
+	base.CheckpointDir = *checkpointDir
+	var err error
+	base.ShardIndex, base.ShardCount, err = parseShard(*shard)
 	if err != nil {
 		return err
 	}
@@ -136,42 +135,34 @@ func run(args []string, stdout io.Writer) error {
 	// (CPSRISK_FAULTS / CPSRISK_FAULT_SEED) so production invocations
 	// can't trip it by flag typo; unset env means a nil injector and
 	// nil-check-only overhead.
-	injector, err := faultinject.FromEnv()
+	base.Faults, err = faultinject.FromEnv()
 	if err != nil {
 		return err
 	}
 
-	types, err := loadTypes(*typesPath)
+	base.Types, err = loadTypes(*typesPath)
 	if err != nil {
 		return err
 	}
-	active := map[string]bool{}
-	if *mitigations != "" {
-		for _, id := range strings.Split(*mitigations, ",") {
-			active[strings.TrimSpace(id)] = true
-		}
-	}
-	knowledge := kb.MustDefaultKB()
+	base.KB = kb.MustDefaultKB()
 
 	// The artifact cache pays off only across runs inside one process, so
 	// it is armed exactly for the repeat-run modes.
-	var ac *artifact.Cache
 	if *watch || *deltaOld != "" || *artifactCache {
-		ac = artifact.New(0)
-		defer ac.Close()
+		base.ArtifactCache = artifact.New(0)
+		defer base.ArtifactCache.Close()
 	}
 
-	// assess loads and runs one model file. The type library and KB are
-	// shared across every run in this process — the artifact cache
-	// identifies them by pointer, so repeat runs must present the same
-	// instances to hash to the same configuration. Tracing is
-	// per-assessment: the trace file always holds the latest run.
+	// assess loads and runs one model file on base. The type library and
+	// KB in base are shared across every run in this process — the
+	// artifact cache identifies them by pointer, so repeat runs must
+	// present the same instances to hash to the same configuration.
+	// Tracing is per-assessment: the trace file always holds the latest run.
 	assess := func(path string) (*core.Assessment, *sysmodel.Model, error) {
-		var trace *obs.Trace
-		var metrics *obs.Registry
+		cfg := base
 		if *tracePath != "" {
-			trace = obs.New("assessment")
-			metrics = obs.NewRegistry()
+			cfg.Trace = obs.New("assessment")
+			cfg.Metrics = obs.NewRegistry()
 		}
 		model, err := loadModel(path)
 		if err != nil {
@@ -181,34 +172,9 @@ func run(args []string, stdout io.Writer) error {
 		if err != nil {
 			return nil, nil, err
 		}
-		a, err := core.Run(core.Config{
-			Model:             model,
-			Types:             types,
-			KB:                knowledge,
-			Requirements:      reqs,
-			MutationSources:   faults.AllSources(),
-			ActiveMitigations: active,
-			MaxCardinality:    *maxCard,
-			UseASP:            *useASP,
-			Optimize:          *doOpt,
-			Budget:            *mitBudget,
-			Parallelism:       *parallel,
-			TraceID:           *traceID,
-			Trace:             trace,
-			Metrics:           metrics,
-			CheckpointDir:     *checkpointDir,
-			CacheDir:          *cacheDir,
-			NoPrune:           *noPrune,
-			ShardIndex:        shardIndex,
-			ShardCount:        shardCount,
-			Faults:            injector,
-			ArtifactCache:     ac,
-			Resources: budget.Limits{
-				Timeout:      *timeout,
-				MaxDecisions: *maxDecisions,
-				MaxScenarios: *maxScenarios,
-			},
-		})
+		cfg.Model = model
+		cfg.Requirements = reqs
+		a, err := runCore(cfg)
 		return a, model, err
 	}
 
@@ -248,7 +214,7 @@ func run(args []string, stdout io.Writer) error {
 		if *jsonOut {
 			return a.WriteJSON(stdout)
 		}
-		fmt.Fprint(stdout, a.RenderFull(*topN))
+		fmt.Fprint(stdout, a.RenderFull(set.TopN))
 		return nil
 	}
 

@@ -8,12 +8,12 @@
 //
 // Usage:
 //
-//	riskserve -types types.json [-addr :8080] [-addr-file path]
-//	          [-maxcard 2] [-asp] [-optimize] [-budget N]
-//	          [-mitigations M-0917,M-0949] [-parallel N] [-no-prune]
-//	          [-timeout 30s] [-max-decisions N] [-max-scenarios N]
-//	          [-cache dir] [-artifact-cap N] [-job-workers N] [-top N]
+//	riskserve -types types.json [assessment flags] [-addr :8080]
+//	          [-addr-file path] [-artifact-cap N] [-job-workers N]
 //	          [-slo-window 168h] [-slo-threshold 5] [-drain-timeout 30s]
+//
+// The assessment flags are riskassess's, bound from core.Settings; they
+// apply to every job, and -parallel sizes one pool shared by all jobs.
 //
 // API:
 //
@@ -42,12 +42,10 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"strings"
 	"syscall"
 	"time"
 
-	"cpsrisk/internal/budget"
+	"cpsrisk/internal/core"
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/serve"
 	"cpsrisk/internal/sysmodel"
@@ -62,23 +60,13 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("riskserve", flag.ContinueOnError)
+	set := core.DefaultSettings()
+	set.Bind(fs)
 	addr := fs.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
 	addrFile := fs.String("addr-file", "", "write the bound address to this file once listening (for scripts)")
 	typesPath := fs.String("types", "", "component-type library JSON (required)")
-	maxCard := fs.Int("maxcard", 2, "maximum simultaneous activations (-1 = unbounded)")
-	useASP := fs.Bool("asp", false, "use the ASP engine for hazard identification")
-	doOpt := fs.Bool("optimize", false, "run mitigation cost-benefit optimization")
-	mitBudget := fs.Int("budget", -1, "mitigation budget (-1 = unlimited)")
-	mitigations := fs.String("mitigations", "", "comma-separated active mitigation IDs")
-	parallel := fs.Int("parallel", runtime.NumCPU(), "shared worker pool metering sweeps and oracle checks across all jobs")
-	noPrune := fs.Bool("no-prune", false, "disable sweep pruning")
-	timeout := fs.Duration("timeout", 0, "per-job wall-clock budget (0 = none); partial results on expiry")
-	maxDecisions := fs.Int64("max-decisions", 0, "per-job cap on ASP solver branching decisions (0 = unlimited)")
-	maxScenarios := fs.Int("max-scenarios", 0, "per-job cap on analyzed scenarios (0 = unlimited)")
-	cacheDir := fs.String("cache", "", "persist the EPA result cache in this directory across jobs")
 	artifactCap := fs.Int("artifact-cap", 0, "artifact cache entry cap (0 = default)")
 	jobWorkers := fs.Int("job-workers", 2, "concurrent assessment jobs")
-	topN := fs.Int("top", 20, "ranked scenarios in text reports (0 = all)")
 	sloWindow := fs.Duration("slo-window", serve.DefaultSLOWindow, "rolling window for the critical-event SLO")
 	sloThreshold := fs.Int("slo-threshold", serve.DefaultSLOThreshold, "critical events per window before /readyz flips")
 	drainTimeout := fs.Duration("drain-timeout", 30*time.Second, "grace period for in-flight jobs on shutdown")
@@ -100,13 +88,6 @@ func run(args []string) error {
 		return err
 	}
 
-	active := map[string]bool{}
-	if *mitigations != "" {
-		for _, id := range strings.Split(*mitigations, ",") {
-			active[strings.TrimSpace(id)] = true
-		}
-	}
-
 	// Fault injection arms from the environment only, like the CLI.
 	injector, err := faultinject.FromEnv()
 	if err != nil {
@@ -115,21 +96,8 @@ func run(args []string) error {
 
 	logger := serve.NewJSONLogger(os.Stderr)
 	s, err := serve.New(serve.Options{
-		Types:             types,
-		MaxCardinality:    *maxCard,
-		UseASP:            *useASP,
-		Optimize:          *doOpt,
-		MitBudget:         *mitBudget,
-		ActiveMitigations: active,
-		Parallelism:       *parallel,
-		NoPrune:           *noPrune,
-		Limits: budget.Limits{
-			Timeout:      *timeout,
-			MaxDecisions: *maxDecisions,
-			MaxScenarios: *maxScenarios,
-		},
-		CacheDir:     *cacheDir,
-		TopN:         *topN,
+		Types:        types,
+		Settings:     &set,
 		ArtifactCap:  *artifactCap,
 		JobWorkers:   *jobWorkers,
 		SLOWindow:    *sloWindow,

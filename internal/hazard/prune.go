@@ -228,11 +228,11 @@ func (p *pruner) lookup(mask, key []byte) (violated []string, v verdict, learns 
 	p.mu.RLock()
 	defer p.mu.RUnlock()
 	if p.dominance && len(p.reqs) > 0 && p.dominates(mask) {
-		return p.allViolated, dominated, p.learns(mask, key, p.allViolated)
+		return p.allViolated, dominated, p.newOrbit(key)
 	}
 	if key != nil {
 		if v, hit := p.orbits[string(key)]; hit {
-			return v, orbitHit, p.learns(mask, key, v)
+			return v, orbitHit, p.newViolation(mask, v)
 		}
 	}
 	return nil, unknown, false
@@ -261,7 +261,7 @@ func (p *pruner) record(mask, key []byte, violated []string) {
 		return
 	}
 	p.mu.RLock()
-	learns := p.learns(mask, key, violated)
+	learns := p.newViolation(mask, violated) || p.newOrbit(key)
 	p.mu.RUnlock()
 	if !learns {
 		return
@@ -286,10 +286,9 @@ func (p *pruner) record(mask, key []byte, violated []string) {
 	}
 }
 
-// learns reports whether record would change the pruning state: some
-// violation lacks a recorded violating subset, or the orbit is new. The
-// caller holds p.mu.
-func (p *pruner) learns(mask, key []byte, violated []string) bool {
+// newViolation reports whether some violation lacks a recorded
+// violating subset of mask. The caller holds p.mu.
+func (p *pruner) newViolation(mask []byte, violated []string) bool {
 	if p.dominance {
 		for _, id := range violated {
 			if i, ok := p.reqIdx[id]; ok && !hasViolatingSubset(p.violating[i], mask) {
@@ -297,12 +296,17 @@ func (p *pruner) learns(mask, key []byte, violated []string) bool {
 			}
 		}
 	}
-	if key != nil {
-		if _, seen := p.orbits[string(key)]; !seen {
-			return true
-		}
-	}
 	return false
+}
+
+// newOrbit reports whether key's orbit is not memoized yet (nil = a
+// singleton orbit, never memoized). The caller holds p.mu.
+func (p *pruner) newOrbit(key []byte) bool {
+	if key == nil {
+		return false
+	}
+	_, seen := p.orbits[string(key)]
+	return !seen
 }
 
 // seedFromCache warms the pruning state from every record already in

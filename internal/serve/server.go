@@ -7,7 +7,6 @@ import (
 	"io"
 	"log/slog"
 	"net/http"
-	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -25,9 +24,7 @@ import (
 	"cpsrisk/internal/sysmodel"
 )
 
-// Options configures a Server. The zero value plus Types is runnable:
-// nil/zero fields pick the same defaults the riskassess CLI uses, except
-// MitBudget, which reaches core.Config.Budget as given.
+// Options configures a Server. The zero value plus Types is runnable.
 type Options struct {
 	// Types is the component-type library every submitted model is
 	// validated against (required).
@@ -35,20 +32,13 @@ type Options struct {
 	// KB is the security knowledge base (nil = the built-in default).
 	KB *kb.KB
 
-	// Assessment configuration, mirroring the riskassess flags.
-	MaxCardinality    int // 0 = 2
-	UseASP            bool
-	Optimize          bool
-	MitBudget         int // negative = unlimited; 0 spends nothing (riskserve's -budget defaults to -1)
-	ActiveMitigations map[string]bool
-	Parallelism       int // 0 = NumCPU; also sizes the shared governor
-	NoPrune           bool
-	// Limits is the per-job resource budget (anytime degradation).
-	Limits budget.Limits
-	// CacheDir persists the EPA result cache across jobs (optional).
-	CacheDir string
-	// TopN bounds the ranked table in text reports (0 = 20).
-	TopN int
+	// Settings are every job's assessment settings, read as the
+	// riskassess flags are; nil means core.DefaultSettings(), so the zero
+	// Options assesses at MaxCardinality 2 with an unlimited budget. A
+	// zero field means what the zero flag means (Budget 0 spends nothing,
+	// TopN 0 renders every row): start from core.DefaultSettings().
+	// Parallelism also sizes the governor shared by all jobs.
+	Settings *core.Settings
 
 	// ArtifactCap is the LRU entry cap of the shared artifact cache
 	// (0 = the cache package default). The cache is shared by all
@@ -126,12 +116,6 @@ func New(opts Options) (*Server, error) {
 	if opts.KB == nil {
 		opts.KB = kb.MustDefaultKB()
 	}
-	if opts.MaxCardinality == 0 {
-		opts.MaxCardinality = 2
-	}
-	if opts.Parallelism <= 0 {
-		opts.Parallelism = runtime.NumCPU()
-	}
 	if opts.JobWorkers <= 0 {
 		opts.JobWorkers = 2
 	}
@@ -144,17 +128,19 @@ func New(opts Options) (*Server, error) {
 	if opts.MaxBodyBytes <= 0 {
 		opts.MaxBodyBytes = 8 << 20
 	}
-	if opts.TopN == 0 {
-		opts.TopN = 20
-	}
 	if opts.Logger == nil {
 		opts.Logger = NewJSONLogger(io.Discard)
 	}
+	settings := core.DefaultSettings()
+	if opts.Settings != nil {
+		settings = *opts.Settings // a copy: the caller may reuse theirs
+	}
+	opts.Settings = &settings
 	s := &Server{
 		opts:  opts,
 		log:   opts.Logger,
 		reg:   obs.NewRegistry(),
-		gov:   budget.NewGovernor(opts.Parallelism),
+		gov:   budget.NewGovernor(settings.Parallelism),
 		cache: artifact.New(opts.ArtifactCap),
 		slo:   NewSLOMonitor(opts.SLOWindow, opts.SLOThreshold, opts.Clock),
 		jobs:  make(map[string]*job),
@@ -439,7 +425,7 @@ func (s *Server) handleReport(w http.ResponseWriter, r *http.Request) {
 			view.Trace = nil
 			view.Metrics = nil
 		}
-		io.WriteString(w, view.RenderFull(s.opts.TopN)) //nolint:errcheck
+		io.WriteString(w, view.RenderFull(s.opts.Settings.TopN)) //nolint:errcheck
 		return
 	}
 	if full {
@@ -543,8 +529,7 @@ func (s *Server) runJob(j *job) {
 	// concurrent job; core reuses a governor installed in the context.
 	ctx = budget.ContextWithGovernor(ctx, s.gov)
 
-	trace := obs.New("assessment")
-	metrics := obs.NewRegistry()
+	cfg := s.JobConfig(j.model, j.reqs, j.traceID, j.tenant)
 
 	j.mu.Lock()
 	j.state = JobRunning
@@ -552,34 +537,13 @@ func (s *Server) runJob(j *job) {
 	j.cancel = cancel
 	j.mu.Unlock()
 
-	a, err := core.RunCtx(ctx, core.Config{
-		Model:             j.model,
-		Types:             s.opts.Types,
-		KB:                s.opts.KB,
-		Requirements:      j.reqs,
-		MutationSources:   faults.AllSources(),
-		ActiveMitigations: s.opts.ActiveMitigations,
-		MaxCardinality:    s.opts.MaxCardinality,
-		UseASP:            s.opts.UseASP,
-		Optimize:          s.opts.Optimize,
-		Budget:            s.opts.MitBudget,
-		Parallelism:       s.opts.Parallelism,
-		NoPrune:           s.opts.NoPrune,
-		CacheDir:          s.opts.CacheDir,
-		Resources:         s.opts.Limits,
-		TraceID:           j.traceID,
-		Tenant:            j.tenant,
-		Trace:             trace,
-		Metrics:           metrics,
-		ArtifactCache:     s.cache,
-		Faults:            s.opts.Injector,
-	})
+	a, err := core.RunCtx(ctx, cfg)
 
 	now := time.Now()
 	j.mu.Lock()
 	j.finished = now
 	j.assessment = a
-	j.traceSnap = trace.Snapshot()
+	j.traceSnap = cfg.Trace.Snapshot()
 	if err != nil {
 		j.state = JobFailed
 		j.errMsg = err.Error()
@@ -590,7 +554,7 @@ func (s *Server) runJob(j *job) {
 	j.mu.Unlock()
 	close(j.done)
 
-	snap := metrics.Snapshot()
+	snap := cfg.Metrics.Snapshot()
 	s.classify(j, a, err, snap)
 	// Fold the job's pipeline metrics (stage timings, sweep counters,
 	// store traffic) into the server-wide registry; the log2 buckets
@@ -607,6 +571,24 @@ func (s *Server) runJob(j *job) {
 		slog.Int64("durationMs", now.Sub(started).Milliseconds()),
 		slog.String("error", j.status().Error),
 	)
+}
+
+// JobConfig is the core.Config a job runs with: the server's settings
+// through core.Settings.Config, as riskassess does, plus the job's own.
+func (s *Server) JobConfig(model *sysmodel.Model, reqs []hazard.Requirement, traceID, tenant string) core.Config {
+	cfg := s.opts.Settings.Config()
+	cfg.Model = model
+	cfg.Types = s.opts.Types
+	cfg.KB = s.opts.KB
+	cfg.Requirements = reqs
+	cfg.MutationSources = faults.AllSources()
+	cfg.TraceID = traceID
+	cfg.Tenant = tenant
+	cfg.Trace = obs.New("assessment")
+	cfg.Metrics = obs.NewRegistry()
+	cfg.ArtifactCache = s.cache
+	cfg.Faults = s.opts.Injector
+	return cfg
 }
 
 // classify journals the job's outcome: completion counters, artifact

@@ -14,6 +14,7 @@ import (
 	"testing"
 	"time"
 
+	"cpsrisk/internal/core"
 	"cpsrisk/internal/obs"
 	"cpsrisk/internal/sysmodel"
 )
@@ -37,14 +38,22 @@ func loadTypes(t *testing.T) *sysmodel.TypeLibrary {
 	return types
 }
 
+// singleFaults is the default settings at MaxCardinality 1, the fast
+// test size.
+func singleFaults() *core.Settings {
+	set := core.DefaultSettings()
+	set.MaxCardinality = 1
+	return &set
+}
+
 // newTestServer builds a server with fast-test defaults; mutate tweaks
 // the options before construction.
 func newTestServer(t *testing.T, mutate func(*Options)) (*Server, *httptest.Server) {
 	t.Helper()
 	opts := Options{
-		Types:          loadTypes(t),
-		MaxCardinality: 1,
-		JobWorkers:     2,
+		Types:      loadTypes(t),
+		Settings:   singleFaults(),
+		JobWorkers: 2,
 	}
 	if mutate != nil {
 		mutate(&opts)
@@ -433,7 +442,7 @@ func TestAssessRejections(t *testing.T) {
 }
 
 func TestDrainRejectsNewWork(t *testing.T) {
-	s, err := New(Options{Types: loadTypes(t), MaxCardinality: 1})
+	s, err := New(Options{Types: loadTypes(t), Settings: singleFaults()})
 	if err != nil {
 		t.Fatal(err)
 	}

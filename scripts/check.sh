@@ -42,6 +42,13 @@ go test -race ./...
 echo "== go test -race -cpu=1,4 (epa, hazard, faults, store, solver, cegar, serve) =="
 go test -race -cpu=1,4 -count=1 ./internal/epa ./internal/hazard ./internal/faults ./internal/store ./internal/solver ./internal/cegar ./internal/serve
 
+# The served-vs-CLI report identity tests and the settings tests (one
+# core.Settings reaches the same core.Config and the same flags in both
+# front ends). A served/CLI divergence has shown only at a width of 2 or
+# more, so run them at both ends of the range too.
+echo "== go test -race -cpu=1,4 -run TestServedReportMatchesCLI|TestSettings (riskassess, riskserve) =="
+go test -race -cpu=1,4 -count=1 -run 'TestServedReportMatchesCLI|TestSettings' ./cmd/riskassess ./cmd/riskserve
+
 # One iteration of the row-path benchmarks (the sweep row's stages,
 # Ranked, and Summarize on the sweep-star plant), so the benchmarks
 # behind the per-row numbers in EXPERIMENTS.md keep building and running.
