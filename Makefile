@@ -37,7 +37,7 @@ fuzz:
 	./scripts/fuzz.sh
 
 # chaos runs the crash-safety battery with a fixed seed set: fault
-# injection at every site, store corruption/self-heal, the crash matrix
+# injection at every site, checkpoint corruption, the crash matrix
 # under -race -cpu=1,4, and a real kill-and-resume of the CLI binary.
 chaos:
 	./scripts/chaos.sh

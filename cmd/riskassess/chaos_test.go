@@ -21,7 +21,6 @@ func stripNondeterministic(s string) string {
 		switch {
 		case strings.Contains(line, "sweep:"),
 			strings.Contains(line, "assessed in"),
-			strings.Contains(line, "cache:"),
 			strings.Contains(line, "retries:"),
 			strings.Contains(line, "resumed from checkpoint"):
 			continue
@@ -61,7 +60,6 @@ func TestChaosResumeMatchesBaseline(t *testing.T) {
 		faultinject.SiteEPARun + "=panic@9",
 		faultinject.SiteEPARun + "=err@5",
 		faultinject.SiteEPARun + "=cancel@13",
-		faultinject.SiteStoreWrite + "=torn@1",
 		faultinject.SiteCheckpointWrite + "=torn@1",
 	} {
 		t.Run(spec, func(t *testing.T) {
@@ -89,9 +87,8 @@ func TestChaosResumeMatchesBaseline(t *testing.T) {
 	}
 }
 
-// TestResumeProvenanceInOutputs pins the satellite: a resumed, still
-// budget-capped run stamps its provenance into both the text report and
-// the JSON summary.
+// TestResumeProvenanceInOutputs: a resumed, still budget-capped run
+// stamps its provenance into both the text report and the JSON summary.
 func TestResumeProvenanceInOutputs(t *testing.T) {
 	// The cap charges executed scenarios only, so each resumed run
 	// advances the frontier by 5. The pruned sweep executes 17 of the 56
@@ -121,8 +118,7 @@ func TestResumeProvenanceInOutputs(t *testing.T) {
 	}
 	var sum struct {
 		Sweep *struct {
-			ResumedFromRank int   `json:"resumedFromRank"`
-			CacheHits       int64 `json:"cacheHits"`
+			ResumedFromRank int `json:"resumedFromRank"`
 		} `json:"sweep"`
 		Degradation []struct {
 			Detail string `json:"detail"`
@@ -134,9 +130,6 @@ func TestResumeProvenanceInOutputs(t *testing.T) {
 	if sum.Sweep == nil || sum.Sweep.ResumedFromRank == 0 {
 		t.Fatalf("JSON summary lacks resume provenance: %+v", sum.Sweep)
 	}
-	if sum.Sweep.CacheHits == 0 {
-		t.Fatal("resumed run should restore results from the cache")
-	}
 	found := false
 	for _, d := range sum.Degradation {
 		if strings.Contains(d.Detail, "resumed from checkpoint at rank") {
@@ -145,37 +138,5 @@ func TestResumeProvenanceInOutputs(t *testing.T) {
 	}
 	if !found {
 		t.Fatalf("JSON degradation detail lacks resume provenance: %+v", sum.Degradation)
-	}
-}
-
-// TestCacheFlagSpeedsSecondRun sanity-checks the standalone -cache flag:
-// a second run over the same inputs reports cache hits.
-func TestCacheFlagSpeedsSecondRun(t *testing.T) {
-	dir := t.TempDir()
-	base := []string{
-		"-model", "../../models/sme-plant.json",
-		"-types", "../../models/types.json",
-		"-maxcard", "2",
-		"-cache", dir,
-		"-json",
-	}
-	if err := run(base, io.Discard); err != nil {
-		t.Fatal(err)
-	}
-	var out bytes.Buffer
-	if err := run(base, &out); err != nil {
-		t.Fatal(err)
-	}
-	var sum struct {
-		Sweep *struct {
-			CacheHits   int64 `json:"cacheHits"`
-			CacheMisses int64 `json:"cacheMisses"`
-		} `json:"sweep"`
-	}
-	if err := json.Unmarshal(out.Bytes(), &sum); err != nil {
-		t.Fatal(err)
-	}
-	if sum.Sweep == nil || sum.Sweep.CacheHits == 0 || sum.Sweep.CacheMisses != 0 {
-		t.Fatalf("second -cache run stats: %+v", sum.Sweep)
 	}
 }

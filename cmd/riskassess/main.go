@@ -15,7 +15,7 @@
 //
 // The assessment flags, shared with riskserve through core.Settings, are
 // -maxcard -asp -optimize -budget -mitigations -parallel -no-prune
-// -timeout -max-decisions -max-scenarios -cache -top.
+// -timeout -max-decisions -max-scenarios -top.
 //
 // Repeat runs: -delta old.json assesses the older model first to warm an
 // in-process artifact cache, then assesses -model incrementally — only
@@ -34,6 +34,7 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -60,10 +61,18 @@ import (
 var runCore = core.Run
 
 func main() {
-	if err := run(os.Args[1:], os.Stdout); err != nil {
-		fmt.Fprintln(os.Stderr, "riskassess:", err)
-		os.Exit(1)
+	os.Exit(exitCode(run(os.Args[1:], os.Stdout), os.Stderr))
+}
+
+// exitCode reports err on stderr and returns the process status: 0 for
+// success and for -h/-help, whose usage the flag package has printed;
+// 1 for any other error.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
+	fmt.Fprintln(stderr, "riskassess:", err)
+	return 1
 }
 
 func run(args []string, stdout io.Writer) error {
@@ -74,8 +83,8 @@ func run(args []string, stdout io.Writer) error {
 	typesPath := fs.String("types", "", "component-type library JSON (required)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable JSON summary instead of text")
 	dotPath := fs.String("dot", "", "also write the model as GraphViz DOT to this file")
-	shard := fs.String("shard", "", "sweep one rank-range shard of the scenario space, as \"i/m\" (0-based index i of m shards); shards share -cache and merge via a final whole-space run")
-	checkpointDir := fs.String("checkpoint", "", "persist sweep checkpoints (and the result cache) in this directory; an interrupted run resumes from it")
+	shard := fs.String("shard", "", "sweep one rank-range shard of the scenario space, as \"i/m\" (0-based index i of m shards); the shards' rows together are the whole-space report")
+	checkpointDir := fs.String("checkpoint", "", "persist the sweep frontier in this directory; an interrupted or -max-scenarios-capped run resumes from it, sweeping the completed ranks again without charging them to the cap")
 	deltaOld := fs.String("delta", "", "assess this older model first to warm the artifact cache, then assess -model incrementally against it")
 	watch := fs.Bool("watch", false, "keep running and re-assess -model whenever the file changes; repeat runs resolve warm or delta from the artifact cache")
 	watchInterval := fs.Duration("watch-interval", 500*time.Millisecond, "poll interval for -watch")

@@ -30,7 +30,7 @@ func TestSettingsReachCLIAndServedConfig(t *testing.T) {
 		"-maxcard", "3", "-asp", "-optimize", "-budget", "7",
 		"-mitigations", "M-0917, M-0949", "-parallel", strconv.Itoa(runtime.NumCPU() + 1),
 		"-no-prune", "-timeout", "90s", "-max-decisions", "1234", "-max-scenarios", "56",
-		"-cache", t.TempDir(), "-top", "4",
+		"-top", "4",
 	}
 	set := core.DefaultSettings()
 	fs := flag.NewFlagSet("riskserve", flag.ContinueOnError)
@@ -144,4 +144,27 @@ func requireBinderFlags(t *testing.T, help string) {
 			t.Errorf("-h does not list -%s as the binder does:\n%s", f.Name, want.String())
 		}
 	})
+}
+
+// TestHelpExitsZero: -h and -help print the usage, which does not list
+// -cache, and exit 0; any other error, an unknown -cache included, exits
+// 1 with the error on stderr.
+func TestHelpExitsZero(t *testing.T) {
+	for _, arg := range []string{"-h", "-help"} {
+		var stderr strings.Builder
+		code := -1
+		help := stderrOf(t, func() { code = exitCode(run([]string{arg}, io.Discard), &stderr) })
+		if code != 0 || stderr.Len() != 0 {
+			t.Errorf("%s: exit %d, stderr %q", arg, code, stderr.String())
+		}
+		if !strings.Contains(help, "-model") || strings.Contains(help, "\n  -cache") {
+			t.Errorf("%s: usage lacks -model or lists -cache:\n%s", arg, help)
+		}
+	}
+	var stderr strings.Builder
+	code := -1
+	stderrOf(t, func() { code = exitCode(run([]string{"-cache", t.TempDir()}, io.Discard), &stderr) })
+	if code != 1 || !strings.Contains(stderr.String(), "riskassess: flag provided but not defined: -cache") {
+		t.Errorf("-cache: exit %d, stderr %q", code, stderr.String())
+	}
 }

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
 	"net"
 	"net/http"
@@ -52,10 +53,18 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
-		fmt.Fprintln(os.Stderr, "riskserve:", err)
-		os.Exit(1)
+	os.Exit(exitCode(run(os.Args[1:]), os.Stderr))
+}
+
+// exitCode reports err on stderr and returns the process status: 0 for
+// success and for -h/-help, whose usage the flag package has printed;
+// 1 for any other error.
+func exitCode(err error, stderr io.Writer) int {
+	if err == nil || errors.Is(err, flag.ErrHelp) {
+		return 0
 	}
+	fmt.Fprintln(stderr, "riskserve:", err)
+	return 1
 }
 
 func run(args []string) error {

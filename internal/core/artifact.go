@@ -68,7 +68,7 @@ type ArtifactInfo struct {
 // report. Libraries (types, behaviors, KB) are identified by pointer —
 // sound because cached entries pin them (artifact.Entry.Pins). Inputs
 // that change only wall-clock or effort statistics — Parallelism, the
-// timeout, tracing, cache/checkpoint directories — are deliberately
+// timeout, tracing, the checkpoint directory — are deliberately
 // excluded; deterministic caps that change the report's content are in.
 func cfgHash(cfg Config) uint64 {
 	h := fnv.New64a()

@@ -8,7 +8,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"time"
 
 	"cpsrisk/internal/artifact"
@@ -24,7 +23,6 @@ import (
 	"cpsrisk/internal/obs"
 	"cpsrisk/internal/optimize"
 	"cpsrisk/internal/solver"
-	"cpsrisk/internal/store"
 	"cpsrisk/internal/sysmodel"
 )
 
@@ -100,17 +98,12 @@ type Config struct {
 	// (sweep throughput, solver effort, CEGAR verdicts), snapshotted into
 	// Assessment.Metrics. Nil disables metrics collection.
 	Metrics *obs.Registry
-	// CacheDir, when set, persists EPA results across runs: the scenario
-	// sweep memoizes state vectors keyed by (engine hash, scenario), so a
-	// repeated assessment of the same plant skips completed propagation
-	// work. Corrupt cache state is quarantined and recomputed, never
-	// trusted and never fatal.
-	CacheDir string
 	// CheckpointDir, when set, makes the sweep crash-safe: the completion
 	// frontier is persisted there and the next run over identical inputs
-	// resumes instead of starting over, producing the identical report.
-	// Unless CacheDir is also set, the result cache lives under
-	// CheckpointDir/cache (resume requires the cache to restore results).
+	// resumes, producing the identical report. A resumed run sweeps the
+	// ranks below the frontier again in memory but does not charge them
+	// to Resources.MaxScenarios, so a capped run advances with each
+	// invocation.
 	CheckpointDir string
 	// NoPrune disables sweep pruning (dominance skipping and symmetry
 	// orbit replication). Pruning is on by default because it never
@@ -120,10 +113,11 @@ type Config struct {
 	NoPrune bool
 	// ShardIndex / ShardCount split the scenario space by global rank
 	// into ShardCount near-equal contiguous ranges and sweep only range
-	// ShardIndex (0-based). Shards share the result cache (and cache
-	// directory), so a final whole-space run merges their work without
-	// recomputation. ShardCount <= 1 sweeps the whole space. Sharding is
-	// a native-sweep feature and is rejected together with UseASP.
+	// ShardIndex (0-based). Scenario IDs derive from the global rank, so
+	// the shards' rows together are the whole-space report; a final
+	// whole-space run sweeps the space again. ShardCount <= 1 sweeps the
+	// whole space. Sharding is a native-sweep feature and is rejected
+	// together with UseASP.
 	ShardIndex, ShardCount int
 	// ArtifactCache, when non-nil, memoizes compiled pipeline artifacts
 	// (lowered model, EPA engine, finished analysis, grounded solver
@@ -446,30 +440,14 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 				return err
 			}
 		}
-		// Durability machinery: the persistent result cache and the sweep
-		// checkpoint. Both are best-effort — an unopenable directory
-		// degrades the run (recorded, sweep proceeds in-memory) rather
-		// than failing an otherwise sound assessment.
+		// Durability machinery: the sweep checkpoint. It is best-effort —
+		// an unopenable directory degrades the run (recorded, sweep
+		// proceeds without a checkpoint) rather than failing an otherwise
+		// sound assessment.
 		sweepCfg := hazard.SweepConfig{
 			Budget: b, Parallelism: cfg.Parallelism,
 			Prune:      !cfg.NoPrune,
 			ShardIndex: cfg.ShardIndex, ShardCount: cfg.ShardCount,
-		}
-		cacheDir := cfg.CacheDir
-		if cacheDir == "" && cfg.CheckpointDir != "" {
-			cacheDir = filepath.Join(cfg.CheckpointDir, "cache")
-		}
-		if cacheDir != "" {
-			cache, cerr := store.Open(cacheDir, hazard.SweepNamespace(eng, analyzed), store.Options{
-				Registry: cfg.Metrics,
-				Injector: b.Injector(),
-			})
-			if cerr != nil {
-				out.Degradation.Add("hazard", "cache-unavailable", cerr.Error())
-			} else {
-				defer cache.Close()
-				sweepCfg.Cache = cache
-			}
 		}
 		if cfg.CheckpointDir != "" {
 			ck, kerr := hazard.OpenCheckpointShard(cfg.CheckpointDir, 0, cfg.ShardIndex, cfg.ShardCount)

@@ -51,10 +51,6 @@ type SweepSummary struct {
 	Workers    int   `json:"workers"`
 	Scenarios  int   `json:"scenarios"`
 	DurationMS int64 `json:"durationMs"`
-	// CacheHits/CacheMisses report persistent result-cache traffic
-	// (omitted when the sweep ran without a cache).
-	CacheHits   int64 `json:"cacheHits,omitempty"`
-	CacheMisses int64 `json:"cacheMisses,omitempty"`
 	// Retries counts transient failures recovered in flight.
 	Retries int64 `json:"retries,omitempty"`
 	// ResumedFromRank is the checkpoint frontier the sweep resumed from
@@ -195,8 +191,6 @@ func (a *Assessment) Summarize() *Summary {
 			Workers:      sw.Workers,
 			Scenarios:    sw.Scenarios,
 			DurationMS:   sw.Duration.Milliseconds(),
-			CacheHits:    sw.CacheHits,
-			CacheMisses:  sw.CacheMisses,
 			Retries:      sw.Retries,
 			Executed:     sw.Executed,
 			Pruned:       sw.Pruned,

@@ -64,9 +64,6 @@ func (a *Assessment) Render() string {
 			fmt.Fprintf(&sb, ", %d row(s) reused from the cached parent", sw.Reused)
 		}
 		sb.WriteString("\n")
-		if sw.CacheHits+sw.CacheMisses > 0 {
-			fmt.Fprintf(&sb, "  cache: %d hits, %d misses\n", sw.CacheHits, sw.CacheMisses)
-		}
 		if sw.Retries > 0 {
 			fmt.Fprintf(&sb, "  retries: %d transient failure(s) recovered\n", sw.Retries)
 		}

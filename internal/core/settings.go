@@ -22,7 +22,6 @@ type Settings struct {
 	Parallelism       int
 	NoPrune           bool
 	Resources         budget.Limits
-	CacheDir          string
 	TopN              int
 }
 
@@ -57,7 +56,6 @@ func (s *Settings) Bind(fs *flag.FlagSet) {
 	fs.DurationVar(&s.Resources.Timeout, "timeout", s.Resources.Timeout, "wall-clock limit per assessment (0 = none); partial results on expiry")
 	fs.Int64Var(&s.Resources.MaxDecisions, "max-decisions", s.Resources.MaxDecisions, "cap on ASP solver branching decisions per assessment (0 = unlimited)")
 	fs.IntVar(&s.Resources.MaxScenarios, "max-scenarios", s.Resources.MaxScenarios, "cap on analyzed scenarios per assessment (0 = unlimited)")
-	fs.StringVar(&s.CacheDir, "cache", s.CacheDir, "persist the EPA result cache in this directory across runs and jobs")
 	fs.IntVar(&s.TopN, "top", s.TopN, "ranked scenarios in the text report (0 = all)")
 }
 
@@ -71,7 +69,6 @@ func (s *Settings) Config() Config {
 		Budget:            s.Budget,
 		Resources:         s.Resources,
 		Parallelism:       s.Parallelism,
-		CacheDir:          s.CacheDir,
 		NoPrune:           s.NoPrune,
 	}
 }

@@ -2,7 +2,6 @@ package epa
 
 import (
 	"encoding/binary"
-	"fmt"
 	"hash/fnv"
 	"sort"
 )
@@ -11,8 +10,8 @@ import (
 // interned port table, connection fan-out, transfer rules, fault seeds,
 // and the declared activation set. Two engines built from semantically
 // identical model + behaviour inputs hash identically, so the hash keys
-// the persistent EPA result cache — a model or behaviour edit changes
-// the hash and quietly invalidates every cached result.
+// the sweep checkpoint — a model or behaviour edit changes the hash and
+// quietly invalidates a saved frontier.
 func (e *Engine) Hash() uint64 {
 	h := fnv.New64a()
 	var buf [8]byte
@@ -82,37 +81,4 @@ func sortActivations(acts []Activation) {
 		}
 		return acts[i].Fault < acts[j].Fault
 	})
-}
-
-// StateVector serializes the result's per-port error states in the
-// engine's port-table order — one byte per port, the compact durable
-// form the persistent cache stores.
-func (r *Result) StateVector() []byte {
-	out := make([]byte, len(r.states))
-	for i, s := range r.states {
-		out[i] = byte(s)
-	}
-	return out
-}
-
-// ResultFromStates rebuilds a Result from a cached state vector. The
-// vector must be exactly one byte per engine port (a mismatch means the
-// cache entry belongs to a different engine compilation and is rejected).
-// Restored results answer every state query (PortState, ComponentState,
-// Affected, requirement conditions) identically to a fresh run; only the
-// propagation provenance is gone — Path returns nil, since causes are
-// recomputed, not cached.
-func (e *Engine) ResultFromStates(v []byte) (*Result, error) {
-	if len(v) != len(e.ports) {
-		return nil, fmt.Errorf("epa: state vector has %d ports, engine has %d", len(v), len(e.ports))
-	}
-	states := make([]ErrState, len(v))
-	for i, b := range v {
-		st := ErrState(b)
-		if !st.Leq(AnyError) {
-			return nil, fmt.Errorf("epa: state vector byte %d holds invalid state %#x", i, b)
-		}
-		states[i] = st
-	}
-	return &Result{eng: e, states: states}, nil
 }

@@ -41,10 +41,6 @@ const (
 	SiteSweepChunk = "hazard.chunk"
 	// SiteCheckpointWrite fires before the sweep frontier is persisted.
 	SiteCheckpointWrite = "hazard.checkpoint"
-	// SiteStoreWrite fires before a cache segment is written.
-	SiteStoreWrite = "store.write"
-	// SiteStoreRead fires on every cache lookup.
-	SiteStoreRead = "store.read"
 	// SiteOracle fires before every CEGAR oracle check.
 	SiteOracle = "cegar.oracle"
 	// SiteSolverWorker fires before a solver session's engine runs a
@@ -58,7 +54,7 @@ const (
 // chaos scripts).
 const (
 	// EnvSpec holds the injection spec, e.g.
-	// "hazard.chunk=panic@2,store.write=torn@1".
+	// "hazard.chunk=panic@2,hazard.checkpoint=torn@1".
 	EnvSpec = "CPSRISK_FAULTS"
 	// EnvSeed holds the integer seed for @r sites (default 1).
 	EnvSeed = "CPSRISK_FAULT_SEED"

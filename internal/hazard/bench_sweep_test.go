@@ -8,7 +8,6 @@ import (
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
-	"cpsrisk/internal/store"
 )
 
 func benchBudget(b *testing.B, inj *faultinject.Injector) *budget.Budget {
@@ -18,22 +17,11 @@ func benchBudget(b *testing.B, inj *faultinject.Injector) *budget.Budget {
 	return budget.New(faultinject.ContextWith(ctx, inj), budget.Limits{})
 }
 
-func benchCache(b *testing.B, eng *epa.Engine, muts []faults.Mutation) *store.Cache {
-	cache, err := store.Open(b.TempDir(), SweepNamespace(eng, muts), store.Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Cleanup(func() { cache.Close() })
-	return cache
-}
-
 // The crash-safety machinery advertises a nil-check-only cost when
-// disabled: a sweep with no cache, no checkpoint, and no injector must
-// run at the same speed it did before the machinery existed. These
-// benchmarks pin the three rungs of that ladder — compare
+// disabled: a sweep with no checkpoint and no injector must run at the
+// same speed it did before the machinery existed. Compare
 // BenchmarkSweepPlain against BenchmarkSweepInjectorArmed to see the
-// armed-but-missing cost, and against BenchmarkSweepCached to see what
-// a warm persistent cache buys.
+// armed-but-missing cost.
 
 func benchSweep(b *testing.B, cfg SweepConfig) {
 	eng, muts, reqs := setupWide(b, 8) // 256 scenarios
@@ -59,23 +47,6 @@ func BenchmarkSweepInjectorArmed(b *testing.B) {
 		b.Fatal(err)
 	}
 	benchSweep(b, SweepConfig{Parallelism: 4, Budget: benchBudget(b, inj)})
-}
-
-// BenchmarkSweepCached sweeps against a warm persistent cache: every
-// scenario is a hit, so this bounds the best-case resume cost.
-func BenchmarkSweepCached(b *testing.B) {
-	eng, muts, reqs := setupWide(b, 8)
-	cache := benchCache(b, eng, muts)
-	cfg := SweepConfig{Parallelism: 4, Cache: cache}
-	if _, err := AnalyzeSweep(eng, muts, -1, reqs, cfg); err != nil {
-		b.Fatal(err) // warm the cache
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := AnalyzeSweep(eng, muts, -1, reqs, cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // setupStar is the sweep-star plant of the repository benchmark:

@@ -5,38 +5,30 @@ import (
 	"fmt"
 	"hash/crc32"
 	"hash/fnv"
-	"math/bits"
 	"os"
 	"path/filepath"
 	"strings"
 
-	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
-	"cpsrisk/internal/store"
 )
 
 // Sweep checkpointing persists the frontier of a running scenario sweep
 // — the contiguous prefix of completed stream ranks — so an interrupted
 // or budget-truncated assessment resumes instead of starting over.
 //
-// Resume does NOT skip enumeration: the sweep replays from rank 0 and
-// the persistent result cache turns every already-completed scenario
-// into a lookup, which is what makes the resumed report byte-identical
-// to an uninterrupted run — every scenario is re-scored from the same
-// deterministic state vectors through the same code path. The frontier's
-// role is accounting: scenarios below it do not count against the
-// MaxScenarios budget (they were already paid for), so a budget-bounded
-// sweep makes forward progress on every resume.
+// Resume does NOT skip enumeration: the sweep runs again from rank 0 in
+// memory, which is what makes the resumed report byte-identical to an
+// uninterrupted run — every scenario is scored through the same
+// deterministic code path. The frontier's role is accounting: scenarios
+// below it do not count against the MaxScenarios budget (they were
+// already paid for), so a budget-bounded sweep makes forward progress
+// on every resume.
 //
-// Durability follows the store package's protocol: the checkpoint file
-// is published atomically (temp + fsync + rename), carries a CRC over
-// its payload, and a corrupt file is quarantined — the sweep then starts
-// from scratch rather than trusting a damaged frontier. Write-ahead
-// ordering holds between the two artifacts: the result cache is flushed
-// before the frontier that references it is persisted, so a crash
-// between the two leaves a frontier that under-promises, never one that
-// points at results that don't exist.
+// Durability: the checkpoint file is published atomically (temp +
+// fsync + rename + directory fsync, see atomicWrite), carries a CRC
+// over its payload, and a corrupt file is quarantined — the sweep then
+// starts from scratch rather than trusting a damaged frontier.
 
 const (
 	// ckptMagic heads the checkpoint file.
@@ -58,7 +50,7 @@ type ckptState struct {
 	ReqsHash   string `json:"reqsHash"`
 	MaxCard    int    `json:"maxCard"`
 	// Frontier is the contiguous count of completed stream ranks: every
-	// scenario with rank < Frontier has its result in the cache.
+	// scenario with rank < Frontier was analyzed by an earlier run.
 	Frontier int `json:"frontier"`
 	// Ranges breaks the frontier down per cardinality — redundant with
 	// Frontier but keeps the file self-describing for humans and tools.
@@ -191,7 +183,7 @@ func (ck *Checkpoint) save(st ckptState) error {
 			return fmt.Errorf("hazard: checkpoint: %w", err)
 		}
 	}
-	if err := store.AtomicWrite(path, data); err != nil {
+	if err := atomicWrite(path, data); err != nil {
 		return fmt.Errorf("hazard: checkpoint: %w", err)
 	}
 	return nil
@@ -294,11 +286,39 @@ func hashReqs(reqs []Requirement) uint64 {
 	return h.Sum64()
 }
 
-// SweepNamespace derives the result-cache namespace for one (engine,
-// candidate set) pair. Requirements are deliberately excluded: the cache
-// stores EPA state vectors, which do not depend on how they are scored.
-func SweepNamespace(eng *epa.Engine, muts []faults.Mutation) uint64 {
-	return eng.Hash() ^ bits.RotateLeft64(hashMuts(muts), 32)
-}
-
 func crcIEEE(b []byte) uint32 { return crc32.ChecksumIEEE(b) }
+
+// atomicWrite publishes data at path via the temp-file + fsync + rename
+// protocol. The deferred remove is the janitor: on any failure (or a
+// panic unwinding through) the temp file disappears; after a successful
+// rename it is a no-op.
+func atomicWrite(path string, data []byte) error {
+	dir := filepath.Dir(path)
+	f, err := os.CreateTemp(dir, filepath.Base(path)+".*.tmp")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	defer os.Remove(tmp)
+	if _, err := f.Write(data); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Sync(); err != nil {
+		f.Close()
+		return err
+	}
+	if err := f.Close(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp, path); err != nil {
+		return err
+	}
+	// Persist the rename itself: fsync the directory. Best-effort — some
+	// filesystems refuse directory fsync; the rename is still atomic.
+	if d, err := os.Open(dir); err == nil {
+		_ = d.Sync()
+		d.Close()
+	}
+	return nil
+}

@@ -14,7 +14,6 @@ import (
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/qual"
-	"cpsrisk/internal/store"
 	"cpsrisk/internal/sysmodel"
 )
 
@@ -110,8 +109,8 @@ func assertNoStrayTmp(t *testing.T, dir string) {
 
 // TestCrashMatrix is the tentpole proof: inject a fault at every site
 // the sweep crosses, let the run crash or degrade, then resume with the
-// same checkpoint + cache directories and demand the final report be
-// identical to an uninterrupted baseline.
+// same checkpoint directory and demand the final report be identical to
+// an uninterrupted baseline.
 func TestCrashMatrix(t *testing.T) {
 	eng, muts, reqs := setupWide(t, 6) // 64 scenarios, 2 chunks
 	baselineA, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 4})
@@ -128,29 +127,20 @@ func TestCrashMatrix(t *testing.T) {
 		faultinject.SiteEPARun + "=panic@r50",
 		faultinject.SiteSweepChunk + "=panic@1",
 		faultinject.SiteSweepChunk + "=err@2",
-		faultinject.SiteStoreWrite + "=torn@1",
-		faultinject.SiteStoreWrite + "=transient@1",
 		faultinject.SiteCheckpointWrite + "=torn@1",
 		faultinject.SiteCheckpointWrite + "=err@*",
-		faultinject.SiteStoreRead + "=err@r64",
 	}
-	ns := SweepNamespace(eng, muts)
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
 			dir := t.TempDir()
 			sweep := func(spec string) (*Analysis, error) {
-				cache, err := store.Open(filepath.Join(dir, "cache"), ns, store.Options{FlushEvery: 8})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cache.Close()
-				ck, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 8, 0, 1)
+				ck, err := OpenCheckpointShard(dir, 8, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				bud := chaosBudget(t, spec, budget.Limits{})
 				return AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{
-					Budget: bud, Parallelism: 4, Cache: cache, Checkpoint: ck,
+					Budget: bud, Parallelism: 4, Checkpoint: ck,
 				})
 			}
 
@@ -162,7 +152,7 @@ func TestCrashMatrix(t *testing.T) {
 			_ = err1
 			assertNoStrayTmp(t, dir)
 
-			// Run 2: the resume. No faults, same directories: the report
+			// Run 2: the resume. No faults, same directory: the report
 			// must be byte-identical to the uninterrupted baseline.
 			a2, err2 := sweep("")
 			if err2 != nil {
@@ -211,23 +201,17 @@ func TestBudgetTruncatedSweepMakesProgress(t *testing.T) {
 	want := projection(full)
 
 	dir := t.TempDir()
-	ns := SweepNamespace(eng, muts)
 	var a *Analysis
 	runs := 0
 	for ; runs < 10; runs++ {
-		cache, err := store.Open(filepath.Join(dir, "cache"), ns, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 4, 0, 1)
+		ck, err := OpenCheckpointShard(dir, 4, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a, err = AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{
 			Budget:      budget.New(context.Background(), budget.Limits{MaxScenarios: 20}),
-			Parallelism: 2, Cache: cache, Checkpoint: ck,
+			Parallelism: 2, Checkpoint: ck,
 		})
-		cache.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -252,36 +236,78 @@ func TestBudgetTruncatedSweepMakesProgress(t *testing.T) {
 	if got := projection(a); got != want {
 		t.Fatalf("converged report diverged:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	if a.Sweep.Restored == 0 || a.Sweep.CacheHits == 0 {
-		t.Fatalf("final run should restore from cache: %+v", a.Sweep)
+	if a.Sweep.Restored == 0 {
+		t.Fatalf("final run should resume from the checkpoint: %+v", a.Sweep)
 	}
 }
 
-// TestCacheReuseAcrossRuns: a second full sweep over the same inputs is
-// served from the cache and still produces the identical report.
-func TestCacheReuseAcrossRuns(t *testing.T) {
-	eng, muts, reqs := setupWide(t, 5)
+// TestResumeSweepsLikeAFreshRun: resuming a complete pruned checkpoint
+// sweeps the space again in memory, at width 1 doing exactly the work a
+// fresh pruned sweep does, and reports the same rows.
+func TestResumeSweepsLikeAFreshRun(t *testing.T) {
+	eng, muts, reqs := setupStar(t)
+	cfg := SweepConfig{Parallelism: 1, Prune: true}
+	fresh, err := AnalyzeSweep(eng, muts, starMaxCard, reqs, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
 	dir := t.TempDir()
-	ns := SweepNamespace(eng, muts)
-	run := func() *Analysis {
-		cache, err := store.Open(dir, ns, store.Options{})
+	for run := 0; run < 2; run++ {
+		ck, err := OpenCheckpointShard(dir, 0, 0, 1)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer cache.Close()
-		a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2, Cache: cache})
+		frontier := 0
+		if run == 1 {
+			if ck.loaded == nil || !ck.loaded.Complete || ck.loaded.Frontier != len(fresh.Scenarios) {
+				t.Fatalf("first run left no complete checkpoint over %d rows: %+v", len(fresh.Scenarios), ck.loaded)
+			}
+			frontier = ck.loaded.Frontier
+		}
+		cfg.Checkpoint = ck
+		a, err := AnalyzeSweep(eng, muts, starMaxCard, reqs, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return a
+		if got, want := projection(a), projection(fresh); got != want {
+			t.Fatalf("run %d: report diverged from a fresh pruned sweep", run)
+		}
+		if a.Sweep.Executed != fresh.Sweep.Executed {
+			t.Errorf("run %d executed %d scenarios, a fresh pruned sweep %d", run, a.Sweep.Executed, fresh.Sweep.Executed)
+		}
+		if a.Sweep.Restored != frontier {
+			t.Errorf("run %d: Sweep.Restored = %d, want the frontier %d", run, a.Sweep.Restored, frontier)
+		}
 	}
-	a1 := run()
-	a2 := run()
-	if projection(a1) != projection(a2) {
-		t.Fatal("cached rerun diverged")
+}
+
+// TestResumeKeepsFrontierWhenCutShort: a resumed run that fails while it
+// sweeps the ranks below its resume frontier again leaves the saved
+// frontier where it was, so the next resume loses no progress.
+func TestResumeKeepsFrontierWhenCutShort(t *testing.T) {
+	eng, muts, reqs := setupWide(t, 6) // 64 scenarios, 2 chunks
+	dir := t.TempDir()
+	sweep := func(spec string) (*Analysis, error) {
+		ck, err := OpenCheckpointShard(dir, 4, 0, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{
+			Budget: chaosBudget(t, spec, budget.Limits{}), Parallelism: 2, Checkpoint: ck,
+		})
 	}
-	if a1.Sweep.CacheHits != 0 || a2.Sweep.CacheMisses != 0 || a2.Sweep.CacheHits != 32 {
-		t.Fatalf("cache stats: run1 %+v run2 %+v", a1.Sweep, a2.Sweep)
+	if _, err := sweep(""); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := sweep(faultinject.SiteSweepChunk + "=err@1"); err == nil {
+		t.Fatal("the injected chunk fault did not fail the resumed run")
+	}
+	ck, err := OpenCheckpointShard(dir, 4, 0, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := ck.loaded; st == nil || !st.Complete || st.Frontier != 64 {
+		t.Fatalf("a failed resume rewrote the complete frontier: %+v", st)
 	}
 }
 

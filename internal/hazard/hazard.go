@@ -81,7 +81,8 @@ type Analysis struct {
 // ResumeInfo records that a sweep continued from a checkpoint.
 type ResumeInfo struct {
 	// FromRank is the stream rank the checkpoint certified complete;
-	// ranks below it were restored through the result cache.
+	// ranks below it were swept again but not charged to the
+	// MaxScenarios cap.
 	FromRank int `json:"fromRank"`
 }
 
@@ -93,23 +94,18 @@ type SweepStats struct {
 	Scenarios int
 	// Duration is the sweep wall-clock time.
 	Duration time.Duration
-	// CacheHits / CacheMisses count persistent result-cache lookups
-	// (both zero when the sweep ran without a cache).
-	CacheHits, CacheMisses int64
 	// Retries counts transient per-scenario failures recovered by the
 	// retry-with-backoff path.
 	Retries int64
 	// Restored is the checkpoint frontier the sweep resumed from
 	// (0 = fresh sweep).
 	Restored int
-	// Executed counts scenarios evaluated against a full EPA result —
-	// an engine run or a cached state vector. With neither pruning nor
-	// reuse and no truncation it equals Scenarios.
+	// Executed counts scenarios evaluated by an EPA engine run. With
+	// neither pruning nor reuse and no truncation it equals Scenarios.
 	Executed int64
 	// Pruned counts rows synthesized by dominance: the scenario had a
 	// recorded violating subset for every requirement, so its outcome
-	// was implied without an EPA run. Includes synthesized-result
-	// records restored from the persistent cache.
+	// was implied without an EPA run.
 	Pruned int64
 	// OrbitHits counts rows replicated from a symmetry-orbit sibling
 	// (an interchangeable-component permutation of an evaluated
@@ -233,7 +229,8 @@ func newRow(id string, sc epa.Scenario, mask []byte, muts []faults.Mutation, req
 }
 
 // appendMask renders a candidate-index combination as a bitmask over the
-// candidate set — the persistent cache key — into dst, which it returns.
+// candidate set — what newRow and the pruning index read — into dst,
+// which it returns.
 func appendMask(dst []byte, idx []int, maskLen int) []byte {
 	n := len(dst)
 	dst = append(dst, make([]byte, maskLen)...)

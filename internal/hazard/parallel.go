@@ -14,7 +14,6 @@ import (
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/obs"
-	"cpsrisk/internal/store"
 )
 
 // The sweep fans the scenario stream out to a worker pool and merges
@@ -34,10 +33,8 @@ import (
 // Only the epa.Engine is shared between workers; it is immutable after
 // construction and documented safe for concurrent Run calls.
 //
-// With a SweepConfig the sweep additionally becomes crash-safe: EPA
-// results are memoized in a persistent store.Cache keyed by (engine
-// hash, scenario bitmask), the contiguous completion frontier is
-// checkpointed (cache flushed first — write-ahead), transient failures
+// With a SweepConfig the sweep additionally becomes crash-safe: the
+// contiguous completion frontier is checkpointed, transient failures
 // are retried with backoff, and a worker panic degrades to a truncation
 // boundary instead of taking the process down.
 
@@ -66,8 +63,6 @@ type SweepConfig struct {
 	Budget *budget.Budget
 	// Parallelism sizes the worker pool (<= 0 = GOMAXPROCS).
 	Parallelism int
-	// Cache, when set, memoizes EPA state vectors across runs.
-	Cache *store.Cache
 	// Checkpoint, when set, persists the completion frontier and arms
 	// resume-from-checkpoint on the next run over the same inputs.
 	Checkpoint *Checkpoint
@@ -77,9 +72,9 @@ type SweepConfig struct {
 	Prune bool
 	// ShardIndex/ShardCount split the rank space into ShardCount
 	// contiguous balanced ranges; this sweep covers range ShardIndex
-	// (0-based). ShardCount <= 1 sweeps the whole space. Shards share a
-	// cache namespace, so a final whole-space run over the common cache
-	// directory merges their results without recomputation.
+	// (0-based). ShardCount <= 1 sweeps the whole space. Scenario IDs
+	// derive from the global rank, so the shards' rows together are the
+	// whole-space report; a final whole-space run sweeps them again.
 	ShardIndex, ShardCount int
 	// Reuse, when set, is the delta re-assessment oracle (see
 	// internal/artifact and core's delta path): it returns the known
@@ -131,23 +126,23 @@ type producerOutcome struct {
 // negative = unbounded) and evaluates every requirement on every scenario
 // with the native EPA engine, scoring scenario risk from the mutation
 // likelihoods and requirement severities. SweepConfig{Parallelism: 1}
-// (one worker, no budget, cache, pruning or sharding) is the exhaustive
+// (one worker, no budget, pruning or sharding) is the exhaustive
 // reference.
 //
 // It is the native sweep engine: a pool of cfg.Parallelism
 // workers (<= 0 uses runtime.GOMAXPROCS(0); 1 runs one producer and one
-// worker goroutine) sweeps the scenario space, with the optional
-// persistent result cache and checkpoint/resume. The output is
-// deterministic and independent of the pool size. Under a budget the
-// sweep degrades gracefully: scenarios stream in cardinality order, the
-// budget is polled per scenario (producer and workers), exhaustion drops
+// worker goroutine) sweeps the scenario space, with optional
+// checkpoint/resume. The output is deterministic and independent of the
+// pool size. Under a budget the sweep degrades gracefully: scenarios
+// stream in cardinality order, the budget is polled per scenario
+// (producer and workers), exhaustion drops
 // the in-flight cardinality and keeps every fully completed one (partial
 // cardinalities would bias the ranking toward lexicographically early
 // candidates), the skipped frontier is reported in Analysis.Truncation,
 // and MaxScenarios caps the analyzed prefix deterministically. A resumed
-// sweep replays enumeration from rank 0 — cached scenarios become
-// lookups, uncached ones recompute — so the final Analysis is identical
-// to an uninterrupted run; Analysis.Resume records the provenance.
+// sweep runs again from rank 0 in memory, so the final Analysis is
+// identical to an uninterrupted run; Analysis.Resume records the
+// provenance.
 func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Requirement, cfg SweepConfig) (*Analysis, error) {
 	parallelism := cfg.Parallelism
 	if parallelism <= 0 {
@@ -192,7 +187,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 
 	// Resume: a checkpoint whose hashes match this exact sweep yields the
 	// frontier rank below which scenarios are already paid for — they are
-	// replayed through the cache but exempt from the MaxScenarios cap.
+	// swept again but exempt from the MaxScenarios cap.
 	// A shard's floor is its range start, checkpoint or not. The hashes
 	// are only computed when a checkpoint will compare or save them.
 	resumeFrom := shardLo
@@ -203,20 +198,15 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		resumeFrom = max(cfg.Checkpoint.Resume(engHash, mutsHash, reqsHash, maxCard), shardLo)
 	}
 
-	// Cache keys are bitmasks over the candidate-set index; the candidate
-	// set is part of the cache namespace, so the index is stable.
+	// Each row carries a bitmask over the candidate-set index: the key
+	// of the pruning index and of the cap accountant.
 	maskLen := (len(muts) + 7) / 8
 
-	// Pruning state: dominance index, symmetry orbits, synthesized-result
-	// codec. nil when pruning is off — the hot path then pays nothing.
-	// With a persistent cache the dominance antichain and orbit memo are
-	// seeded from every record already on disk, so a shard starting
-	// mid-space (or any warm rerun) prunes from rank one instead of
-	// rediscovering its index from scratch.
+	// Pruning state: dominance index and symmetry orbits. nil when
+	// pruning is off — the hot path then pays nothing.
 	var pr *pruner
 	if cfg.Prune {
 		pr = newPruner(eng, muts, reqs)
-		pr.seedFromCache(cfg.Cache, eng, muts, maskLen)
 	}
 
 	// MaxScenarios accounting. A plain sweep charges every emitted rank
@@ -224,14 +214,14 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	// charge executed-equivalent work only — implied and reused rows are
 	// free, or a pruned run would truncate earlier than an exhaustive one
 	// despite doing less work. Which rows are implied is worker-timing-
-	// dependent, so the charge is decided by the merge instead: a shadow,
-	// UNSEEDED pruner replays the merged rows in contiguous rank order —
-	// the deterministic sequential-equivalent of the sweep — and the
+	// dependent, so the charge is decided by the merge instead: a shadow
+	// pruner replays the merged rows in contiguous rank order — the
+	// deterministic sequential-equivalent of the sweep — and the
 	// accountant raises the stop flag when the charge reaches the cap.
 	// The producer polls the flag; workers in flight overshoot by at most
 	// the pipeline depth, and the surplus rows fall above the
 	// accountant's truncation rank, which is deterministic across
-	// parallelism, cache state, and seeding.
+	// parallelism.
 	var acct *capAccountant
 	var prodStop atomic.Bool
 	if limits.MaxScenarios > 0 && (cfg.Prune || cfg.Reuse != nil) {
@@ -325,14 +315,14 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		produced <- producerOutcome{emitted: seq, trunc: trunc}
 	}()
 
-	// Workers: one EPA run (or cache lookup) plus requirement evaluation
-	// per scenario, against the shared immutable engine. A chunk stops at
-	// its first failure — everything after it would be discarded by the
-	// merge anyway. A panic anywhere in the chunk (including injected
+	// Workers: one EPA run plus requirement evaluation per scenario,
+	// against the shared immutable engine. A chunk stops at its first
+	// failure — everything after it would be discarded by the merge
+	// anyway. A panic anywhere in the chunk (including injected
 	// ones) is recovered into a chunk failure at the first unprocessed
 	// rank, so one poisoned scenario degrades the sweep instead of
 	// killing the process.
-	var cacheHits, cacheMisses, retries atomic.Int64
+	var retries atomic.Int64
 	var executed, prunedCnt, orbitHits, reused atomic.Int64
 	runChunk := func(jb sweepChunk, wCtx context.Context, keys *orbitScratch, ids *chunkIDs) (o sweepOutcome) {
 		o = sweepOutcome{baseSeq: jb.baseSeq, n: len(jb.scs), badSeq: -1, masks: jb.masks}
@@ -366,7 +356,6 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				o.trunc.Stamp(wCtx)
 				return o
 			}
-			var res *epa.Result
 			var key []byte
 			mask := jb.masks[i*maskLen : (i+1)*maskLen]
 			if pr != nil {
@@ -374,94 +363,55 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			}
 			// Delta re-assessment: a row the oracle can answer is carried
 			// over from the cached parent analysis without touching the
-			// engine. Reused rows feed the pruner and the persistent cache
-			// like synthesized ones, so in-sweep dominance and future runs
-			// both benefit.
+			// engine. Reused rows feed the pruner like synthesized ones.
 			if cfg.Reuse != nil {
 				if violated, known := cfg.Reuse(sc); known {
 					reused.Add(1)
 					if pr != nil {
 						pr.record(mask, key, violated)
-						if cfg.Cache != nil {
-							cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
-						}
 					}
 					o.srs = append(o.srs, synthesizeResult(ids.id(i), sc, mask, violated, muts, reqs))
 					continue
 				}
 			}
 			// Pruning: synthesize the row when the outcome is already
-			// implied — by dominance, by a symmetry orbit sibling, or by a
-			// synthesized-result record persisted by an earlier run.
+			// implied — by dominance or by a symmetry orbit sibling.
 			// Synthesized rows flow through the frontier and the merge
 			// exactly like executed ones.
 			if pr != nil {
-				violated, v, learns := pr.lookup(mask, key)
-				known := v != unknown
-				switch v {
-				case dominated:
-					prunedCnt.Add(1)
-				case orbitHit:
-					orbitHits.Add(1)
-				default:
-					if cfg.Cache != nil {
-						if b, ok := cfg.Cache.Get(synthKey(mask)); ok {
-							if violated, known = pr.decodeSynth(b); known {
-								cacheHits.Add(1)
-								prunedCnt.Add(1)
-								learns = true
-							}
-						}
+				if violated, v, learns := pr.lookup(mask, key); v != unknown {
+					if v == dominated {
+						prunedCnt.Add(1)
+					} else {
+						orbitHits.Add(1)
 					}
-				}
-				if known {
 					if learns {
 						pr.record(mask, key, violated)
-					}
-					if cfg.Cache != nil {
-						cfg.Cache.Put(synthKey(mask), pr.encodeSynth(violated))
 					}
 					o.srs = append(o.srs, synthesizeResult(ids.id(i), sc, mask, violated, muts, reqs))
 					continue
 				}
 			}
-			if cfg.Cache != nil {
-				if v, ok := cfg.Cache.Get(mask); ok {
-					if r, err := eng.ResultFromStates(v); err == nil {
-						res = r
-						cacheHits.Add(1)
-					}
-					// A shape mismatch means the entry belongs to another
-					// compilation; fall through and recompute.
+			var res *epa.Result
+			attempts := 0
+			err := faultinject.Retry(bud.Context(), sweepRetries, time.Millisecond, func() error {
+				attempts++
+				r, rerr := eng.RunBudget(sc, bud)
+				if rerr == nil {
+					res = r
 				}
-			}
-			if res == nil {
-				if cfg.Cache != nil {
-					cacheMisses.Add(1)
+				return rerr
+			})
+			retries.Add(int64(attempts - 1))
+			if err != nil {
+				o.badSeq = seq
+				if ex, ok := budget.Exhausted(err); ok {
+					o.trunc = &budget.Truncation{Stage: "hazard", Reason: ex.Reason}
+					o.trunc.Stamp(wCtx)
+				} else {
+					o.err = err
 				}
-				attempts := 0
-				err := faultinject.Retry(bud.Context(), sweepRetries, time.Millisecond, func() error {
-					attempts++
-					r, rerr := eng.RunBudget(sc, bud)
-					if rerr == nil {
-						res = r
-					}
-					return rerr
-				})
-				retries.Add(int64(attempts - 1))
-				if err != nil {
-					o.badSeq = seq
-					if ex, ok := budget.Exhausted(err); ok {
-						o.trunc = &budget.Truncation{Stage: "hazard", Reason: ex.Reason}
-						o.trunc.Stamp(wCtx)
-					} else {
-						o.err = err
-					}
-					return o
-				}
-				if cfg.Cache != nil {
-					cfg.Cache.Put(mask, res.StateVector())
-				}
+				return o
 			}
 			executed.Add(1)
 			sr := scoreResult(ids.id(i), sc, mask, res, muts, reqs)
@@ -509,9 +459,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	// Merge: collect chunk outcomes, advancing the contiguous completion
 	// frontier online and appending each frontier chunk's rows to the
 	// report — the rows past the frontier wait in chunks. Every
-	// checkpoint interval the result cache is flushed and THEN the
-	// frontier persisted — write-ahead ordering, so a crash between the
-	// two leaves a frontier that under-promises.
+	// checkpoint interval the frontier is persisted.
 	chunks := map[int]sweepOutcome{}
 	var rows []ScenarioResult
 	if size, ok := faults.SpaceSize(len(muts), maxCard); ok {
@@ -520,7 +468,13 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		}
 	}
 	frontier := shardLo
+	// A resumed run sweeps the ranks below its resume frontier again;
+	// saving a frontier below it would undo the progress an earlier run
+	// made, so saves start above it.
 	lastSaved := -1
+	if resumeFrom > shardLo {
+		lastSaved = resumeFrom
+	}
 	saveFrontier := func(complete bool) {
 		// The frontier persisted never exceeds the accountant's
 		// truncation rank: rows the overshooting pipeline completed above
@@ -530,12 +484,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		if acct != nil && acct.cut < front {
 			front = acct.cut
 		}
-		if cfg.Checkpoint == nil || front == lastSaved && !complete {
-			return
-		}
-		if err := cfg.Cache.Flush(); err != nil {
-			// An unflushed cache makes the frontier a lie; keep the old
-			// checkpoint rather than persisting an over-promise.
+		if cfg.Checkpoint == nil || front <= lastSaved && !complete {
 			return
 		}
 		st := ckptState{
@@ -661,8 +610,6 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		Workers:      parallelism,
 		Scenarios:    len(out.Scenarios),
 		Duration:     time.Since(start),
-		CacheHits:    cacheHits.Load(),
-		CacheMisses:  cacheMisses.Load(),
 		Retries:      retries.Load(),
 		Restored:     restored,
 		Executed:     executed.Load(),
@@ -699,8 +646,7 @@ func appendScenario(slab []epa.Activation, muts []faults.Mutation, idx []int) ([
 // sibling; every other row charges one unit. The first charged row past
 // the limit fixes cut — the exclusive truncation rank — and raises the
 // producer stop flag. Because its inputs (row content, rank order, the
-// oracle) are deterministic, the cut is identical across parallelism,
-// cache warmth, and worker-pruner seeding.
+// oracle) are deterministic, the cut is identical across parallelism.
 type capAccountant struct {
 	limit      int
 	resumeFrom int

@@ -25,13 +25,6 @@ package hazard
 //     first orbit member encountered executes; the rest replicate its
 //     violated set. Orbit replication is sound on any engine — it does
 //     not need monotonicity.
-//
-// Synthesized rows are also persisted to the result cache as
-// synthesized-result records (scenario mask + 'S' suffix, payload =
-// requirement-set hash + violated bitmap) so a resumed or re-run sweep
-// restores them as cache hits exactly like executed rows — checkpoint
-// frontier and cache semantics are identical for pruned and executed
-// ranks.
 
 import (
 	"encoding/binary"
@@ -44,13 +37,7 @@ import (
 
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faults"
-	"cpsrisk/internal/store"
 )
-
-// synthSuffix terminates a synthesized-result cache key. Scenario-mask
-// keys are exactly maskLen bytes, synthesized keys maskLen+1, so the two
-// record kinds cannot collide inside one namespace.
-const synthSuffix = byte('S')
 
 // pruner holds the in-memory pruning state of one sweep. All methods
 // are safe for concurrent use by the sweep workers.
@@ -58,7 +45,6 @@ type pruner struct {
 	reqs        []Requirement
 	reqIdx      map[string]int
 	allViolated []string // every requirement ID, sorted
-	reqsHash    uint64
 
 	// dominance is armed only when both the engine and every condition
 	// are monotone.
@@ -81,7 +67,6 @@ func newPruner(eng *epa.Engine, muts []faults.Mutation, reqs []Requirement) *pru
 	p := &pruner{
 		reqs:      reqs,
 		reqIdx:    make(map[string]int, len(reqs)),
-		reqsHash:  hashReqs(reqs),
 		dominance: eng.Monotone(),
 		cands:     make([]orbitCand, len(muts)),
 		violating: make([][]string, len(reqs)),
@@ -309,84 +294,6 @@ func (p *pruner) newOrbit(key []byte) bool {
 	return !seen
 }
 
-// seedFromCache warms the pruning state from every record already in
-// the persistent result cache: synthesized-result records decode to
-// their violated sets directly; state-vector records re-evaluate the
-// requirements against the restored EPA result. A rank-range shard
-// starting past the low-cardinality ranks thereby inherits the minimal
-// violating masks earlier shards (or runs) discovered, instead of
-// rediscovering nothing — the cross-shard dominance-starvation fix.
-// Seeding only ever adds facts that are true of this exact engine and
-// requirement set (the cache namespace binds the engine and candidate
-// set; synth payloads bind the requirement hash), so it cannot change a
-// reported byte — only how many scenarios execute. Returns the number
-// of records seeded.
-func (p *pruner) seedFromCache(c *store.Cache, eng *epa.Engine, muts []faults.Mutation, maskLen int) int {
-	if c == nil || maskLen == 0 {
-		return 0
-	}
-	seeded := 0
-	var keys orbitScratch
-	c.Range(func(k, v []byte) bool {
-		var mask []byte
-		var violated []string
-		switch len(k) {
-		case maskLen + 1: // synthesized-result record
-			if k[maskLen] != synthSuffix {
-				return true
-			}
-			var ok bool
-			if violated, ok = p.decodeSynth(v); !ok {
-				return true
-			}
-			mask = k[:maskLen]
-		case maskLen: // executed state-vector record
-			res, err := eng.ResultFromStates(v)
-			if err != nil {
-				return true
-			}
-			sc, ok := scenarioFromMask(k, muts)
-			if !ok {
-				return true
-			}
-			for _, r := range p.reqs {
-				if Eval(r.Condition, sc, res) {
-					violated = append(violated, r.ID)
-				}
-			}
-			sort.Strings(violated)
-			mask = k
-		default:
-			return true
-		}
-		if _, ok := scenarioFromMask(mask, muts); !ok {
-			return true
-		}
-		p.record(mask, p.orbitKey(mask, &keys), violated)
-		seeded++
-		return true
-	})
-	return seeded
-}
-
-// scenarioFromMask reconstructs the scenario a cache mask denotes: the
-// activations of the set bits in candidate-set order — exactly how the
-// enumerator builds it. ok is false when the mask has bits outside the
-// candidate set (a record from an incompatible writer).
-func scenarioFromMask(mask []byte, muts []faults.Mutation) (epa.Scenario, bool) {
-	sc := epa.Scenario{}
-	set := 0
-	for _, b := range mask {
-		set += bits.OnesCount8(b)
-	}
-	for i := range muts {
-		if mask[i/8]&(1<<(i%8)) != 0 {
-			sc = append(sc, muts[i].Activation)
-		}
-	}
-	return sc, len(sc) == set
-}
-
 // orbitCand places one candidate in the symmetry classes: the class of
 // its component (-1 = unclassed), the component's member slot in the
 // class, and the fault's index in the class's shared mutation profile.
@@ -549,42 +456,6 @@ func insertMinimalMask(recorded []string, m string) []string {
 		return kept
 	}
 	return append(kept, m)
-}
-
-// synthKey derives the synthesized-result cache key from a scenario
-// mask.
-func synthKey(mask []byte) []byte {
-	return append(append(make([]byte, 0, len(mask)+1), mask...), synthSuffix)
-}
-
-// encodeSynth renders a synthesized-result payload: the requirement-set
-// hash (synthesized rows, unlike EPA state vectors, DO depend on the
-// requirements) followed by the violated bitmap in requirement order.
-func (p *pruner) encodeSynth(violated []string) []byte {
-	out := make([]byte, 8+(len(p.reqs)+7)/8)
-	binary.BigEndian.PutUint64(out, p.reqsHash)
-	for _, id := range violated {
-		if i, ok := p.reqIdx[id]; ok {
-			out[8+i/8] |= 1 << (i % 8)
-		}
-	}
-	return out
-}
-
-// decodeSynth parses a synthesized-result payload, rejecting records
-// written under a different requirement set.
-func (p *pruner) decodeSynth(b []byte) ([]string, bool) {
-	if len(b) != 8+(len(p.reqs)+7)/8 || binary.BigEndian.Uint64(b) != p.reqsHash {
-		return nil, false
-	}
-	var violated []string
-	for i, r := range p.reqs {
-		if b[8+i/8]&(1<<(i%8)) != 0 {
-			violated = append(violated, r.ID)
-		}
-	}
-	sort.Strings(violated)
-	return violated, true
 }
 
 // synthesizeResult builds the ScenarioResult a full evaluation would

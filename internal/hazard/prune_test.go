@@ -3,7 +3,6 @@ package hazard
 import (
 	"context"
 	"fmt"
-	"path/filepath"
 	"strings"
 	"testing"
 
@@ -12,7 +11,6 @@ import (
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/qual"
-	"cpsrisk/internal/store"
 	"cpsrisk/internal/sysmodel"
 )
 
@@ -174,13 +172,21 @@ func TestPrunedMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestPrunedSweepSkipsWork pins the point of the tentpole: on a
-// redundant plant most scenarios are synthesized, not simulated.
+// TestPrunedSweepSkipsWork pins the point of pruning: on a redundant
+// plant most scenarios are synthesized, not simulated, and the report is
+// the exhaustive one.
 func TestPrunedSweepSkipsWork(t *testing.T) {
 	eng, muts, reqs := setupSymmetric(t, 5)
 	a, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{Parallelism: 2, Prune: true})
 	if err != nil {
 		t.Fatal(err)
+	}
+	exhaustive, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{Parallelism: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if projection(a) != projection(exhaustive) {
+		t.Fatal("pruned report diverged from the exhaustive sweep")
 	}
 	sw := a.Sweep
 	if sw.Pruned == 0 {
@@ -290,42 +296,11 @@ func TestMonotonicityContract(t *testing.T) {
 	}
 }
 
-// TestSynthRecordsRestoreAcrossRuns: a pruned sweep persists
-// synthesized rows as first-class cache records, so a re-run restores
-// every row — executed or synthesized — without a single miss.
-func TestSynthRecordsRestoreAcrossRuns(t *testing.T) {
-	eng, muts, reqs := setupSymmetric(t, 4)
-	dir := t.TempDir()
-	ns := SweepNamespace(eng, muts)
-	run := func() *Analysis {
-		cache, err := store.Open(dir, ns, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer cache.Close()
-		a, err := AnalyzeSweep(eng, muts, 2, reqs, SweepConfig{Parallelism: 2, Cache: cache, Prune: true})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
-	}
-	a1 := run()
-	a2 := run()
-	if projection(a1) != projection(a2) {
-		t.Fatal("pruned cached rerun diverged")
-	}
-	if a2.Sweep.CacheMisses != 0 {
-		t.Fatalf("second pruned run missed the cache %d times: %+v", a2.Sweep.CacheMisses, a2.Sweep)
-	}
-	if a2.Sweep.CacheHits == 0 {
-		t.Fatalf("second pruned run never hit the cache: %+v", a2.Sweep)
-	}
-}
-
-// TestCrashResumeWithPruning extends the PR 6 crash matrix: kill a
-// PRUNED sweep mid-flight at the nastiest sites, resume with the same
-// directories, and demand byte-identity with an uninterrupted pruned
-// run (which TestPrunedMatchesExhaustive ties to the exhaustive one).
+// TestCrashResumeWithPruning extends the crash matrix: kill a PRUNED
+// sweep mid-flight at the nastiest sites, resume with the same
+// checkpoint directory, and demand byte-identity with an uninterrupted
+// pruned run (which TestPrunedMatchesExhaustive ties to the exhaustive
+// one).
 func TestCrashResumeWithPruning(t *testing.T) {
 	eng, muts, reqs := setupSymmetric(t, 4) // 2^9 = 512 scenarios unbounded; k=3 keeps it quick
 	baselineA, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{Parallelism: 4, Prune: true})
@@ -333,30 +308,23 @@ func TestCrashResumeWithPruning(t *testing.T) {
 		t.Fatal(err)
 	}
 	baseline := projection(baselineA)
-	ns := SweepNamespace(eng, muts)
 	specs := []string{
 		faultinject.SiteEPARun + "=panic@3",
 		faultinject.SiteEPARun + "=cancel@5",
 		faultinject.SiteSweepChunk + "=err@2",
-		faultinject.SiteStoreWrite + "=torn@1",
 		faultinject.SiteCheckpointWrite + "=torn@1",
 	}
 	for _, spec := range specs {
 		t.Run(spec, func(t *testing.T) {
 			dir := t.TempDir()
 			sweep := func(spec string) (*Analysis, error) {
-				cache, err := store.Open(filepath.Join(dir, "cache"), ns, store.Options{FlushEvery: 8})
-				if err != nil {
-					t.Fatal(err)
-				}
-				defer cache.Close()
-				ck, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 8, 0, 1)
+				ck, err := OpenCheckpointShard(dir, 8, 0, 1)
 				if err != nil {
 					t.Fatal(err)
 				}
 				bud := chaosBudget(t, spec, budget.Limits{})
 				return AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{
-					Budget: bud, Parallelism: 4, Cache: cache, Checkpoint: ck, Prune: true,
+					Budget: bud, Parallelism: 4, Checkpoint: ck, Prune: true,
 				})
 			}
 			a1, err1 := sweep(spec)
@@ -379,8 +347,7 @@ func TestCrashResumeWithPruning(t *testing.T) {
 
 // TestShardedSweepPartitionsAndMerges: m shard runs cover the space
 // exactly once with globally consistent IDs, and a follow-up
-// whole-space run over the shared cache merges their results without
-// recomputing anything.
+// whole-space run, which sweeps the space again, reports their union.
 func TestShardedSweepPartitionsAndMerges(t *testing.T) {
 	eng, muts, reqs := setupWide(t, 6) // 64 scenarios
 	baselineA, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2})
@@ -392,19 +359,12 @@ func TestShardedSweepPartitionsAndMerges(t *testing.T) {
 		baseRows = append(baseRows, fmt.Sprintf("%s|%s|%v|%+v", s.ID, s.Scenario.Key(), s.Violated, s.Risk))
 	}
 
-	dir := t.TempDir()
-	ns := SweepNamespace(eng, muts)
 	const shards = 3
 	var gotRows []string
 	for i := 0; i < shards; i++ {
-		cache, err := store.Open(dir, ns, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
 		a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{
-			Parallelism: 2, Cache: cache, ShardIndex: i, ShardCount: shards,
+			Parallelism: 2, ShardIndex: i, ShardCount: shards,
 		})
-		cache.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -420,22 +380,14 @@ func TestShardedSweepPartitionsAndMerges(t *testing.T) {
 			strings.Join(gotRows, "\n"), strings.Join(baseRows, "\n"))
 	}
 
-	// Merge: the whole-space run over the shared cache is byte-identical
-	// and recomputes nothing.
-	cache, err := store.Open(dir, ns, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer cache.Close()
-	merged, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2, Cache: cache})
+	// Merge: a pruned whole-space run reports the shards' union
+	// byte-identically.
+	merged, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2, Prune: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if projection(merged) != projection(baselineA) {
 		t.Fatal("merged report diverged from baseline")
-	}
-	if merged.Sweep.CacheMisses != 0 || merged.Sweep.CacheHits == 0 {
-		t.Fatalf("merge recomputed scenarios: %+v", merged.Sweep)
 	}
 }
 
@@ -477,24 +429,18 @@ func TestShardCheckpointResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	dir := t.TempDir()
-	ns := SweepNamespace(eng, muts)
 	var a *Analysis
 	runs := 0
 	for ; runs < 10; runs++ {
-		cache, err := store.Open(filepath.Join(dir, "cache"), ns, store.Options{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		ck, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 4, 1, 2)
+		ck, err := OpenCheckpointShard(dir, 4, 1, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
 		a, err = AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{
 			Budget:      budget.New(context.Background(), budget.Limits{MaxScenarios: 10}),
-			Parallelism: 2, Cache: cache, Checkpoint: ck,
+			Parallelism: 2, Checkpoint: ck,
 			ShardIndex: 1, ShardCount: 2,
 		})
-		cache.Close()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -525,8 +471,12 @@ func TestShardCheckpointResume(t *testing.T) {
 	}
 	// The whole-space checkpoint file name stays free for a whole-space
 	// sweep; the shard used its own.
-	if _, err := OpenCheckpointShard(filepath.Join(dir, "ckpt"), 4, 0, 1); err != nil {
+	whole, err := OpenCheckpointShard(dir, 4, 0, 1)
+	if err != nil {
 		t.Fatal(err)
+	}
+	if whole.loaded != nil {
+		t.Fatalf("the shard wrote the whole-space checkpoint: %+v", whole.loaded)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 
 	"cpsrisk/internal/budget"
 	"cpsrisk/internal/epa"
-	"cpsrisk/internal/store"
 )
 
 // oracleFrom builds a Reuse oracle answering from a finished analysis,
@@ -154,109 +153,25 @@ func TestCapChargesExecutedOnly(t *testing.T) {
 	}
 }
 
-// TestCapDeterministicAcrossParallelismAndWarmth: the shadow accountant
-// makes the cap's truncation rank a pure function of the stream, so the
-// capped pruned report is byte-identical across worker counts and cache
-// warmth.
-func TestCapDeterministicAcrossParallelismAndWarmth(t *testing.T) {
+// TestCapDeterministicAcrossParallelism: the shadow accountant makes the
+// cap's truncation rank a pure function of the stream, so the capped
+// pruned report is byte-identical across worker counts.
+func TestCapDeterministicAcrossParallelism(t *testing.T) {
 	eng, muts, reqs := setupSymmetric(t, 5)
-	dir := t.TempDir()
-	ns := SweepNamespace(eng, muts)
-	run := func(par int, withCache bool) string {
-		cfg := SweepConfig{
+	run := func(par int) string {
+		a, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{
 			Parallelism: par, Prune: true,
 			Budget: budget.New(context.Background(), budget.Limits{MaxScenarios: 25}),
-		}
-		if withCache {
-			cache, err := store.Open(dir, ns, store.Options{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer cache.Close()
-			cfg.Cache = cache
-		}
-		a, err := AnalyzeSweep(eng, muts, 3, reqs, cfg)
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return projection(a)
 	}
-	want := run(1, false)
-	if got := run(4, false); got != want {
-		t.Fatal("capped pruned report varies with parallelism")
-	}
-	if got := run(2, true); got != want { // cold cache
-		t.Fatal("capped pruned report varies with a cache attached")
-	}
-	if got := run(2, true); got != want { // warm cache + seeded pruner
-		t.Fatal("capped pruned report varies with cache warmth")
-	}
-}
-
-// TestSeedFromCache is the cross-shard dominance-starvation fix: a
-// mid-space shard seeded from the cache records of earlier shards prunes
-// from rank one instead of rediscovering its dominance index.
-func TestSeedFromCache(t *testing.T) {
-	eng, muts, reqs := setupSymmetric(t, 5)
-	ns := SweepNamespace(eng, muts)
-	runShard1 := func(dir string) *Analysis {
-		cache, err := store.Open(dir, ns, store.Options{})
-		if err != nil {
-			t.Fatal(err)
+	want := run(1)
+	for _, par := range []int{2, 4} {
+		if got := run(par); got != want {
+			t.Fatalf("capped pruned report varies with parallelism (%d workers)", par)
 		}
-		defer cache.Close()
-		a, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{
-			Parallelism: 2, Prune: true, Cache: cache, ShardIndex: 1, ShardCount: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return a
 	}
-
-	cold := runShard1(t.TempDir()) // unseeded baseline: empty cache
-
-	shared := t.TempDir()
-	cache, err := store.Open(shared, ns, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := AnalyzeSweep(eng, muts, 3, reqs, SweepConfig{
-		Parallelism: 2, Prune: true, Cache: cache, ShardIndex: 0, ShardCount: 2,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	cache.Close()
-
-	// Unit-level: the seeded pruner really ingests shard 0's records.
-	cache, err = store.Open(shared, ns, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	pr := newPruner(eng, muts, reqs)
-	if n := pr.seedFromCache(cache, eng, muts, (len(muts)+7)/8); n == 0 {
-		t.Fatal("seedFromCache ingested nothing from a populated cache")
-	}
-	cache.Close()
-
-	seeded := runShard1(shared)
-	if projection(seeded) != projection(cold) {
-		t.Fatal("seeded shard report diverged")
-	}
-	if seeded.Sweep.Executed >= cold.Sweep.Executed {
-		t.Fatalf("seeding did not reduce work: executed %d seeded vs %d cold (pruned %d vs %d)",
-			seeded.Sweep.Executed, cold.Sweep.Executed, seeded.Sweep.Pruned, cold.Sweep.Pruned)
-	}
-}
-
-// openMem opens a throwaway cache in a temp dir — used to force the
-// chunked parallel path at parallelism 1.
-func openMem(t *testing.T) *store.Cache {
-	t.Helper()
-	c, err := store.Open(t.TempDir(), 1, store.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { c.Close() })
-	return c
 }

@@ -531,15 +531,24 @@ func (s *Server) runJob(j *job) {
 
 	cfg := s.JobConfig(j.model, j.reqs, j.traceID, j.tenant)
 
+	started := time.Now()
 	j.mu.Lock()
 	j.state = JobRunning
-	j.started = time.Now()
+	j.started = started
 	j.cancel = cancel
 	j.mu.Unlock()
 
 	a, err := core.RunCtx(ctx, cfg)
 
 	now := time.Now()
+	// Account for the job before it reads as finished, so a client that
+	// saw it finish finds it in /metrics and /v1/slo.
+	s.classify(j, a, err)
+	// Fold the job's pipeline metrics (stage timings, sweep counters)
+	// into the server-wide registry; the log2 buckets merge exactly.
+	s.reg.MergeSnapshot(cfg.Metrics.Snapshot())
+	s.reg.Histogram("jobs.duration_us").Observe(now.Sub(started).Microseconds())
+
 	j.mu.Lock()
 	j.finished = now
 	j.assessment = a
@@ -550,17 +559,8 @@ func (s *Server) runJob(j *job) {
 	} else {
 		j.state = JobDone
 	}
-	started := j.started
 	j.mu.Unlock()
 	close(j.done)
-
-	snap := cfg.Metrics.Snapshot()
-	s.classify(j, a, err, snap)
-	// Fold the job's pipeline metrics (stage timings, sweep counters,
-	// store traffic) into the server-wide registry; the log2 buckets
-	// merge exactly.
-	s.reg.MergeSnapshot(snap)
-	s.reg.Histogram("jobs.duration_us").Observe(now.Sub(started).Microseconds())
 
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "job",
 		slog.String("id", j.id),
@@ -593,10 +593,8 @@ func (s *Server) JobConfig(model *sysmodel.Model, reqs []hazard.Requirement, tra
 
 // classify journals the job's outcome: completion counters, artifact
 // path, and the critical-event taxonomy (panic, budget degradation,
-// cache quarantine, fault trips). snap is the job's private metrics
-// snapshot — the quarantine counter in it is attributable to this job,
-// which the merged server-wide counter is not.
-func (s *Server) classify(j *job, a *core.Assessment, err error, snap *obs.MetricsSnapshot) {
+// fault trips).
+func (s *Server) classify(j *job, a *core.Assessment, err error) {
 	if err != nil {
 		s.reg.Counter("jobs.failed").Inc()
 		if strings.Contains(err.Error(), "panic") {
@@ -616,12 +614,6 @@ func (s *Server) classify(j *job, a *core.Assessment, err error, snap *obs.Metri
 				detail = ts[0].String()
 			}
 			s.slo.Record(EventBudgetDegraded, j.traceID, j.tenant, detail)
-		}
-	}
-	if snap != nil {
-		if q := snap.Counters["store.quarantined"]; q > 0 {
-			s.slo.Record(EventCacheQuarantine, j.traceID, j.tenant,
-				fmt.Sprintf("%d cache segment(s) quarantined", q))
 		}
 	}
 	if inj := s.opts.Injector; inj != nil {

@@ -16,9 +16,6 @@ const (
 	// EventBudgetDegraded is an assessment truncated by its resource
 	// budget (partial results served).
 	EventBudgetDegraded = "budget-degraded"
-	// EventCacheQuarantine is a corrupt persistent-cache segment
-	// quarantined during a job's sweep.
-	EventCacheQuarantine = "cache-quarantine"
 	// EventFaultTrip is a deterministic fault-injection site firing in a
 	// production-armed process (chaos drills count against the window on
 	// purpose — a drill that degrades service is a degradation).

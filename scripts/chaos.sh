@@ -1,10 +1,11 @@
 #!/bin/sh
 # chaos.sh is the crash-safety battery: every fault-injection,
-# corruption, and crash/resume test in the tree, run under the race
-# detector with a fixed seed set so failures reproduce exactly. It ends
-# with a real kill-and-resume of the CLI binary driven purely through
-# the CPSRISK_FAULTS environment, diffing the resumed report against an
-# undisturbed baseline. `make chaos` and scripts/check.sh run this.
+# checkpoint-corruption and crash/resume test in the tree, run under the
+# race detector with a fixed seed set so failures reproduce exactly. It
+# ends with a real kill-and-resume of the CLI binary driven purely
+# through the CPSRISK_FAULTS environment, diffing the resumed report
+# against an undisturbed baseline. `make chaos` and scripts/check.sh run
+# this.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -12,17 +13,14 @@ cd "$(dirname "$0")/.."
 echo "== injector unit tests (-race) =="
 go test -race -count=1 ./internal/faultinject
 
-echo "== store corruption + self-heal battery (-race) =="
-go test -race -count=1 ./internal/store
-
 echo "== crash matrix: kill/resume at every injection point (-race -cpu=1,4) =="
 go test -race -cpu=1,4 -count=1 \
-  -run 'TestCrashMatrix|TestBudgetTruncatedSweepMakesProgress|TestTransientRecoveredInFlight|TestCacheReuseAcrossRuns' \
+  -run 'TestCrashMatrix|TestCrashResumeWithPruning|TestBudgetTruncatedSweepMakesProgress|TestTransientRecoveredInFlight|TestResumeSweepsLikeAFreshRun|TestResumeKeepsFrontierWhenCutShort|TestCheckpointCorruptionQuarantined' \
   ./internal/hazard
 
 echo "== CLI chaos tests (-race) =="
 go test -race -count=1 \
-  -run 'TestChaosResumeMatchesBaseline|TestResumeProvenanceInOutputs|TestCacheFlagSpeedsSecondRun' \
+  -run 'TestChaosResumeMatchesBaseline|TestResumeProvenanceInOutputs' \
   ./cmd/riskassess
 
 # End-to-end: crash the real binary mid-sweep with an env-armed fault,
@@ -31,12 +29,12 @@ go test -race -count=1 \
 echo "== end-to-end kill/resume (env-armed, seed 42) =="
 work="$(mktemp -d)"
 trap 'rm -rf "$work"' EXIT
-strip='/assessed in|sweep:|cache:|retries:|resumed from checkpoint/d'
+strip='/assessed in|sweep:|retries:|resumed from checkpoint/d'
 args="-model models/sme-plant.json -types models/types.json -maxcard 2 -parallel 4"
 
 go run ./cmd/riskassess $args > "$work/baseline.txt"
 
-for spec in "epa.run=panic@9" "store.write=torn@1" "hazard.checkpoint=torn@1"; do
+for spec in "epa.run=panic@9" "hazard.checkpoint=torn@1"; do
   ckpt="$work/ckpt-$(echo "$spec" | tr '=@.' '___')"
   # Crash run: failure is the point; a degraded exit is also legal.
   CPSRISK_FAULTS="$spec" CPSRISK_FAULT_SEED=42 \

@@ -35,12 +35,12 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-# The engine, the sweep, the result cache, the rank/unrank enumerator,
+# The engine, the sweep, the rank/unrank enumerator,
 # the CEGAR oracle pool and the service are documented safe for
 # concurrent use, and a solver session panics on concurrent use; hammer
 # them under the race detector at both ends of the parallelism range.
-echo "== go test -race -cpu=1,4 (epa, hazard, faults, store, solver, cegar, serve) =="
-go test -race -cpu=1,4 -count=1 ./internal/epa ./internal/hazard ./internal/faults ./internal/store ./internal/solver ./internal/cegar ./internal/serve
+echo "== go test -race -cpu=1,4 (epa, hazard, faults, solver, cegar, serve) =="
+go test -race -cpu=1,4 -count=1 ./internal/epa ./internal/hazard ./internal/faults ./internal/solver ./internal/cegar ./internal/serve
 
 # The served-vs-CLI report identity tests and the settings tests (one
 # core.Settings reaches the same core.Config and the same flags in both
@@ -93,7 +93,7 @@ else
   echo "== service loadtest == (skipped: CHECK_SHORT set)"
 fi
 
-# Crash-safety battery: fault injection, corruption/self-heal, the
+# Crash-safety battery: fault injection, checkpoint corruption, the
 # crash matrix, and a real kill-and-resume of the CLI (fixed seeds).
 echo "== chaos (scripts/chaos.sh) =="
 ./scripts/chaos.sh

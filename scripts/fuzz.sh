@@ -12,7 +12,6 @@ echo "== fuzz (${fuzztime} each) =="
 go test -run='^$' -fuzz=FuzzParse -fuzztime="$fuzztime" ./internal/logic
 go test -run='^$' -fuzz=FuzzParseFormula -fuzztime="$fuzztime" ./internal/temporal
 go test -run='^$' -fuzz=FuzzReadJSON -fuzztime="$fuzztime" ./internal/sysmodel
-go test -run='^$' -fuzz=FuzzCacheRecord -fuzztime="$fuzztime" ./internal/store
 go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime="$fuzztime" ./internal/hazard
 go test -run='^$' -fuzz=FuzzRankUnrank -fuzztime="$fuzztime" ./internal/faults
 go test -run='^$' -fuzz=FuzzOptimalVsBruteForce -fuzztime="$fuzztime" ./internal/optimize

@@ -22,7 +22,6 @@ echo "== start riskserve =="
   -types models/types.json \
   -maxcard 1 \
   -job-workers 4 \
-  -cache "$workdir/cache" \
   2> "$workdir/server.log" &
 server_pid=$!
 
