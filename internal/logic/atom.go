@@ -2,6 +2,7 @@ package logic
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -86,7 +87,7 @@ func (a Atom) String() string {
 
 // Signature returns "pred/arity".
 func (a Atom) Signature() string {
-	return fmt.Sprintf("%s/%d", a.Pred, len(a.Args))
+	return a.Pred + "/" + strconv.Itoa(len(a.Args))
 }
 
 // Literal is an atom or its default negation ("not a").

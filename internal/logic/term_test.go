@@ -1,6 +1,7 @@
 package logic
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 )
@@ -148,6 +149,20 @@ func TestCompareAntisymmetric(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestSignatureMatchesSprintf checks Signature against the fmt form it
+// replaced, over arities 0-3 and predicate names that quote or not.
+func TestSignatureMatchesSprintf(t *testing.T) {
+	args := []Term{Sym("a"), Num(-7), Var("X"), Func("f", Sym("b"))}
+	for _, pred := range []string{"p", "err", "vc_r1_1", "P q", ""} {
+		for n := 0; n <= 3; n++ {
+			a := A(pred, args[:n]...)
+			if got, want := a.Signature(), fmt.Sprintf("%s/%d", a.Pred, len(a.Args)); got != want {
+				t.Errorf("Signature(%v) = %q, want %q", a, got, want)
+			}
+		}
 	}
 }
 

@@ -34,16 +34,25 @@ func TestSessionCountSweepVsBruteForce(t *testing.T) {
 	}
 }
 
-// FuzzEnumerateVsBruteForce compares single-shot Solve and the
-// count-assumption session sweep against brute force on the program the
-// seed generates.
+// FuzzEnumerateVsBruteForce compares single-shot Solve, the
+// cone-checking enumeration and the count-assumption session sweep
+// against brute force on the program the seed generates, drawn from the
+// differential battery or its non-tight arm.
 func FuzzEnumerateVsBruteForce(f *testing.F) {
 	for _, seed := range []int64{1, 2, 3, 7, 42, 20261018} {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, seed int64) {
 		rng := rand.New(rand.NewSource(seed))
-		src := randomDiffProgram(rng, rng.Intn(4))
+		// Four shapes of the differential battery, two of its non-tight
+		// arm.
+		k := rng.Intn(6)
+		var src string
+		if k < 4 {
+			src = randomDiffProgram(rng, k)
+		} else {
+			src = randomNonTightProgram(rng, k)
+		}
 		gp, err := Ground(mustParse(t, src), nil)
 		if err != nil {
 			t.Fatalf("ground: %v\n%s", err, src)
@@ -52,8 +61,13 @@ func FuzzEnumerateVsBruteForce(f *testing.F) {
 		if err != nil {
 			t.Fatalf("solve: %v\n%s", err, src)
 		}
-		if got, want := renderModelSet(res.Models), bruteForceModels(gp); !equalStringSets(got, want) {
+		want := bruteForceModels(gp)
+		if got := renderModelSet(res.Models); !equalStringSets(got, want) {
 			t.Fatalf("answer sets disagree\nprogram:\n%s\nsolve (%d): %v\nbrute force (%d): %v",
+				src, len(got), got, len(want), want)
+		}
+		if got, _, _ := enumerateCheckingCone(t, gp, src); !equalStringSets(got, want) {
+			t.Fatalf("checked enumeration disagrees\nprogram:\n%s\ngot (%d): %v\nbrute force (%d): %v",
 				src, len(got), got, len(want), want)
 		}
 		if pred := choicePred(src); pred != "" {

@@ -81,6 +81,15 @@ func (g *GroundProgram) AtomIDFor(key string) AtomID {
 	return id
 }
 
+// atomIDForBytes is AtomIDFor for a key held in a byte buffer; it
+// allocates the key string only when the atom is new.
+func (g *GroundProgram) atomIDForBytes(key []byte) AtomID {
+	if id, ok := g.ids[string(key)]; ok {
+		return id
+	}
+	return g.AtomIDFor(string(key))
+}
+
 // LookupAtom returns the ID for key if it was interned.
 func (g *GroundProgram) LookupAtom(key string) (AtomID, bool) {
 	id, ok := g.ids[key]

@@ -3,7 +3,6 @@ package solver
 import (
 	"encoding/binary"
 	"fmt"
-	"sort"
 	"strings"
 
 	"cpsrisk/internal/budget"
@@ -14,6 +13,7 @@ import (
 // bottom-up evaluation over the over-approximation of derivable atoms
 // (negative literals are ignored while computing possibility, so every atom
 // of every stable model is instantiated — the same guarantee clingo gives).
+// Each rule is compiled once into join plans (joinplan.go).
 //
 // The budget (nil = unlimited) governs the instantiation: its context is
 // polled periodically and MaxGroundRules bounds the emitted ground rules.
@@ -21,18 +21,19 @@ import (
 // — a partially grounded program would be unsound to solve, so grounding
 // has no partial-result mode; callers degrade by switching engine instead.
 func Ground(prog *logic.Program, bud *budget.Budget) (*GroundProgram, error) {
+	gr, err := groundAll(prog, bud)
+	if err != nil {
+		return nil, err
+	}
+	return gr.out, nil
+}
+
+// groundAll is Ground, returning the grounder with its compiled rules.
+func groundAll(prog *logic.Program, bud *budget.Budget) (*grounder, error) {
 	if err := prog.CheckSafety(); err != nil {
 		return nil, err
 	}
-	gr := &grounder{
-		out:      NewGroundProgram(),
-		possible: map[string]*atomPool{},
-		isPoss:   map[string]bool{},
-		seen:     map[string]bool{},
-		symIDs:   map[string]int32{},
-		termIDs:  map[string]int32{},
-		bud:      bud,
-	}
+	gr := newGrounder(bud)
 	rules, err := expandIntervalFacts(prog.Rules)
 	if err != nil {
 		return nil, err
@@ -44,18 +45,43 @@ func Ground(prog *logic.Program, bud *budget.Budget) (*GroundProgram, error) {
 		return nil, err
 	}
 	gr.simplifyNegatives()
-	return gr.out, nil
+	return gr, nil
 }
 
 // atomPool holds the possible ground atoms of one predicate signature in
-// insertion order, plus lazily built per-argument-position indexes
-// mapping a ground argument value (its canonical string) to the
-// positions of the atoms carrying it. Index lists preserve insertion
-// order, so an indexed scan visits atoms in the same order a linear
-// scan would — grounding output stays byte-identical.
+// insertion order with their keys, plus lazily built per-argument-position
+// indexes mapping a ground argument value to the positions of the atoms
+// carrying it. Index lists preserve insertion order, so an indexed scan
+// visits atoms in the same order a linear scan would — grounding output
+// stays byte-identical.
+//
+// The semi-naive frontiers are ranges of atoms: atoms[dLo:dHi] is the
+// frontier the current iteration joins against (the atoms the previous
+// iteration made possible), and atoms from nLo on are the frontier under
+// construction.
 type atomPool struct {
-	atoms []logic.Atom
-	index []map[string][]int32 // per arg position; nil until first used
+	atoms         []logic.Atom
+	keys          []string
+	index         []map[termKey][]int32 // per arg position; nil until first used
+	dLo, dHi, nLo int
+}
+
+// termKey identifies an evaluated ground term in an argument index:
+// equal keys mean equal terms.
+type termKey struct {
+	s    string
+	n    int
+	kind uint8
+}
+
+func keyOf(t logic.Term) termKey {
+	switch tt := t.(type) {
+	case logic.Number:
+		return termKey{n: tt.Value}
+	case logic.Symbol:
+		return termKey{s: tt.Name, kind: 1}
+	}
+	return termKey{s: t.String(), kind: 2}
 }
 
 // indexThreshold is the pool size below which a linear scan beats
@@ -63,9 +89,9 @@ type atomPool struct {
 const indexThreshold = 8
 
 func (p *atomPool) buildIndex(i int) {
-	idx := make(map[string][]int32, len(p.atoms))
+	idx := make(map[termKey][]int32, len(p.atoms))
 	for pi, a := range p.atoms {
-		k := a.Args[i].String()
+		k := keyOf(a.Args[i])
 		idx[k] = append(idx[k], int32(pi))
 	}
 	p.index[i] = idx
@@ -73,28 +99,43 @@ func (p *atomPool) buildIndex(i int) {
 
 type grounder struct {
 	out      *GroundProgram
-	possible map[string]*atomPool    // signature -> possible-atom pool
-	isPoss   map[string]bool         // atom key -> possible
-	delta    map[string][]logic.Atom // frontier of the current iteration
-	seen     map[string]bool         // rule-instantiation dedup keys
-	minGuard map[string]AtomID       // minimize (prio,weight,tuple) -> guard
+	pools    map[poolKey]*atomPool // signature -> possible-atom pool
+	poolList []*atomPool           // the pools in creation order
+	isPoss   map[string]bool       // atom key -> possible
+	seen     map[string]bool       // rule-instantiation dedup keys
+	minGuard map[string]AtomID     // minimize (prio,weight,tuple) -> guard
 
-	// Instantiation-key interning: per-rule sorted unique variables,
-	// symbol/term id tables, and a reusable key buffer so the dedup
-	// lookup in the hot instantiation path does not allocate.
-	ruleVars [][]string
-	symIDs   map[string]int32
-	termIDs  map[string]int32
-	keyBuf   []byte
+	// code holds the compiled rules in rule order; a rule's index is its
+	// position here.
+	code []*ruleCode
+	// nextMark is numPossible when the frontier under construction
+	// started: the frontier is empty while they are equal.
+	nextMark int64
 
-	// Incremental (multi-shot session) state: the full rule list persists
+	// Join and emission scratch: the binding trail, the element and the
+	// collected heads of the choice rule being emitted, an atom-key
+	// buffer and a slab the ground bodies are cut from.
+	trail        []int32
+	elem         int
+	heads, conds []AtomID
+	count        int
+	atomBuf      []byte
+	slab         []AtomID
+
+	// Instantiation-key interning: symbol/term id tables and a reusable
+	// key buffer so the dedup lookup in the hot instantiation path does
+	// not allocate.
+	symIDs  map[string]int32
+	termIDs map[string]int32
+	keyBuf  []byte
+
+	// Incremental (multi-shot session) state: the compiled rules persist
 	// across addRules calls so old rules re-ground against new frontier
 	// atoms; choiceInst maps a choice-rule instantiation key to its
 	// emitted rule index so a later delta that grows the possible set can
 	// re-emit the instantiation with the full element set and retract the
 	// stale one; numPossible counts pool atoms for the reuse statistics.
 	incremental bool
-	rules       []logic.Rule
 	choiceInst  map[string]int
 	condSeen    map[AtomID]bool
 	retracted   []int
@@ -104,22 +145,132 @@ type grounder struct {
 	ctxPolls int
 }
 
+func newGrounder(bud *budget.Budget) *grounder {
+	return &grounder{
+		out:     NewGroundProgram(),
+		pools:   map[poolKey]*atomPool{},
+		isPoss:  map[string]bool{},
+		seen:    map[string]bool{},
+		symIDs:  map[string]int32{},
+		termIDs: map[string]int32{},
+		bud:     bud,
+	}
+}
+
 // newSessionGrounder creates a persistent grounder for a multi-shot
 // session: rules accumulate across addRules calls and choice
 // instantiations are tracked for growth-driven re-emission.
 func newSessionGrounder(bud *budget.Budget) *grounder {
-	return &grounder{
-		out:         NewGroundProgram(),
-		possible:    map[string]*atomPool{},
-		isPoss:      map[string]bool{},
-		seen:        map[string]bool{},
-		symIDs:      map[string]int32{},
-		termIDs:     map[string]int32{},
-		choiceInst:  map[string]int{},
-		condSeen:    map[AtomID]bool{},
-		incremental: true,
-		bud:         bud,
+	gr := newGrounder(bud)
+	gr.choiceInst = map[string]int{}
+	gr.condSeen = map[AtomID]bool{}
+	gr.incremental = true
+	return gr
+}
+
+// poolKey is a predicate signature: name and arity.
+type poolKey struct {
+	pred  string
+	arity int
+}
+
+// pool returns the possible-atom pool of a's signature, creating it
+// empty on first use.
+func (gr *grounder) pool(a logic.Atom) *atomPool {
+	sig := poolKey{a.Pred, len(a.Args)}
+	p := gr.pools[sig]
+	if p == nil {
+		p = &atomPool{index: make([]map[termKey][]int32, len(a.Args))}
+		gr.pools[sig] = p
+		gr.poolList = append(gr.poolList, p)
 	}
+	return p
+}
+
+// startFrontier begins an empty frontier under construction.
+func (gr *grounder) startFrontier() {
+	for _, p := range gr.poolList {
+		p.nLo = len(p.atoms)
+	}
+	gr.nextMark = gr.numPossible
+}
+
+// advanceFrontier makes the frontier under construction the one the
+// next iteration joins against, and starts a new one.
+func (gr *grounder) advanceFrontier() {
+	for _, p := range gr.poolList {
+		p.dLo, p.dHi = p.nLo, len(p.atoms)
+	}
+	gr.startFrontier()
+}
+
+// clearDelta empties the frontier joined against.
+func (gr *grounder) clearDelta() {
+	for _, p := range gr.poolList {
+		p.dLo, p.dHi = 0, 0
+	}
+}
+
+func (p *atomPool) hasDelta() bool { return p.dHi > p.dLo }
+
+// emitMode says what a complete binding of a plan does.
+type emitMode uint8
+
+const (
+	modeEmit      emitMode = iota // emit the rule instantiation, once
+	modeMark                      // mark the choice heads possible
+	modeChoiceInc                 // reconcile a choice instantiation with its earlier emission
+	modeElemMark                  // element of modeMark: mark its atom possible
+	modeElemEmit                  // element of emitChoice: collect its head and guard
+	modeElemCount                 // element of countChoiceInsts: count it
+	modeMinimize                  // emit a #minimize element instantiation
+)
+
+// emit handles one complete binding of plan pl of rc.
+func (gr *grounder) emit(rc *ruleCode, pl *joinPlan, mode emitMode) error {
+	switch mode {
+	case modeElemMark:
+		_, err := gr.internAtom(rc, rc.elems[gr.elem].atom, false)
+		return err
+	case modeElemEmit:
+		return gr.emitElem(rc, pl)
+	case modeElemCount:
+		gr.count++
+		return nil
+	case modeMinimize:
+		return gr.emitMinimize(rc, pl)
+	}
+	if err := gr.checkBudget(); err != nil {
+		return err
+	}
+	switch mode {
+	case modeMark:
+		return gr.forElems(rc, modeElemMark)
+	case modeChoiceInc:
+		return gr.emitChoiceInc(rc, pl)
+	}
+	if gr.instSeen(rc) {
+		return nil
+	}
+	return gr.emitGround(rc, pl)
+}
+
+// forElems expands each choice element of rc under the body's bindings:
+// once without conditions, else once per condition instantiation.
+func (gr *grounder) forElems(rc *ruleCode, mode emitMode) error {
+	for i, e := range rc.elems {
+		gr.elem = i
+		var err error
+		if e.plan == nil {
+			err = gr.emit(rc, nil, mode)
+		} else {
+			err = gr.exec(rc, e.plan, 0, mode)
+		}
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // addRules incrementally grounds newRules against the persistent possible
@@ -137,61 +288,39 @@ func (gr *grounder) addRules(newRules []logic.Rule) (retractedAny bool, err erro
 	if err != nil {
 		return false, err
 	}
-	base := len(gr.rules)
-	gr.rules = append(gr.rules, newRules...)
+	base := len(gr.code)
 	for _, r := range newRules {
-		vs := r.Vars()
-		sort.Strings(vs)
-		uniq := vs[:0]
-		prev := ""
-		for _, v := range vs {
-			if v != prev {
-				uniq = append(uniq, v)
-				prev = v
-			}
-		}
-		gr.ruleVars = append(gr.ruleVars, uniq)
+		gr.code = append(gr.code, gr.compileRule(r))
 	}
 	poolBefore := gr.numPossible
 	// Iteration 0: the new rules against the full current possible set.
-	gr.delta = map[string][]logic.Atom{}
-	next := map[string][]logic.Atom{}
-	for i, r := range newRules {
-		if err := gr.groundRule(base+i, r, -1, next, !r.Choice); err != nil {
+	gr.clearDelta()
+	gr.startFrontier()
+	for ri := base; ri < len(gr.code); ri++ {
+		if err := gr.groundFull(ri, false); err != nil {
 			return false, err
 		}
 	}
 	// Semi-naive iterations over all rules with the new frontier; old
 	// rules re-fire only for instantiations touching frontier atoms, and
 	// instSeen dedup keeps previously emitted instantiations out.
-	for len(next) > 0 {
-		gr.delta = next
-		next = map[string][]logic.Atom{}
-		for ri, r := range gr.rules {
-			for _, i := range positiveIndices(r.Body) {
-				if gr.deltaHas(r.Body[i].(logic.Literal).Atom) {
-					if err := gr.groundRule(ri, r, i, next, !r.Choice); err != nil {
-						return false, err
-					}
-				}
-			}
-			if r.Choice && gr.choiceCondInDelta(r) {
-				if err := gr.groundRule(ri, r, -1, next, false); err != nil {
-					return false, err
-				}
-			}
-		}
+	if err := gr.fixpoint(); err != nil {
+		return false, err
 	}
 	// Choice emission over the stable possible set: new choice rules
 	// always; old ones only if the pool grew (their instantiation and
 	// element sets are otherwise unchanged).
-	gr.delta = map[string][]logic.Atom{}
+	gr.clearDelta()
 	poolGrew := gr.numPossible > poolBefore
-	for ri, r := range gr.rules {
-		if !r.Choice || (ri < base && !poolGrew) {
+	for ri, rc := range gr.code {
+		if !rc.rule.Choice || (ri < base && !poolGrew) {
 			continue
 		}
-		if err := gr.groundChoiceIncremental(ri, r); err != nil {
+		// Enumerate the body instantiations and reconcile each against
+		// the previously emitted ground rule (if any) via choiceInst —
+		// bypassing instSeen, which would hide instantiations whose
+		// element sets may have grown.
+		if err := gr.exec(rc, rc.full, 0, modeChoiceInc); err != nil {
 			return false, err
 		}
 	}
@@ -202,25 +331,10 @@ func (gr *grounder) addRules(newRules []logic.Rule) (retractedAny bool, err erro
 	return false, nil
 }
 
-// groundChoiceIncremental enumerates a choice rule's body instantiations
-// and reconciles each against the previously emitted ground rule (if any)
-// via choiceInst — bypassing instSeen, which would hide instantiations
-// whose element sets may have grown.
-func (gr *grounder) groundChoiceIncremental(ri int, r logic.Rule) error {
-	next := map[string][]logic.Atom{}
-	handle := func(b logic.Bindings) error {
-		if err := gr.checkBudget(); err != nil {
-			return err
-		}
-		return gr.emitChoiceInc(ri, r, b, next)
-	}
-	return gr.join(r.Body, -1, logic.Bindings{}, handle)
-}
-
-func (gr *grounder) emitChoiceInc(ri int, r logic.Rule, b logic.Bindings, next map[string][]logic.Atom) error {
-	key := string(gr.instKey(ri, b))
+func (gr *grounder) emitChoiceInc(rc *ruleCode, pl *joinPlan) error {
+	key := string(gr.instKey(rc))
 	if oldIdx, ok := gr.choiceInst[key]; ok {
-		n, err := gr.countChoiceInsts(r, b)
+		n, err := gr.countChoiceInsts(rc)
 		if err != nil {
 			return err
 		}
@@ -233,12 +347,12 @@ func (gr *grounder) emitChoiceInc(ri int, r logic.Rule, b logic.Bindings, next m
 		// element count always means growth.
 		gr.retracted = append(gr.retracted, oldIdx)
 	}
-	pos, neg, err := gr.groundBody(r.Body, b)
+	pos, neg, err := gr.groundBody(rc, pl)
 	if err != nil {
 		return err
 	}
 	before := len(gr.out.Rules)
-	if err := gr.emitChoice(r, b, pos, neg, next); err != nil {
+	if err := gr.emitChoice(rc, pos, neg); err != nil {
 		return err
 	}
 	if len(gr.out.Rules) > before {
@@ -251,18 +365,12 @@ func (gr *grounder) emitChoiceInc(ri int, r logic.Rule, b logic.Bindings, next m
 
 // countChoiceInsts counts the element instantiations of a choice rule
 // body instantiation under the current possible set, with no side effects.
-func (gr *grounder) countChoiceInsts(r logic.Rule, b logic.Bindings) (int, error) {
-	n := 0
-	for _, e := range r.Elems {
-		err := gr.expandChoiceElem(e, b, func(logic.Bindings) error {
-			n++
-			return nil
-		})
-		if err != nil {
-			return 0, err
-		}
+func (gr *grounder) countChoiceInsts(rc *ruleCode) (int, error) {
+	gr.count = 0
+	if err := gr.forElems(rc, modeElemCount); err != nil {
+		return 0, err
 	}
-	return n, nil
+	return gr.count, nil
 }
 
 // compactRules splices retracted rules out of the ground program and
@@ -326,65 +434,76 @@ func (gr *grounder) run(rules []logic.Rule) error {
 	//
 	// Iteration 0: all rules against the (initially empty) possible set;
 	// rules without positive body literals fire only here.
-	gr.ruleVars = make([][]string, len(rules))
-	for ri, r := range rules {
-		vs := r.Vars()
-		sort.Strings(vs)
-		uniq := vs[:0]
-		prev := ""
-		for _, v := range vs {
-			if v != prev {
-				uniq = append(uniq, v)
-				prev = v
-			}
-		}
-		gr.ruleVars[ri] = uniq
+	for _, r := range rules {
+		gr.code = append(gr.code, gr.compileRule(r))
 	}
-	gr.delta = map[string][]logic.Atom{}
-	next := map[string][]logic.Atom{}
-	for ri, r := range rules {
-		if err := gr.groundRule(ri, r, -1, next, !r.Choice); err != nil {
+	gr.clearDelta()
+	gr.startFrontier()
+	for ri := range gr.code {
+		if err := gr.groundFull(ri, false); err != nil {
 			return err
 		}
 	}
-	// Semi-naive iterations: re-ground rules requiring at least one
-	// positive body literal to match the frontier. Choice rules also
-	// re-run (with a full join) when an element-condition predicate grew.
-	for len(next) > 0 {
-		gr.delta = next
-		next = map[string][]logic.Atom{}
-		for ri, r := range rules {
-			for _, i := range positiveIndices(r.Body) {
-				if gr.deltaHas(r.Body[i].(logic.Literal).Atom) {
-					if err := gr.groundRule(ri, r, i, next, !r.Choice); err != nil {
-						return err
-					}
-				}
-			}
-			if r.Choice && gr.choiceCondInDelta(r) {
-				if err := gr.groundRule(ri, r, -1, next, false); err != nil {
-					return err
-				}
-			}
-		}
+	if err := gr.fixpoint(); err != nil {
+		return err
 	}
 	// Emission phase for choice rules, over the stable possible set.
-	gr.delta = map[string][]logic.Atom{}
-	for ri, r := range rules {
-		if !r.Choice {
-			continue
-		}
-		if err := gr.groundRule(ri, r, -1, next, true); err != nil {
-			return err
+	gr.clearDelta()
+	for ri, rc := range gr.code {
+		if rc.rule.Choice {
+			if err := gr.groundFull(ri, true); err != nil {
+				return err
+			}
 		}
 	}
 	return nil
 }
 
-func (gr *grounder) choiceCondInDelta(r logic.Rule) bool {
-	for _, e := range r.Elems {
-		for _, c := range e.Cond {
-			if gr.deltaHas(c.Atom) {
+// groundFull joins rule ri's whole body against the possible set. Choice
+// rules emit only when emitChoices is set; otherwise they mark their
+// heads possible.
+func (gr *grounder) groundFull(ri int, emitChoices bool) error {
+	rc := gr.code[ri]
+	mode := modeEmit
+	if rc.rule.Choice && !emitChoices {
+		mode = modeMark
+	}
+	return gr.exec(rc, rc.full, 0, mode)
+}
+
+// fixpoint runs the semi-naive iterations: while the last iteration made
+// atoms possible, re-ground every rule with a positive body literal over
+// that frontier. Choice rules also re-run (with a full join) when an
+// element-condition predicate grew.
+func (gr *grounder) fixpoint() error {
+	for gr.numPossible > gr.nextMark {
+		gr.advanceFrontier()
+		for _, rc := range gr.code {
+			mode := modeEmit
+			if rc.rule.Choice {
+				mode = modeMark
+			}
+			for j, i := range rc.posIdx {
+				if rc.lits[i].pool.hasDelta() {
+					if err := gr.exec(rc, rc.delta[j], 0, mode); err != nil {
+						return err
+					}
+				}
+			}
+			if rc.rule.Choice && rc.condInDelta() {
+				if err := gr.exec(rc, rc.full, 0, modeMark); err != nil {
+					return err
+				}
+			}
+		}
+	}
+	return nil
+}
+
+func (rc *ruleCode) condInDelta() bool {
+	for _, e := range rc.elems {
+		for _, c := range e.conds {
+			if c.pool.hasDelta() {
 				return true
 			}
 		}
@@ -392,65 +511,12 @@ func (gr *grounder) choiceCondInDelta(r logic.Rule) bool {
 	return false
 }
 
-func positiveIndices(body []logic.BodyElem) []int {
-	var out []int
-	for i, b := range body {
-		if lit, ok := b.(logic.Literal); ok && !lit.Negated {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-func (gr *grounder) deltaHas(a logic.Atom) bool {
-	return len(gr.delta[a.Signature()]) > 0
-}
-
-// groundRule enumerates instantiations of rule ri. If deltaIdx >= 0 that
-// positive body literal matches only frontier atoms (semi-naive join).
-// When emit is false (choice rules during the fixpoint phase) the
-// instantiation only marks head atoms possible.
-func (gr *grounder) groundRule(ri int, r logic.Rule, deltaIdx int, next map[string][]logic.Atom, emit bool) error {
-	handle := func(b logic.Bindings) error {
-		if err := gr.checkBudget(); err != nil {
-			return err
-		}
-		if !emit {
-			return gr.markChoiceHeads(r, b, next)
-		}
-		if gr.instSeen(ri, b) {
-			return nil
-		}
-		return gr.emitGround(r, b, next)
-	}
-	return gr.join(r.Body, deltaIdx, logic.Bindings{}, handle)
-}
-
-// markChoiceHeads expands choice elements under the current possible set
-// and marks head atoms possible without emitting rules.
-func (gr *grounder) markChoiceHeads(r logic.Rule, b logic.Bindings, next map[string][]logic.Atom) error {
-	for _, e := range r.Elems {
-		err := gr.expandChoiceElem(e, b, func(bb logic.Bindings) error {
-			h, err := e.Atom.Substitute(bb).Eval()
-			if err != nil {
-				return err
-			}
-			gr.markPossible(h, next)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // instSeen canonically identifies a rule instantiation by (rule index,
 // interned binding tuple) and records it, reporting whether it was seen
 // before. The key is built as binary ids in a reused buffer, so the
 // lookup on the already-seen path is allocation-free.
-func (gr *grounder) instSeen(ri int, b logic.Bindings) bool {
-	buf := gr.instKey(ri, b)
+func (gr *grounder) instSeen(rc *ruleCode) bool {
+	buf := gr.instKey(rc)
 	if gr.seen[string(buf)] {
 		return true
 	}
@@ -461,16 +527,14 @@ func (gr *grounder) instSeen(ri int, b logic.Bindings) bool {
 // instKey builds the canonical (rule index, interned binding tuple) key in
 // the reused buffer and returns it; the buffer is invalidated by the next
 // instKey call.
-func (gr *grounder) instKey(ri int, b logic.Bindings) []byte {
+func (gr *grounder) instKey(rc *ruleCode) []byte {
 	buf := gr.keyBuf[:0]
-	buf = binary.AppendUvarint(buf, uint64(ri))
-	for _, v := range gr.ruleVars[ri] {
-		t, ok := b[v]
-		if !ok {
-			buf = append(buf, 0)
-			continue
-		}
+	buf = binary.AppendUvarint(buf, uint64(rc.index))
+	for _, s := range rc.keySlots {
+		t := rc.vals[s]
 		switch tt := t.(type) {
+		case nil:
+			buf = append(buf, 0)
 		case logic.Number:
 			buf = append(buf, 1)
 			buf = binary.AppendVarint(buf, int64(tt.Value))
@@ -495,365 +559,103 @@ func internID(tab map[string]int32, key string) int32 {
 	return id
 }
 
-// join enumerates bindings satisfying the body: positive literals match
-// possible atoms (structural unification), comparisons test or assign.
-// Negative literals are skipped here (handled at emission). Elements are
-// selected dynamically so arithmetic becomes evaluable as bindings grow.
-func (gr *grounder) join(body []logic.BodyElem, deltaIdx int, b logic.Bindings, emit func(logic.Bindings) error) error {
-	done := make([]bool, len(body))
-	return gr.joinStep(body, deltaIdx, done, b, emit)
-}
-
-func (gr *grounder) joinStep(body []logic.BodyElem, deltaIdx int, done []bool, b logic.Bindings, emit func(logic.Bindings) error) error {
-	// Pick the next ready element; prefer the delta literal first so the
-	// semi-naive restriction prunes early, then comparisons (cheap filters),
-	// then other positive literals.
-	idx := -1
-	// Selection order: ready comparisons (cheap filters), then the delta
-	// literal if its arithmetic arguments are evaluable, then any other
-	// ready positive literal, then unready positive literals as a last
-	// resort (their arithmetic arguments cannot match yet).
-	for i, e := range body {
-		if done[i] {
-			continue
-		}
-		if cmp, ok := e.(logic.Comparison); ok && cmpReady(cmp, b) {
-			idx = i
-			break
-		}
+// internAtom builds the key of the ground atom a instantiates to under
+// rc's bindings, interns it when intern is set, and marks the atom
+// possible. Atoms already possible are not built again.
+func (gr *grounder) internAtom(rc *ruleCode, a *catom, intern bool) (AtomID, error) {
+	buf, ok := appendKey(gr.atomBuf[:0], a, rc.vals)
+	gr.atomBuf = buf
+	if !ok {
+		return 0, rc.instError(a.src)
 	}
-	if idx < 0 && deltaIdx >= 0 && !done[deltaIdx] &&
-		litReady(body[deltaIdx].(logic.Literal), b) {
-		idx = deltaIdx
+	var id AtomID
+	if intern {
+		id = gr.out.atomIDForBytes(buf)
 	}
-	if idx < 0 {
-		for i, e := range body {
-			if done[i] {
-				continue
-			}
-			if lit, ok := e.(logic.Literal); ok && !lit.Negated && litReady(lit, b) {
-				idx = i
-				break
-			}
-		}
+	if gr.isPoss[string(buf)] {
+		return id, nil
 	}
-	if idx < 0 && deltaIdx >= 0 && !done[deltaIdx] {
-		idx = deltaIdx
+	key := string(buf)
+	if intern {
+		key = gr.out.AtomName(id)
 	}
-	if idx < 0 {
-		for i, e := range body {
-			if done[i] {
-				continue
-			}
-			if lit, ok := e.(logic.Literal); ok && !lit.Negated {
-				idx = i
-				break
-			}
-		}
-	}
-	if idx < 0 {
-		// Only negative literals and (by safety) no unready comparisons
-		// remain — check that indeed nothing is pending.
-		for i, e := range body {
-			if done[i] {
-				continue
-			}
-			if cmp, ok := e.(logic.Comparison); ok {
-				return fmt.Errorf("solver: comparison %s has unbound variables after join", cmp.Substitute(b))
-			}
-		}
-		return emit(b)
-	}
-	done[idx] = true
-	defer func() { done[idx] = false }()
-
-	switch e := body[idx].(type) {
-	case logic.Comparison:
-		cmp := e.Substitute(b)
-		if v, t, ok := assignment(cmp); ok {
-			val, err := logic.Eval(t)
-			if err != nil {
-				return err
-			}
-			b[v] = val
-			err = gr.joinStep(body, deltaIdx, done, b, emit)
-			delete(b, v)
-			return err
-		}
-		holds, err := cmp.Holds()
-		if err != nil {
-			return err
-		}
-		if !holds {
-			return nil
-		}
-		return gr.joinStep(body, deltaIdx, done, b, emit)
-	case logic.Literal:
-		step := func(cand logic.Atom) error {
-			bound, undo := unifyAtom(e.Atom, cand, b)
-			if bound {
-				if err := gr.joinStep(body, deltaIdx, done, b, emit); err != nil {
-					undo(b)
-					return err
-				}
-			}
-			undo(b)
-			return nil
-		}
-		if idx == deltaIdx {
-			// Delta frontiers are small: always scan linearly.
-			for _, cand := range gr.delta[e.Atom.Signature()] {
-				if err := step(cand); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		p := gr.possible[e.Atom.Signature()]
-		if p == nil {
-			return nil
-		}
-		if cands, ok := gr.poolCandidates(p, e.Atom, b); ok {
-			for _, pi := range cands {
-				if err := step(p.atoms[pi]); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, cand := range p.atoms {
-			if err := step(cand); err != nil {
-				return err
-			}
-		}
-		return nil
-	default:
-		return fmt.Errorf("solver: unknown body element %T", e)
-	}
-}
-
-// poolCandidates narrows a possible-atom pool using the argument indexes:
-// every pattern argument that is ground under b probes its position
-// index, and the shortest candidate list wins. It reports ok=false when
-// no argument is ground (or the pool is too small to bother), in which
-// case the caller falls back to a linear scan. Candidate lists are in
-// insertion order, so the visit order matches the linear scan exactly.
-func (gr *grounder) poolCandidates(p *atomPool, pattern logic.Atom, b logic.Bindings) ([]int32, bool) {
-	if len(p.atoms) < indexThreshold {
-		return nil, false
-	}
-	var best []int32
-	found := false
-	for i, arg := range pattern.Args {
-		sub := arg.Substitute(b)
-		if !sub.Ground() {
-			continue
-		}
-		ev, err := logic.Eval(sub)
-		if err != nil {
-			// Unevaluable ground argument (e.g. an interval): unification
-			// rejects every candidate, so there is nothing to visit.
-			return nil, true
-		}
-		if p.index[i] == nil {
-			p.buildIndex(i)
-		}
-		cands := p.index[i][ev.String()]
-		if !found || len(cands) < len(best) {
-			best, found = cands, true
-		}
-		if len(best) == 0 {
-			break
-		}
-	}
-	return best, found
-}
-
-func cmpReady(c logic.Comparison, b logic.Bindings) bool {
-	sub := c.Substitute(b)
-	if _, _, ok := assignment(sub); ok {
-		return true
-	}
-	return sub.Left.Ground() && sub.Right.Ground()
-}
-
-// litReady reports whether all arithmetic sub-terms of the literal's
-// arguments are evaluable under b, so unification against ground atoms can
-// succeed. Plain variables and compounds of them are always matchable.
-func litReady(lit logic.Literal, b logic.Bindings) bool {
-	for _, arg := range lit.Atom.Args {
-		if !termMatchReady(arg.Substitute(b)) {
-			return false
-		}
-	}
-	return true
-}
-
-func termMatchReady(t logic.Term) bool {
-	switch tt := t.(type) {
-	case logic.BinOp:
-		return tt.Ground()
-	case logic.Compound:
-		for _, a := range tt.Args {
-			if !termMatchReady(a) {
-				return false
-			}
-		}
-		return true
-	default:
-		return true
-	}
-}
-
-// assignment recognizes V = expr / expr = V with a single unbound variable.
-func assignment(c logic.Comparison) (string, logic.Term, bool) {
-	if c.Op != logic.CmpEq {
-		return "", nil, false
-	}
-	if v, ok := c.Left.(logic.Variable); ok && c.Right.Ground() {
-		return v.Name, c.Right, true
-	}
-	if v, ok := c.Right.(logic.Variable); ok && c.Left.Ground() {
-		return v.Name, c.Left, true
-	}
-	return "", nil, false
-}
-
-// unifyAtom structurally unifies pattern (under bindings b) against a
-// ground atom, extending b in place. It returns whether unification
-// succeeded and an undo function restoring b.
-func unifyAtom(pattern, ground logic.Atom, b logic.Bindings) (bool, func(logic.Bindings)) {
-	if pattern.Pred != ground.Pred || len(pattern.Args) != len(ground.Args) {
-		return false, func(logic.Bindings) {}
-	}
-	var added []string
-	undo := func(bb logic.Bindings) {
-		for _, v := range added {
-			delete(bb, v)
-		}
-	}
-	for i := range pattern.Args {
-		ok, vs := unifyTerm(pattern.Args[i], ground.Args[i], b)
-		added = append(added, vs...)
-		if !ok {
-			return false, undo
-		}
-	}
-	return true, undo
-}
-
-func unifyTerm(pat logic.Term, ground logic.Term, b logic.Bindings) (bool, []string) {
-	switch p := pat.(type) {
-	case logic.Variable:
-		if bound, ok := b[p.Name]; ok {
-			return logic.Compare(bound, ground) == 0, nil
-		}
-		b[p.Name] = ground
-		return true, []string{p.Name}
-	case logic.Symbol, logic.Number:
-		return logic.Compare(pat, ground) == 0, nil
-	case logic.Compound:
-		g, ok := ground.(logic.Compound)
-		if !ok || g.Functor != p.Functor || len(g.Args) != len(p.Args) {
-			return false, nil
-		}
-		var added []string
-		for i := range p.Args {
-			ok, vs := unifyTerm(p.Args[i], g.Args[i], b)
-			added = append(added, vs...)
-			if !ok {
-				return false, added
-			}
-		}
-		return true, added
-	case logic.BinOp:
-		sub := p.Substitute(b)
-		if !sub.Ground() {
-			return false, nil
-		}
-		v, err := logic.Eval(sub)
-		if err != nil {
-			return false, nil
-		}
-		return logic.Compare(v, ground) == 0, nil
-	default:
-		return false, nil
-	}
+	gr.markPossible(a.pool, instantiate(a, rc.vals), key)
+	return id, nil
 }
 
 // emitGround materializes one rule instantiation into the ground program
-// and records newly possible head atoms in next.
-func (gr *grounder) emitGround(r logic.Rule, b logic.Bindings, next map[string][]logic.Atom) error {
-	pos, neg, err := gr.groundBody(r.Body, b)
+// and marks newly possible head atoms.
+func (gr *grounder) emitGround(rc *ruleCode, pl *joinPlan) error {
+	pos, neg, err := gr.groundBody(rc, pl)
 	if err != nil {
 		return err
 	}
-	if r.Choice {
-		return gr.emitChoice(r, b, pos, neg, next)
+	if rc.rule.Choice {
+		return gr.emitChoice(rc, pos, neg)
 	}
 	var head AtomID
-	if r.Head != nil {
-		h, err := r.Head.Substitute(b).Eval()
-		if err != nil {
+	if rc.head != nil {
+		if head, err = gr.internAtom(rc, rc.head, true); err != nil {
 			return err
 		}
-		head = gr.out.AtomIDFor(h.Key())
-		gr.markPossible(h, next)
 	}
 	gr.out.AddBasic(head, pos, neg)
 	return nil
 }
 
-func (gr *grounder) groundBody(body []logic.BodyElem, b logic.Bindings) (pos, neg []AtomID, err error) {
-	for _, e := range body {
+// groundBody interns the body's ground literals in body order. A positive
+// literal's atom is the pool atom it matched; a negative one's key is
+// built from the bindings.
+func (gr *grounder) groundBody(rc *ruleCode, pl *joinPlan) (pos, neg []AtomID, err error) {
+	pos, neg = gr.ids(len(rc.posIdx)), gr.ids(rc.nNeg)
+	for i, e := range rc.rule.Body {
 		lit, ok := e.(logic.Literal)
 		if !ok {
 			continue // comparisons already verified during the join
 		}
-		atom, err := lit.Atom.Substitute(b).Eval()
-		if err != nil {
-			return nil, nil, err
+		a := rc.lits[i]
+		if !lit.Negated {
+			pos = append(pos, gr.out.AtomIDFor(a.pool.keys[pl.matched[i]]))
+			continue
 		}
-		id := gr.out.AtomIDFor(atom.Key())
-		if lit.Negated {
-			neg = append(neg, id)
-		} else {
-			pos = append(pos, id)
+		buf, ok := appendKey(gr.atomBuf[:0], a, rc.vals)
+		gr.atomBuf = buf
+		if !ok {
+			return nil, nil, rc.instError(a.src)
 		}
+		neg = append(neg, gr.out.atomIDForBytes(buf))
 	}
 	return pos, neg, nil
 }
 
-func (gr *grounder) emitChoice(r logic.Rule, b logic.Bindings, pos, neg []AtomID, next map[string][]logic.Atom) error {
-	var heads, conds []AtomID
-	for _, e := range r.Elems {
+// ids cuts an empty slice of capacity n from the slab (nil for n = 0).
+func (gr *grounder) ids(n int) []AtomID {
+	if n == 0 {
+		return nil
+	}
+	if len(gr.slab)+n > cap(gr.slab) {
+		gr.slab = make([]AtomID, 0, max(256, n))
+	}
+	at := len(gr.slab)
+	gr.slab = gr.slab[:at+n]
+	return gr.slab[at : at : at+n]
+}
+
+func (gr *grounder) emitChoice(rc *ruleCode, pos, neg []AtomID) error {
+	for _, e := range rc.rule.Elems {
 		for _, c := range e.Cond {
 			if c.Negated {
 				return fmt.Errorf("solver: negated choice-element condition %s is not supported", c)
 			}
 		}
-		err := gr.expandChoiceElem(e, b, func(bb logic.Bindings) error {
-			h, err := e.Atom.Substitute(bb).Eval()
-			if err != nil {
-				return err
-			}
-			hid := gr.out.AtomIDFor(h.Key())
-			gr.markPossible(h, next)
-			var guard AtomID
-			if len(e.Cond) > 0 {
-				guard, err = gr.condGuard(e.Cond, bb)
-				if err != nil {
-					return err
-				}
-			}
-			heads = append(heads, hid)
-			conds = append(conds, guard)
-			return nil
-		})
-		if err != nil {
-			return err
-		}
 	}
+	gr.heads, gr.conds = nil, nil
+	if err := gr.forElems(rc, modeElemEmit); err != nil {
+		return err
+	}
+	heads, conds := gr.heads, gr.conds
+	gr.heads, gr.conds = nil, nil
+	r := rc.rule
 	if len(heads) == 0 {
 		// An empty choice with a lower bound > 0 is unsatisfiable when the
 		// body holds.
@@ -866,39 +668,36 @@ func (gr *grounder) emitChoice(r logic.Rule, b logic.Bindings, pos, neg []AtomID
 	return nil
 }
 
-// expandChoiceElem joins the element's positive conditions over possible
-// atoms, invoking fn per condition instantiation (once if no conditions).
-func (gr *grounder) expandChoiceElem(e logic.ChoiceElem, b logic.Bindings, fn func(logic.Bindings) error) error {
-	if len(e.Cond) == 0 {
-		return fn(b)
+// emitElem collects one instantiation of choice element gr.elem: its
+// head atom and the guard of its conditions (pl is their plan).
+func (gr *grounder) emitElem(rc *ruleCode, pl *joinPlan) error {
+	e := &rc.elems[gr.elem]
+	hid, err := gr.internAtom(rc, e.atom, true)
+	if err != nil {
+		return err
 	}
-	body := make([]logic.BodyElem, len(e.Cond))
-	for i, c := range e.Cond {
-		body[i] = c
+	var guard AtomID
+	if len(e.conds) > 0 {
+		guard = gr.condGuard(e, pl)
 	}
-	return gr.join(body, -1, b, fn)
+	gr.heads = append(gr.heads, hid)
+	gr.conds = append(gr.conds, guard)
+	return nil
 }
 
 // condGuard interns a guard atom equivalent to the conjunction of the
-// (ground) condition literals. Single positive conditions reuse the
-// condition atom itself.
-func (gr *grounder) condGuard(cond []logic.Literal, b logic.Bindings) (AtomID, error) {
-	if len(cond) == 1 && !cond[0].Negated {
-		atom, err := cond[0].Atom.Substitute(b).Eval()
-		if err != nil {
-			return 0, err
-		}
-		return gr.out.AtomIDFor(atom.Key()), nil
+// (ground, positive) condition literals pl matched. Single conditions
+// reuse the condition atom itself.
+func (gr *grounder) condGuard(e *choiceCode, pl *joinPlan) AtomID {
+	if len(e.conds) == 1 {
+		return gr.out.AtomIDFor(e.conds[0].pool.keys[pl.matched[0]])
 	}
 	var pos []AtomID
-	keys := make([]string, 0, len(cond))
-	for _, c := range cond {
-		atom, err := c.Atom.Substitute(b).Eval()
-		if err != nil {
-			return 0, err
-		}
-		pos = append(pos, gr.out.AtomIDFor(atom.Key()))
-		keys = append(keys, atom.Key())
+	keys := make([]string, 0, len(e.conds))
+	for i, c := range e.conds {
+		key := c.pool.keys[pl.matched[i]]
+		pos = append(pos, gr.out.AtomIDFor(key))
+		keys = append(keys, key)
 	}
 	guard := gr.out.AtomIDFor("__cond(" + strings.Join(keys, ",") + ")")
 	gr.out.internal[int(guard)-1] = true
@@ -907,36 +706,27 @@ func (gr *grounder) condGuard(cond []logic.Literal, b logic.Bindings) (AtomID, e
 		// guard's support rule is identical (the key encodes the
 		// conjunction), so emit it once per session.
 		if gr.condSeen[guard] {
-			return guard, nil
+			return guard
 		}
 		gr.condSeen[guard] = true
 	}
 	gr.out.AddBasic(guard, pos, nil)
-	return guard, nil
+	return guard
 }
 
-func (gr *grounder) markPossible(a logic.Atom, next map[string][]logic.Atom) {
-	key := a.Key()
-	if gr.isPoss[key] {
-		return
-	}
+func (gr *grounder) markPossible(p *atomPool, a logic.Atom, key string) {
 	gr.isPoss[key] = true
 	gr.numPossible++
-	sig := a.Signature()
-	p := gr.possible[sig]
-	if p == nil {
-		p = &atomPool{index: make([]map[string][]int32, len(a.Args))}
-		gr.possible[sig] = p
-	}
 	pi := int32(len(p.atoms))
 	p.atoms = append(p.atoms, a)
+	p.keys = append(p.keys, key)
 	// Keep any already-built argument indexes current.
 	for i, idx := range p.index {
 		if idx != nil {
-			idx[a.Args[i].String()] = append(idx[a.Args[i].String()], pi)
+			k := keyOf(a.Args[i])
+			idx[k] = append(idx[k], pi)
 		}
 	}
-	next[sig] = append(next[sig], a)
 }
 
 // groundMinimize instantiates #minimize elements. Each ground element gets
@@ -945,41 +735,47 @@ func (gr *grounder) markPossible(a logic.Atom, next map[string][]logic.Atom) {
 func (gr *grounder) groundMinimize(elems []logic.MinimizeElem) error {
 	gr.minGuard = map[string]AtomID{}
 	for _, m := range elems {
-		body := m.Cond
-		emit := func(b logic.Bindings) error {
-			w, err := logic.EvalInt(m.Weight.Substitute(b))
-			if err != nil {
-				return err
-			}
-			tuple := make([]string, 0, len(m.Tuple))
-			for _, t := range m.Tuple {
-				et, err := logic.Eval(t.Substitute(b))
-				if err != nil {
-					return err
-				}
-				tuple = append(tuple, et.String())
-			}
-			tupleKey := strings.Join(tuple, ",")
-			pos, neg, err := gr.groundBody(body, b)
-			if err != nil {
-				return err
-			}
-			dedupKey := fmt.Sprintf("%d@%d[%s]", w, m.Priority, tupleKey)
-			guard, ok := gr.minGuard[dedupKey]
-			if !ok {
-				guard = gr.out.NewInternalAtom("min")
-				gr.minGuard[dedupKey] = guard
-				gr.out.Minimize = append(gr.out.Minimize, GroundMinimize{
-					Weight: w, Priority: m.Priority, Tuple: tupleKey, Guard: guard,
-				})
-			}
-			gr.out.AddBasic(guard, pos, neg)
-			return nil
-		}
-		if err := gr.join(body, -1, logic.Bindings{}, emit); err != nil {
+		mc := gr.compileMinimize(m)
+		if err := gr.exec(mc, mc.full, 0, modeMinimize); err != nil {
 			return err
 		}
 	}
+	return nil
+}
+
+func (gr *grounder) emitMinimize(mc *ruleCode, pl *joinPlan) error {
+	m := mc.min
+	w, ok := evalInt(&mc.weight, mc.vals)
+	if !ok {
+		_, err := logic.EvalInt(m.Weight.Substitute(mc.bindings()))
+		return err
+	}
+	buf := gr.atomBuf[:0]
+	for i := range mc.tuple {
+		if i > 0 {
+			buf = append(buf, ',')
+		}
+		if buf, ok = appendValue(buf, &mc.tuple[i], mc.vals); !ok {
+			_, err := logic.Eval(m.Tuple[i].Substitute(mc.bindings()))
+			return err
+		}
+	}
+	gr.atomBuf = buf
+	tupleKey := string(buf)
+	pos, neg, err := gr.groundBody(mc, pl)
+	if err != nil {
+		return err
+	}
+	dedupKey := fmt.Sprintf("%d@%d[%s]", w, m.Priority, tupleKey)
+	guard, ok := gr.minGuard[dedupKey]
+	if !ok {
+		guard = gr.out.NewInternalAtom("min")
+		gr.minGuard[dedupKey] = guard
+		gr.out.Minimize = append(gr.out.Minimize, GroundMinimize{
+			Weight: w, Priority: m.Priority, Tuple: tupleKey, Guard: guard,
+		})
+	}
+	gr.out.AddBasic(guard, pos, neg)
 	return nil
 }
 

@@ -11,12 +11,15 @@ import (
 	"cpsrisk/internal/logic"
 )
 
+// mustParse parses src and checks that the compiled and the reference
+// grounder agree on it.
 func mustParse(t *testing.T, src string) *logic.Program {
 	t.Helper()
 	prog, err := logic.Parse(src)
 	if err != nil {
 		t.Fatalf("parse: %v\n%s", err, src)
 	}
+	checkGroundersAgree(t, prog)
 	return prog
 }
 

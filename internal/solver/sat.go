@@ -56,6 +56,16 @@ type sat struct {
 	learnts []*clause // conflict-learned clauses, subject to DB reduction
 	watches [][]*clause
 
+	// witness holds, per problem clause, the literal that satisfied it
+	// at the last validateTotal, as its variable and the value that makes
+	// it true; it is tried first at the next check.
+	witness []witness
+
+	// Clauses and their literals are cut from chunks, so a clause costs
+	// no allocation of its own.
+	clauseSlab []clause
+	litArena   []lit
+
 	assign   []int8    // var -> 0 unknown, 1 true, -1 false
 	level    []int     // var -> decision level it was assigned at
 	reason   []*clause // var -> implying clause (nil: decision or unassigned)
@@ -327,8 +337,18 @@ func (s *sat) seedActivities(order []int) {
 
 // attach installs watches on lits[0] and lits[1].
 func (s *sat) attach(c *clause) {
-	s.watches[watchIdx(c.lits[0])] = append(s.watches[watchIdx(c.lits[0])], c)
-	s.watches[watchIdx(c.lits[1])] = append(s.watches[watchIdx(c.lits[1])], c)
+	s.watch(c.lits[0], c)
+	s.watch(c.lits[1], c)
+}
+
+// watch appends c to l's watch list, starting an empty list with room
+// for a few clauses.
+func (s *sat) watch(l lit, c *clause) {
+	ws := &s.watches[watchIdx(l)]
+	if *ws == nil {
+		*ws = make([]*clause, 0, 4)
+	}
+	*ws = append(*ws, c)
 }
 
 // detach removes the clause from its two watch lists.
@@ -412,14 +432,35 @@ func (s *sat) addClause(ls []lit) {
 		w2 = w1
 	}
 	out[1], out[w2] = out[w2], out[1]
-	c := &clause{lits: out}
+	c := s.newClause(clause{lits: out})
 	s.clauses = append(s.clauses, c)
+	s.witness = append(s.witness, witnessOf(out[0]))
 	s.attach(c)
 	// If unit under the current assignment, enqueue with the clause as
 	// reason.
 	if s.value(out[0]) == 0 && s.value(out[1]) == -1 {
 		s.uncheckedEnqueue(out[0], c)
 	}
+}
+
+// newClause stores c in the clause slab and returns its address.
+func (s *sat) newClause(c clause) *clause {
+	if len(s.clauseSlab) == cap(s.clauseSlab) {
+		s.clauseSlab = make([]clause, 0, 64)
+	}
+	s.clauseSlab = append(s.clauseSlab, c)
+	return &s.clauseSlab[len(s.clauseSlab)-1]
+}
+
+// storeLits copies ls into the literal arena, for a clause built in
+// scratch space.
+func (s *sat) storeLits(ls []lit) []lit {
+	if len(s.litArena)+len(ls) > cap(s.litArena) {
+		s.litArena = make([]lit, 0, max(1024, len(ls)))
+	}
+	at := len(s.litArena)
+	s.litArena = append(s.litArena, ls...)
+	return s.litArena[at:len(s.litArena):len(s.litArena)]
 }
 
 // pickWatches selects two watch positions: non-false literals first, then
@@ -503,7 +544,7 @@ func (s *sat) propagate() *clause {
 			for k := 2; k < len(li); k++ {
 				if s.value(li[k]) != -1 {
 					li[1], li[k] = li[k], li[1]
-					s.watches[watchIdx(li[1])] = append(s.watches[watchIdx(li[1])], c)
+					s.watch(li[1], c)
 					found = true
 					break
 				}
@@ -688,7 +729,7 @@ func (s *sat) record(learnt []lit) {
 		s.uncheckedEnqueue(learnt[0], nil)
 		return
 	}
-	c := &clause{lits: learnt, learnt: true, act: s.claInc}
+	c := s.newClause(clause{lits: learnt, learnt: true, act: s.claInc})
 	s.learnts = append(s.learnts, c)
 	s.learned++
 	s.attach(c)
@@ -933,9 +974,37 @@ func (s *sat) search(onTotal func() (stop bool)) error {
 	}
 }
 
+// witness is a literal held as its variable and the assignment value
+// that makes it true.
+type witness struct {
+	v    int32
+	want int8
+}
+
+func witnessOf(l lit) witness {
+	if l < 0 {
+		return witness{int32(-l), -1}
+	}
+	return witness{int32(l), 1}
+}
+
+// validateTotal checks that every problem clause holds at the current
+// total assignment. Each clause's last witness is tried first; only a
+// clause whose witness turned false is scanned.
 func (s *sat) validateTotal() error {
-	for ci, c := range s.clauses {
-		if s.clauseStatus(c.lits) != 1 {
+	for ci, w := range s.witness {
+		if s.assign[w.v] == w.want {
+			continue
+		}
+		found := false
+		for _, l := range s.clauses[ci].lits {
+			if s.value(l) == 1 {
+				s.witness[ci] = witnessOf(l)
+				found = true
+				break
+			}
+		}
+		if !found {
 			return fmt.Errorf("solver: internal error: clause %d unsatisfied at total assignment", ci)
 		}
 	}

@@ -10,14 +10,24 @@ import (
 )
 
 // solve is a test helper: parse, ground, solve, and render each model as a
-// sorted comma-joined atom string.
+// sorted comma-joined atom string. The grounders are compared on src
+// first.
 func solve(t *testing.T, src string, opts Options) []string {
 	t.Helper()
+	mustParse(t, src)
 	res, err := SolveSource(src, opts)
 	if err != nil {
 		t.Fatalf("SolveSource: %v", err)
 	}
 	return renderModels(res)
+}
+
+// checkedSolveSource is SolveSource after comparing the compiled and the
+// reference grounder on src.
+func checkedSolveSource(t *testing.T, src string, opts Options) (*Result, error) {
+	t.Helper()
+	mustParse(t, src)
+	return SolveSource(src, opts)
 }
 
 func renderModels(res *Result) []string {
@@ -122,7 +132,7 @@ func TestConstraintPrunes(t *testing.T) {
 }
 
 func TestUnsatConstraint(t *testing.T) {
-	res, err := SolveSource(`a. :- a.`, Options{})
+	res, err := checkedSolveSource(t, `a. :- a.`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +259,7 @@ func TestIntervalFacts(t *testing.T) {
 }
 
 func TestIntervalPairFacts(t *testing.T) {
-	res, err := SolveSource(`grid(1..2, 1..2).`, Options{})
+	res, err := checkedSolveSource(t, `grid(1..2, 1..2).`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -266,7 +276,7 @@ func TestMaxModelsLimit(t *testing.T) {
 }
 
 func TestOptimizeSimple(t *testing.T) {
-	res, err := SolveSource(`
+	res, err := checkedSolveSource(t, `
 		item(a, 3). item(b, 5). item(c, 2).
 		1 { pick(X) : item(X, W) }.
 		#minimize { W,X : pick(X), item(X, W) }.
@@ -287,7 +297,7 @@ func TestOptimizeSimple(t *testing.T) {
 func TestOptimizeCoversAll(t *testing.T) {
 	// Weighted vertex cover of path a-b-c with weights a=1,b=5,c=1:
 	// optimal cover is {a,c} with cost 2.
-	res, err := SolveSource(`
+	res, err := checkedSolveSource(t, `
 		node(a,1). node(b,5). node(c,1).
 		edge(a,b). edge(b,c).
 		{ in(N) : node(N,W) }.
@@ -311,7 +321,7 @@ func TestOptimizeCoversAll(t *testing.T) {
 
 func TestOptimizeEnumeratesAllOptima(t *testing.T) {
 	// Two symmetric optima.
-	res, err := SolveSource(`
+	res, err := checkedSolveSource(t, `
 		1 { pick(a); pick(b) } 1.
 		cost(a, 4). cost(b, 4).
 		#minimize { C,X : pick(X), cost(X, C) }.
@@ -327,7 +337,7 @@ func TestOptimizeEnumeratesAllOptima(t *testing.T) {
 func TestOptimizeMultiPriority(t *testing.T) {
 	// Higher priority dominates: first minimize violations (prio 2), then
 	// cost (prio 1).
-	res, err := SolveSource(`
+	res, err := checkedSolveSource(t, `
 		1 { plan(cheap); plan(safe) } 1.
 		violation(1) :- plan(cheap).
 		price(cheap, 1). price(safe, 10).
@@ -347,7 +357,7 @@ func TestOptimizeMultiPriority(t *testing.T) {
 }
 
 func TestOptimizeWithMaximize(t *testing.T) {
-	res, err := SolveSource(`
+	res, err := checkedSolveSource(t, `
 		item(a, 3). item(b, 5).
 		{ pick(X) : item(X, V) } 1.
 		#maximize { V,X : pick(X), item(X, V) }.
@@ -361,7 +371,7 @@ func TestOptimizeWithMaximize(t *testing.T) {
 }
 
 func TestWeakConstraint(t *testing.T) {
-	res, err := SolveSource(`
+	res, err := checkedSolveSource(t, `
 		1 { pick(a); pick(b) } 1.
 		:~ pick(a). [3@1, a]
 		:~ pick(b). [1@1, b]
@@ -376,7 +386,7 @@ func TestWeakConstraint(t *testing.T) {
 
 func TestMinimizeTupleDeduplication(t *testing.T) {
 	// Two minimize elements with the same (weight, tuple) must count once.
-	res, err := SolveSource(`
+	res, err := checkedSolveSource(t, `
 		a. b.
 		hit :- a.
 		hit :- b.
@@ -456,6 +466,7 @@ func TestStableModelsAreFixpoints(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		checkGroundersAgree(t, prog)
 		gp, err := Ground(prog, nil)
 		if err != nil {
 			t.Fatal(err)
@@ -657,7 +668,7 @@ func TestGroundProgramString(t *testing.T) {
 }
 
 func TestSolverStats(t *testing.T) {
-	res, err := SolveSource(`{ a; b; c }. :- a, b.`, Options{})
+	res, err := checkedSolveSource(t, `{ a; b; c }. :- a, b.`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -674,7 +685,7 @@ func TestLargeStratifiedChain(t *testing.T) {
 	var sb strings.Builder
 	sb.WriteString("p(0).\n")
 	sb.WriteString("p(Y) :- p(X), Y = X + 1, Y <= 200.\n")
-	res, err := SolveSource(sb.String(), Options{})
+	res, err := checkedSolveSource(t, sb.String(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -684,7 +695,7 @@ func TestLargeStratifiedChain(t *testing.T) {
 }
 
 func TestModelWithPredicate(t *testing.T) {
-	res, err := SolveSource(`p(1). p(2). pq(3). q.`, Options{})
+	res, err := checkedSolveSource(t, `p(1). p(2). pq(3). q.`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -698,7 +709,7 @@ func TestModelWithPredicate(t *testing.T) {
 }
 
 func TestNoModelsForContradictoryFacts(t *testing.T) {
-	res, err := SolveSource(`a. b. :- a, b.`, Options{})
+	res, err := checkedSolveSource(t, `a. b. :- a, b.`, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,7 +1,9 @@
 package solver
 
 import (
+	"encoding/binary"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -185,25 +187,40 @@ type translation struct {
 	posOcc [][]int32 // atom -> deriv rule indices with it in pos
 
 	bodyMemo map[string]lit
+	keyBuf   []byte
+	sortBuf  []AtomID
 	andMemo  map[[2]lit]lit
 
 	costOffset int64
 	loopAdds   int64
 	stableCks  int64
 
-	// tight is true when the positive dependency graph is acyclic: then
-	// the Clark completion is exact, every model of the completion is
-	// stable, and the unfounded-set check short-circuits.
-	tight bool
+	// The stability check's cone: the atoms that positively depend on a
+	// non-trivial positive SCC (self-loops count), in ID order; the
+	// derivation rules whose head is in the cone; and the atoms outside
+	// the cone that those rules use positively. An empty cone means the
+	// program is tight: the Clark completion is exact and every model of
+	// the completion is stable (Fages' theorem).
+	cone       []AtomID
+	coneRules  []int32
+	coneInputs []AtomID
 
 	// sortedExt caches the non-internal atom IDs in name order so model
 	// extraction avoids a per-model string sort.
 	sortedExt []AtomID
 
-	// unfounded-set scratch buffers, reused across stability checks.
+	// minPrio maps each minimize element to its slot in a model's cost
+	// vector; prios lists the priorities, highest first.
+	minPrio []int
+	prios   []int
+
+	// Per-model scratch, reused across stability checks and blocking
+	// clauses.
 	ufDerived   []bool
 	ufRemaining []int
 	ufQueue     []AtomID
+	blockBuf    []lit
+	modelBuf    []string
 
 	// Incremental extension state (multi-shot sessions): supports and
 	// factHead persist so completion clauses for atoms introduced by a
@@ -257,7 +274,7 @@ func translate(gp *GroundProgram) (*translation, error) {
 	if err := tr.translateObjective(); err != nil {
 		return nil, err
 	}
-	tr.tight = tr.detectTight()
+	tr.buildCone()
 	tr.buildOrder()
 	tr.translatedRules = len(gp.Rules)
 	tr.knownAtoms = gp.NumAtoms()
@@ -303,7 +320,6 @@ func (tr *translation) growAtoms(emitNewCompletions bool) {
 	}
 	tr.knownAtoms = gp.NumAtoms()
 	tr.sortedExt = nil
-	tr.ufDerived = nil // forces the unfounded-set scratch to resize
 }
 
 // extendTranslation incorporates the rules appended to gp since the last
@@ -335,7 +351,7 @@ func (tr *translation) extendTranslation() error {
 		tr.emitCompletion(id)
 	}
 	tr.translatedRules = len(gp.Rules)
-	tr.tight = tr.detectTight()
+	tr.buildCone()
 	if !tr.s.unsatRoot {
 		if confl := tr.s.propagate(); confl != nil {
 			tr.s.unsatRoot = true
@@ -370,37 +386,46 @@ func (tr *translation) addConstraintsInSearch() {
 	tr.translatedRules = len(gp.Rules)
 }
 
-// detectTight reports whether the positive dependency graph (head ->
-// positive body atoms over all derivation rules) is acyclic. Tight
-// programs need no loop formulas: the completion already characterizes
-// the stable models (Fages' theorem).
-func (tr *translation) detectTight() bool {
+// buildCone computes the stability check's cone over the positive
+// dependency graph (head -> positive body atoms over all derivation
+// rules): Tarjan's algorithm finds the atoms in non-trivial SCCs or on
+// self-loops, and a backward search over posOcc adds every atom that
+// positively depends on one of them. It runs on every (re)translation,
+// so Session.Add keeps the cone current.
+func (tr *translation) buildCone() {
 	n := tr.gp.NumAtoms()
-	// color: 0 unvisited, 1 on stack, 2 done.
-	color := make([]int8, n+1)
-	type frame struct {
-		id AtomID
-		ri int // next posOcc-rule index to expand (rules with id in head)
-		pi int // next pos-atom index within that rule
-	}
-	// Successor edges: head -> pos. Build head -> rule indices.
 	headRules := make([][]int32, n+1)
 	for ri := range tr.deriv {
-		h := tr.deriv[ri].head
-		if h != 0 {
+		if h := tr.deriv[ri].head; h != 0 {
 			headRules[h] = append(headRules[h], int32(ri))
 		}
 	}
-	var stack []frame
+	num := make([]int32, n+1) // DFS number; 0 = unvisited
+	low := make([]int32, n+1)
+	onStack := make([]bool, n+1)
+	inCone := make([]bool, n+1)
+	var sccStack, queue []AtomID
+	type frame struct {
+		id     AtomID
+		ri, pi int // next edge: pos[pi] of rule headRules[id][ri]
+	}
+	var frames []frame
+	next := int32(0)
+	visit := func(id AtomID) {
+		next++
+		num[id], low[id] = next, next
+		onStack[id] = true
+		sccStack = append(sccStack, id)
+		frames = append(frames, frame{id: id})
+	}
 	for start := AtomID(1); start <= AtomID(n); start++ {
-		if color[start] != 0 {
+		if num[start] != 0 {
 			continue
 		}
-		color[start] = 1
-		stack = append(stack[:0], frame{id: start})
-		for len(stack) > 0 {
-			f := &stack[len(stack)-1]
-			advanced := false
+		visit(start)
+		for len(frames) > 0 {
+			f := &frames[len(frames)-1]
+			descended := false
 			for f.ri < len(headRules[f.id]) {
 				pos := tr.deriv[headRules[f.id][f.ri]].pos
 				if f.pi >= len(pos) {
@@ -408,27 +433,87 @@ func (tr *translation) detectTight() bool {
 					f.pi = 0
 					continue
 				}
-				next := pos[f.pi]
+				w := pos[f.pi]
 				f.pi++
-				switch color[next] {
-				case 1:
-					return false // positive cycle
-				case 0:
-					color[next] = 1
-					stack = append(stack, frame{id: next})
-					advanced = true
-				}
-				if advanced {
+				if num[w] == 0 {
+					visit(w)
+					descended = true
 					break
 				}
+				if onStack[w] {
+					low[f.id] = min(low[f.id], num[w])
+					if w == f.id {
+						inCone[w] = true // self-loop
+					}
+				}
 			}
-			if !advanced {
-				color[f.id] = 2
-				stack = stack[:len(stack)-1]
+			if descended {
+				continue
+			}
+			id := f.id
+			frames = frames[:len(frames)-1]
+			if len(frames) > 0 {
+				p := frames[len(frames)-1].id
+				low[p] = min(low[p], low[id])
+			}
+			if low[id] != num[id] {
+				continue
+			}
+			// id roots an SCC: pop it; two or more atoms make it cyclic.
+			k := len(sccStack) - 1
+			for sccStack[k] != id {
+				k--
+			}
+			scc := sccStack[k:]
+			for _, a := range scc {
+				onStack[a] = false
+				if len(scc) > 1 {
+					inCone[a] = true
+				}
+			}
+			sccStack = sccStack[:k]
+		}
+	}
+	for id := AtomID(1); id <= AtomID(n); id++ {
+		if inCone[id] {
+			queue = append(queue, id)
+		}
+	}
+	for len(queue) > 0 {
+		a := queue[len(queue)-1]
+		queue = queue[:len(queue)-1]
+		for _, ri := range tr.posOcc[a] {
+			if h := tr.deriv[ri].head; !inCone[h] {
+				inCone[h] = true
+				queue = append(queue, h)
 			}
 		}
 	}
-	return true
+	tr.cone, tr.coneRules, tr.coneInputs = tr.cone[:0], tr.coneRules[:0], tr.coneInputs[:0]
+	for id := AtomID(1); id <= AtomID(n); id++ {
+		if inCone[id] {
+			tr.cone = append(tr.cone, id)
+		}
+	}
+	if len(tr.cone) == 0 {
+		return
+	}
+	input := onStack // all false again: reuse as the input marks
+	for ri := range tr.deriv {
+		dr := &tr.deriv[ri]
+		if !inCone[dr.head] {
+			continue
+		}
+		tr.coneRules = append(tr.coneRules, int32(ri))
+		for _, p := range dr.pos {
+			if !inCone[p] && !input[p] {
+				input[p] = true
+				tr.coneInputs = append(tr.coneInputs, p)
+			}
+		}
+	}
+	tr.ufDerived = make([]bool, n+1)
+	tr.ufRemaining = make([]int, len(tr.deriv))
 }
 
 func (tr *translation) trueLit() lit  { return lit(tr.vTrue) }
@@ -532,8 +617,8 @@ func (tr *translation) bodyVar(pos, neg []AtomID) lit {
 	if len(pos) == 0 && len(neg) == 1 {
 		return -tr.atomLit(neg[0])
 	}
-	key := bodyKey(pos, neg)
-	if b, ok := tr.bodyMemo[key]; ok {
+	key := tr.bodyKey(pos, neg)
+	if b, ok := tr.bodyMemo[string(key)]; ok {
 		return b
 	}
 	v := tr.s.newVar()
@@ -551,22 +636,28 @@ func (tr *translation) bodyVar(pos, neg []AtomID) lit {
 		long = append(long, -l)
 	}
 	tr.s.addClause(long)
-	tr.bodyMemo[key] = beta
+	tr.bodyMemo[string(key)] = beta
 	return beta
 }
 
-func bodyKey(pos, neg []AtomID) string {
-	ps := make([]int, len(pos))
-	for i, p := range pos {
-		ps[i] = int(p)
+// bodyKey renders a body into the reused key buffer: its positive and
+// its negative atom IDs, each sorted with repeats kept, as uvarints with
+// a zero byte between the two lists (IDs start at 1, so no uvarint of
+// one holds a zero byte).
+func (tr *translation) bodyKey(pos, neg []AtomID) []byte {
+	buf := tr.keyBuf[:0]
+	for i, ids := range [2][]AtomID{pos, neg} {
+		if i > 0 {
+			buf = append(buf, 0)
+		}
+		tr.sortBuf = append(tr.sortBuf[:0], ids...)
+		slices.Sort(tr.sortBuf)
+		for _, id := range tr.sortBuf {
+			buf = binary.AppendUvarint(buf, uint64(id))
+		}
 	}
-	ns := make([]int, len(neg))
-	for i, n := range neg {
-		ns[i] = int(n)
-	}
-	sort.Ints(ps)
-	sort.Ints(ns)
-	return fmt.Sprint(ps, "~", ns)
+	tr.keyBuf = buf
+	return buf
 }
 
 // and returns a literal equivalent to a ∧ b.
@@ -729,45 +820,45 @@ func (tr *translation) atomTrue(id AtomID) bool {
 }
 
 // unfoundedSet returns the set of true-but-underivable atoms for the
-// current total assignment, or nil if the assignment is stable.
+// current total assignment, in ID order, or nil if the assignment is
+// stable. The caller has checked every clause (validateTotal), so the
+// completion holds: a true atom outside the cone is founded, by
+// induction over its acyclic positive dependencies. The fixpoint
+// therefore runs over the cone alone, with each input atom derived iff
+// it is true, and returns exactly the whole-program fixpoint's set.
 func (tr *translation) unfoundedSet() []AtomID {
 	tr.stableCks++
-	if tr.tight {
+	if len(tr.cone) == 0 {
 		return nil
-	}
-	if tr.ufDerived == nil {
-		tr.ufDerived = make([]bool, tr.gp.NumAtoms()+1)
-		tr.ufRemaining = make([]int, len(tr.deriv))
-		tr.ufQueue = make([]AtomID, 0, 64)
-	} else {
-		for i := range tr.ufDerived {
-			tr.ufDerived[i] = false
-		}
 	}
 	derived := tr.ufDerived
 	remaining := tr.ufRemaining
 	queue := tr.ufQueue[:0]
-
-	deriveAtom := func(id AtomID) {
-		if id != 0 && !derived[id] && tr.atomTrue(id) {
-			derived[id] = true
-			queue = append(queue, id)
-		}
+	for _, a := range tr.cone {
+		derived[a] = false
 	}
-	fire := func(ri int) {
+	for _, a := range tr.coneInputs {
+		derived[a] = tr.atomTrue(a)
+	}
+
+	// fire derives rule ri's (true) head when no negative body atom is
+	// true.
+	fire := func(ri int32) {
 		dr := &tr.deriv[ri]
 		for _, n := range dr.neg {
 			if tr.atomTrue(n) {
 				return
 			}
 		}
-		deriveAtom(dr.head)
+		if id := dr.head; !derived[id] && tr.atomTrue(id) {
+			derived[id] = true
+			queue = append(queue, id)
+		}
 	}
 
-	for ri := range tr.deriv {
-		dr := &tr.deriv[ri]
+	for _, ri := range tr.coneRules {
 		cnt := 0
-		for _, p := range dr.pos {
+		for _, p := range tr.deriv[ri].pos {
 			if !derived[p] {
 				cnt++
 			}
@@ -781,7 +872,6 @@ func (tr *translation) unfoundedSet() []AtomID {
 		a := queue[len(queue)-1]
 		queue = queue[:len(queue)-1]
 		for _, ri := range tr.posOcc[a] {
-			ri := int(ri)
 			dr := &tr.deriv[ri]
 			// Decrement once per occurrence of a in pos.
 			for _, p := range dr.pos {
@@ -805,11 +895,10 @@ func (tr *translation) unfoundedSet() []AtomID {
 			}
 		}
 	}
-
 	tr.ufQueue = queue[:0]
 
 	var unfounded []AtomID
-	for id := AtomID(1); id <= AtomID(tr.gp.NumAtoms()); id++ {
+	for _, id := range tr.cone {
 		if tr.atomTrue(id) && !derived[id] {
 			unfounded = append(unfounded, id)
 		}
@@ -849,6 +938,9 @@ func (tr *translation) loopClause(unfounded []AtomID) []lit {
 	return clause
 }
 
+// addSearchClause adds c during search, backjumping until it is not
+// conflicting. c may be scratch: the stored clause is a copy in the
+// engine's literal arena.
 func (tr *translation) addSearchClause(c []lit) {
 	tr.s.backtrackForClause(c)
 	if tr.s.clauseStatus(c) == -1 {
@@ -856,7 +948,7 @@ func (tr *translation) addSearchClause(c []lit) {
 		tr.s.unsatRoot = true
 		return
 	}
-	tr.s.addClause(c)
+	tr.s.addClause(tr.s.storeLits(c))
 }
 
 // sortedExternal returns (and caches) the non-internal atom IDs sorted
@@ -877,44 +969,59 @@ func (tr *translation) sortedExternal() []AtomID {
 	return tr.sortedExt
 }
 
-// extractModel reads the current stable assignment into a Model.
+// extractModel reads the current stable assignment into a Model,
+// allocating only the model's own slices.
 func (tr *translation) extractModel() Model {
-	atoms := make([]string, 0, len(tr.sortedExternal()))
+	buf := tr.modelBuf[:0]
 	for _, id := range tr.sortedExternal() {
 		if tr.atomTrue(id) {
-			atoms = append(atoms, tr.gp.AtomName(id))
+			buf = append(buf, tr.gp.AtomName(id))
 		}
 	}
-	m := Model{Atoms: atoms}
+	tr.modelBuf = buf
+	m := Model{Atoms: make([]string, len(buf))}
+	copy(m.Atoms, buf)
 	if len(tr.gp.Minimize) > 0 {
 		m.Cost = tr.modelCosts()
 	}
 	return m
 }
 
+// modelCosts sums the true minimize guards' weights per priority,
+// highest priority first.
 func (tr *translation) modelCosts() []PriorityCost {
-	per := map[int]int{}
-	prios := []int{}
-	for _, gm := range tr.gp.Minimize {
-		if _, ok := per[gm.Priority]; !ok {
-			prios = append(prios, gm.Priority)
-			per[gm.Priority] = 0
+	if tr.minPrio == nil {
+		slot := map[int]int{}
+		for _, gm := range tr.gp.Minimize {
+			if _, ok := slot[gm.Priority]; !ok {
+				slot[gm.Priority] = 0
+				tr.prios = append(tr.prios, gm.Priority)
+			}
 		}
-		if tr.atomTrue(gm.Guard) {
-			per[gm.Priority] += gm.Weight
+		sort.Sort(sort.Reverse(sort.IntSlice(tr.prios)))
+		for i, p := range tr.prios {
+			slot[p] = i
+		}
+		tr.minPrio = make([]int, len(tr.gp.Minimize))
+		for i, gm := range tr.gp.Minimize {
+			tr.minPrio[i] = slot[gm.Priority]
 		}
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(prios)))
-	out := make([]PriorityCost, 0, len(prios))
-	for _, p := range prios {
-		out = append(out, PriorityCost{Priority: p, Cost: per[p]})
+	out := make([]PriorityCost, len(tr.prios))
+	for i, p := range tr.prios {
+		out[i].Priority = p
+	}
+	for i, gm := range tr.gp.Minimize {
+		if tr.atomTrue(gm.Guard) {
+			out[tr.minPrio[i]].Cost += gm.Weight
+		}
 	}
 	return out
 }
 
 // blockingClause excludes the current total assignment by the negation of
-// its decision literals (clasp-style solution recording), leaving one
-// slot of capacity for the caller's query guard. The decisions are the
+// its decision literals (clasp-style solution recording). It returns
+// scratch that the next call reuses; addSearchClause stores a copy. The decisions are the
 // first trail literal of each level with no reason: branching decisions
 // and the assumption pseudo-decisions, the guard's own included; a dummy
 // assumption level opens on an already-implied literal and contributes
@@ -926,7 +1033,7 @@ func (tr *translation) modelCosts() []PriorityCost {
 // model and no other.
 func (tr *translation) blockingClause() []lit {
 	s := tr.s
-	clause := make([]lit, 0, s.decisionLevel()+1)
+	clause := tr.blockBuf[:0]
 	for i, start := range s.trailLim {
 		end := len(s.trail)
 		if i+1 < len(s.trailLim) {
@@ -939,5 +1046,6 @@ func (tr *translation) blockingClause() []lit {
 			clause = append(clause, -d)
 		}
 	}
+	tr.blockBuf = clause
 	return clause
 }
