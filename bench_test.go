@@ -420,7 +420,12 @@ func BenchmarkS3_ScenarioSpace(b *testing.B) {
 			want, _ := faults.SpaceSize(len(muts), k)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if got := faults.Enumerate(muts, k); int64(len(got)) != want {
+				var got int64
+				faults.EnumerateIndex(len(muts), k, func([]int) bool {
+					got++
+					return true
+				})
+				if got != want {
 					b.Fatal("size mismatch")
 				}
 			}
@@ -513,9 +518,9 @@ func redundantStar(b *testing.B, n int) (*epa.Engine, []faults.Mutation, []hazar
 
 // BenchmarkS3_PrunedSweep measures the tentpole of the pruning work
 // (experiment S3, pruned arms): the same redundant plant swept
-// exhaustively, with dominance + symmetry pruning, and as two
-// rank-range shards. The pruned arm asserts the >= 5x reduction in
-// executed scenarios that the report-identity tests license.
+// exhaustively and with dominance + symmetry pruning. The pruned arm
+// asserts the >= 5x reduction in executed scenarios that the
+// report-identity tests license.
 func BenchmarkS3_PrunedSweep(b *testing.B) {
 	eng, muts, reqs := redundantStar(b, 12) // 25 candidates
 	for _, k := range []int{4, 5} {
@@ -545,21 +550,6 @@ func BenchmarkS3_PrunedSweep(b *testing.B) {
 				}
 				if a.Sweep.Executed*5 > total {
 					b.Fatalf("pruning reduction < 5x: executed %d of %d", a.Sweep.Executed, total)
-				}
-			}
-		})
-		b.Run(fmt.Sprintf("k=%d/sharded-2", k), func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				for s := 0; s < 2; s++ {
-					a, err := hazard.AnalyzeSweep(eng, muts, k, reqs, hazard.SweepConfig{
-						Parallelism: 2, Prune: true, ShardIndex: s, ShardCount: 2,
-					})
-					if err != nil {
-						b.Fatal(err)
-					}
-					if len(a.Scenarios) == 0 {
-						b.Fatal("empty shard")
-					}
 				}
 			}
 		})
@@ -1101,7 +1091,6 @@ func BenchmarkS6_DeltaReassess(b *testing.B) {
 		})
 		b.Run(fx.name+"/warm-delta", func(b *testing.B) {
 			ac := artifact.New(0)
-			defer ac.Close()
 			seed := fx.make("")
 			seed.ArtifactCache = ac
 			if _, err := core.Run(seed); err != nil {
@@ -1190,7 +1179,6 @@ func BenchmarkS7_ServedWarmPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		ac := artifact.New(0)
-		defer ac.Close()
 		cfg := core.Config{
 			Model:           model,
 			Types:           types,

@@ -9,7 +9,7 @@
 //
 //	riskassess -model model.json -types types.json [assessment flags]
 //	           [-json] [-dot out.dot] [-trace out.json] [-trace-id id]
-//	           [-checkpoint dir] [-shard i/m] [-artifact-cache]
+//	           [-checkpoint dir] [-artifact-cache]
 //	           [-delta old.json] [-watch [-watch-interval d] [-watch-max N]]
 //	           [-cpuprofile cpu.pprof] [-memprofile mem.pprof]
 //
@@ -42,8 +42,6 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
-	"strconv"
-	"strings"
 	"time"
 
 	"cpsrisk/internal/artifact"
@@ -83,7 +81,6 @@ func run(args []string, stdout io.Writer) error {
 	typesPath := fs.String("types", "", "component-type library JSON (required)")
 	jsonOut := fs.Bool("json", false, "emit the machine-readable JSON summary instead of text")
 	dotPath := fs.String("dot", "", "also write the model as GraphViz DOT to this file")
-	shard := fs.String("shard", "", "sweep one rank-range shard of the scenario space, as \"i/m\" (0-based index i of m shards); the shards' rows together are the whole-space report")
 	checkpointDir := fs.String("checkpoint", "", "persist the sweep frontier in this directory; an interrupted or -max-scenarios-capped run resumes from it, sweeping the completed ranks again without charging them to the cap")
 	deltaOld := fs.String("delta", "", "assess this older model first to warm the artifact cache, then assess -model incrementally against it")
 	watch := fs.Bool("watch", false, "keep running and re-assess -model whenever the file changes; repeat runs resolve warm or delta from the artifact cache")
@@ -105,11 +102,6 @@ func run(args []string, stdout io.Writer) error {
 	base.MutationSources = faults.AllSources()
 	base.TraceID = *traceID
 	base.CheckpointDir = *checkpointDir
-	var err error
-	base.ShardIndex, base.ShardCount, err = parseShard(*shard)
-	if err != nil {
-		return err
-	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
@@ -144,6 +136,7 @@ func run(args []string, stdout io.Writer) error {
 	// (CPSRISK_FAULTS / CPSRISK_FAULT_SEED) so production invocations
 	// can't trip it by flag typo; unset env means a nil injector and
 	// nil-check-only overhead.
+	var err error
 	base.Faults, err = faultinject.FromEnv()
 	if err != nil {
 		return err
@@ -159,7 +152,6 @@ func run(args []string, stdout io.Writer) error {
 	// it is armed exactly for the repeat-run modes.
 	if *watch || *deltaOld != "" || *artifactCache {
 		base.ArtifactCache = artifact.New(0)
-		defer base.ArtifactCache.Close()
 	}
 
 	// assess loads and runs one model file on base. The type library and
@@ -290,29 +282,6 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	return emit(a, model)
-}
-
-// parseShard parses the -shard flag ("" = whole space, "i/m" = shard i
-// of m, 0-based).
-func parseShard(s string) (index, count int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	i := strings.IndexByte(s, '/')
-	if i < 0 {
-		return 0, 0, fmt.Errorf("-shard %q: want \"i/m\", e.g. 0/4", s)
-	}
-	index, err = strconv.Atoi(s[:i])
-	if err == nil {
-		count, err = strconv.Atoi(s[i+1:])
-	}
-	if err != nil {
-		return 0, 0, fmt.Errorf("-shard %q: want \"i/m\", e.g. 0/4", s)
-	}
-	if count < 1 || index < 0 || index >= count {
-		return 0, 0, fmt.Errorf("-shard %q: index must be in [0,%d)", s, count)
-	}
-	return index, count, nil
 }
 
 func loadModel(path string) (*sysmodel.Model, error) {

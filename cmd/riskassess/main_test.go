@@ -300,13 +300,12 @@ func TestRunParallelJSONIsDeterministic(t *testing.T) {
 }
 
 // jsonRun executes the CLI with -json and decodes the summary fields the
-// pruning/sharding tests care about.
+// pruning tests care about.
 func jsonRun(t *testing.T, extra ...string) (scenarios []json.RawMessage, sweep struct {
-	Executed     int64  `json:"executed"`
-	Pruned       int64  `json:"pruned"`
-	OrbitHits    int64  `json:"orbitHits"`
-	OrbitClasses int    `json:"orbitClasses"`
-	Shard        string `json:"shard"`
+	Executed     int64 `json:"executed"`
+	Pruned       int64 `json:"pruned"`
+	OrbitHits    int64 `json:"orbitHits"`
+	OrbitClasses int   `json:"orbitClasses"`
 }) {
 	t.Helper()
 	args := append([]string{
@@ -336,8 +335,8 @@ func jsonRun(t *testing.T, extra ...string) (scenarios []json.RawMessage, sweep 
 }
 
 // scenarioSet renders scenario rows for comparison. The JSON export
-// lists scenarios risk-ranked, so rows are sorted to compare runs that
-// cover the space in different shard orders.
+// lists scenarios risk-ranked; rows are sorted so the comparison checks
+// the scenario set, not the order the ranking lists it in.
 func scenarioSet(rows []json.RawMessage) string {
 	lines := make([]string, len(rows))
 	for i, r := range rows {
@@ -363,41 +362,6 @@ func TestRunNoPruneFlag(t *testing.T) {
 	}
 	if pruned.Executed+pruned.Pruned+pruned.OrbitHits != int64(len(prunedRows)) {
 		t.Errorf("pruned-run accounting off: %+v over %d rows", pruned, len(prunedRows))
-	}
-}
-
-// TestRunShardFlag: two shard runs partition the space, and their union
-// is the whole-space report.
-func TestRunShardFlag(t *testing.T) {
-	baseRows, _ := jsonRun(t)
-	var shardRows []json.RawMessage
-	for i := 0; i < 2; i++ {
-		spec := strconv.Itoa(i) + "/2"
-		rows, sw := jsonRun(t, "-shard", spec)
-		if sw.Shard != spec {
-			t.Fatalf("sweep.shard = %q, want %q", sw.Shard, spec)
-		}
-		shardRows = append(shardRows, rows...)
-	}
-	if scenarioSet(shardRows) != scenarioSet(baseRows) {
-		t.Fatal("shard union diverged from the whole-space report")
-	}
-}
-
-// TestRunShardFlagValidation: malformed or out-of-range shard specs and
-// the ASP combination fail fast.
-func TestRunShardFlagValidation(t *testing.T) {
-	base := []string{
-		"-model", "../../models/sme-plant.json",
-		"-types", "../../models/types.json",
-	}
-	for _, spec := range []string{"2/2", "-1/3", "x/y", "1", "1/0"} {
-		if err := run(append(base, "-shard", spec), io.Discard); err == nil {
-			t.Errorf("-shard %q accepted", spec)
-		}
-	}
-	if err := run(append(base, "-shard", "0/2", "-asp"), io.Discard); err == nil {
-		t.Error("-shard with -asp accepted")
 	}
 }
 

@@ -146,10 +146,11 @@ func requireBinderFlags(t *testing.T, help string) {
 	})
 }
 
-// TestHelpExitsZero: -h and -help print the usage, which does not list
-// -cache, and exit 0; any other error, an unknown -cache included, exits
-// 1 with the error on stderr.
+// TestHelpExitsZero: -h and -help print the usage, which lists neither
+// -cache nor -shard, and exit 0; any other error, an unknown -cache or
+// -shard included, exits 1 with the error on stderr.
 func TestHelpExitsZero(t *testing.T) {
+	gone := []string{"-cache", "-shard"}
 	for _, arg := range []string{"-h", "-help"} {
 		var stderr strings.Builder
 		code := -1
@@ -157,14 +158,21 @@ func TestHelpExitsZero(t *testing.T) {
 		if code != 0 || stderr.Len() != 0 {
 			t.Errorf("%s: exit %d, stderr %q", arg, code, stderr.String())
 		}
-		if !strings.Contains(help, "-model") || strings.Contains(help, "\n  -cache") {
-			t.Errorf("%s: usage lacks -model or lists -cache:\n%s", arg, help)
+		if !strings.Contains(help, "-model") {
+			t.Errorf("%s: usage lacks -model:\n%s", arg, help)
+		}
+		for _, flag := range gone {
+			if strings.Contains(help, "\n  "+flag) {
+				t.Errorf("%s: usage lists %s:\n%s", arg, flag, help)
+			}
 		}
 	}
-	var stderr strings.Builder
-	code := -1
-	stderrOf(t, func() { code = exitCode(run([]string{"-cache", t.TempDir()}, io.Discard), &stderr) })
-	if code != 1 || !strings.Contains(stderr.String(), "riskassess: flag provided but not defined: -cache") {
-		t.Errorf("-cache: exit %d, stderr %q", code, stderr.String())
+	for _, flag := range gone {
+		var stderr strings.Builder
+		code := -1
+		stderrOf(t, func() { code = exitCode(run([]string{flag, "x"}, io.Discard), &stderr) })
+		if code != 1 || !strings.Contains(stderr.String(), "riskassess: flag provided but not defined: "+flag) {
+			t.Errorf("%s: exit %d, stderr %q", flag, code, stderr.String())
+		}
 	}
 }

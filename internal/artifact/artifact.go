@@ -1,8 +1,7 @@
 // Package artifact is the content-addressed cache of compiled pipeline
 // intermediates: the lowered (refined, validated) sysmodel, the compiled
-// EPA engine, the candidate-mutation set, the finished hazard analysis,
-// and — on the ASP path — a live multi-shot solver session with its
-// learning retained. Entries are keyed by the canonical model hash
+// EPA engine, the candidate-mutation set and the finished hazard
+// analysis. Entries are keyed by the canonical model hash
 // (sysmodel.Model.Hash) plus a hash of every assessment-relevant
 // configuration input, so a warm lookup is sound by construction: equal
 // key means equal report.
@@ -13,11 +12,9 @@
 // structural diff touches the fewest components. The caller re-runs only
 // the invalidated part of the scenario space against the parent's rows.
 //
-// Eviction is LRU with a fixed entry cap. Evicting an entry closes its
-// solver session (grounded state is unrecoverable once evicted — the
-// next run re-grounds). All methods are safe for concurrent use; the
-// session inside an entry keeps the solver package's single-goroutine
-// contract, guarded by the entry mutex.
+// Eviction is LRU with a fixed entry cap; an evicted entry holds no
+// resource beyond memory, so dropping it is the whole eviction. All
+// methods are safe for concurrent use.
 package artifact
 
 import (
@@ -28,7 +25,6 @@ import (
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/hazard"
-	"cpsrisk/internal/solver"
 	"cpsrisk/internal/sysmodel"
 )
 
@@ -71,17 +67,11 @@ type Entry struct {
 	// cached — pointer-keyed hashing stays unambiguous.
 	Pins []any
 
-	// mu serializes use of Session (the solver's single-goroutine
-	// contract) and the lazy ranked projection. Lock it around any
-	// Session call.
+	// mu guards the lazy ranked projection.
 	mu sync.Mutex
 	// ranked is the risk-ranked projection of Analysis, computed on first
 	// use so warm and zero-invalidation delta resolutions skip re-ranking.
 	ranked []hazard.ScenarioResult
-	// Session is a live multi-shot solver session grounded for this
-	// model (ASP path only; nil on the native path). Owned by the
-	// entry: eviction closes it.
-	Session *solver.Session
 }
 
 // Ranked returns the risk-ranked projection of the entry's analysis,
@@ -102,35 +92,6 @@ func (e *Entry) SetRanked(r []hazard.ScenarioResult) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.ranked = r
-}
-
-// LockSession acquires the entry's session guard and returns the session
-// (which may be nil) plus the unlock func.
-func (e *Entry) LockSession() (*solver.Session, func()) {
-	e.mu.Lock()
-	return e.Session, e.mu.Unlock
-}
-
-// TakeSession removes and returns the entry's session, transferring
-// ownership to the caller (nil when the entry holds none). Used by delta
-// re-assessment to migrate a still-valid grounded session from the
-// parent entry into the child instead of re-grounding.
-func (e *Entry) TakeSession() *solver.Session {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	s := e.Session
-	e.Session = nil
-	return s
-}
-
-// closeSession releases the entry's solver session, if any.
-func (e *Entry) closeSession() {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.Session != nil {
-		e.Session.Close()
-		e.Session = nil
-	}
 }
 
 // Stats is a point-in-time counter snapshot.
@@ -154,8 +115,8 @@ type slot struct {
 }
 
 // DefaultCap is the entry cap used when New is given n <= 0. Entries
-// hold compiled engines and (on the ASP path) grounded solver sessions,
-// so the cap is deliberately small — this is a working set, not a store.
+// hold compiled engines and whole analyses, so the cap is deliberately
+// small — this is a working set, not a store.
 const DefaultCap = 8
 
 // New creates a cache holding at most n entries (n <= 0 uses DefaultCap).
@@ -226,36 +187,25 @@ func (c *Cache) Nearest(cfg uint64, fp *sysmodel.Fingerprint) (*Entry, *sysmodel
 }
 
 // Put inserts (or replaces) the entry for k and marks it most recently
-// used, evicting the least recently used entry beyond the cap. A
-// replaced or evicted entry has its solver session closed unless it is
-// the same entry being re-inserted. No-op on a nil cache.
+// used, evicting the least recently used entry beyond the cap. No-op on
+// a nil cache.
 func (c *Cache) Put(k Key, e *Entry) {
 	if c == nil || e == nil {
 		return
 	}
-	var closing []*Entry
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if el, ok := c.entries[k]; ok {
-		old := el.Value.(*slot).e
-		if old != e {
-			closing = append(closing, old)
-		}
 		el.Value.(*slot).e = e
 		c.order.MoveToFront(el)
-	} else {
-		c.entries[k] = c.order.PushFront(&slot{key: k, e: e})
-		for c.order.Len() > c.cap {
-			back := c.order.Back()
-			s := back.Value.(*slot)
-			c.order.Remove(back)
-			delete(c.entries, s.key)
-			closing = append(closing, s.e)
-			c.evictions.Add(1)
-		}
+		return
 	}
-	c.mu.Unlock()
-	for _, old := range closing {
-		old.closeSession()
+	c.entries[k] = c.order.PushFront(&slot{key: k, e: e})
+	for c.order.Len() > c.cap {
+		back := c.order.Back()
+		c.order.Remove(back)
+		delete(c.entries, back.Value.(*slot).key)
+		c.evictions.Add(1)
 	}
 }
 
@@ -275,22 +225,4 @@ func (c *Cache) Stats() Stats {
 		return Stats{}
 	}
 	return Stats{Hits: c.hits.Load(), Misses: c.misses.Load(), Evictions: c.evictions.Load()}
-}
-
-// Close evicts everything, closing all solver sessions.
-func (c *Cache) Close() {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	var all []*Entry
-	for el := c.order.Front(); el != nil; el = el.Next() {
-		all = append(all, el.Value.(*slot).e)
-	}
-	c.order.Init()
-	c.entries = make(map[Key]*list.Element)
-	c.mu.Unlock()
-	for _, e := range all {
-		e.closeSession()
-	}
 }

@@ -4,8 +4,6 @@ import (
 	"testing"
 
 	"cpsrisk/internal/hazard"
-	"cpsrisk/internal/logic"
-	"cpsrisk/internal/solver"
 	"cpsrisk/internal/sysmodel"
 )
 
@@ -69,36 +67,6 @@ func TestGetPutLRU(t *testing.T) {
 	}
 }
 
-func TestEvictionClosesSession(t *testing.T) {
-	sess, err := solver.NewSession(logic.MustParse("a."), solver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e1, k1 := testEntry("sensor", true)
-	e1.Session = sess
-	c := New(1)
-	c.Put(k1, e1)
-	e2, k2 := testEntry("valve", true)
-	c.Put(k2, e2) // evicts e1
-	if got, _ := e1.LockSession(); got != nil {
-		t.Fatal("evicted entry should have a closed, nil session")
-	}
-
-	// Close() drains the rest.
-	sess2, err := solver.NewSession(logic.MustParse("b."), solver.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2.Session = sess2
-	c.Close()
-	if got, _ := e2.LockSession(); got != nil {
-		t.Fatal("Close should close remaining sessions")
-	}
-	if c.Len() != 0 {
-		t.Fatal("Close should empty the cache")
-	}
-}
-
 func TestNearest(t *testing.T) {
 	c := New(8)
 	parent, pk := testEntry("sensor", true)
@@ -153,7 +121,6 @@ func TestNilCacheSafe(t *testing.T) {
 	}
 	e, _ := testEntry("sensor", true)
 	c.Put(Key{}, e)
-	c.Close()
 	if c.Len() != 0 || c.Stats() != (Stats{}) {
 		t.Fatal("nil cache stats")
 	}

@@ -10,11 +10,13 @@ package core
 //     complete — the stored engine and analysis are returned as-is and
 //     no EPA or solver work runs at all.
 //   - delta: a complete entry exists under the same config hash whose
-//     model diff touches at most MaxDeltaTouched components — the sweep
-//     runs with a reuse oracle that answers every scenario provably
-//     unaffected by the edit from the parent's rows, so only the
-//     invalidated ranks execute. On the ASP path a behaviorally empty
-//     diff instead migrates the parent's grounded solver session.
+//     model diff touches at most MaxDeltaTouched components. When the
+//     edit invalidates nothing (a metadata-only diff with identical
+//     candidate scoring) the parent's analysis is returned as-is, on
+//     either path. Otherwise the native sweep runs with a reuse oracle
+//     that answers every scenario provably unaffected by the edit from
+//     the parent's rows, so only the invalidated ranks execute; the ASP
+//     path has no such oracle and runs cold.
 //   - cold:  anything else. The decision is stamped into
 //     Assessment.Artifact either way.
 //
@@ -83,8 +85,8 @@ func cfgHash(cfg Config) uint64 {
 	}
 	str(fmt.Sprintf("%p/%p/%p", cfg.Types, cfg.Behaviors, cfg.KB))
 	// Tenant scoping: folding the tenant into the configuration hash
-	// partitions the artifact cache per tenant — warm hits, delta parents,
-	// and session migration never cross tenants sharing one cache.
+	// partitions the artifact cache per tenant — warm hits and delta
+	// parents never cross tenants sharing one cache.
 	str("tenant")
 	str(cfg.Tenant)
 	str("reqs")
@@ -124,8 +126,6 @@ func cfgHash(cfg Config) uint64 {
 	} else {
 		num(0)
 	}
-	num(int64(cfg.ShardIndex))
-	num(int64(cfg.ShardCount))
 	num(cfg.Resources.MaxDecisions)
 	num(cfg.Resources.MaxConflicts)
 	num(int64(cfg.Resources.MaxGroundRules))
@@ -209,37 +209,20 @@ func deltaOracle(parent *hazard.Analysis, affected map[string]bool) func(epa.Sce
 	}
 }
 
-// behaviorallyEmpty reports a delta the compiled EPA engine and the ASP
-// encoding cannot observe: only component metadata changed.
+// behaviorallyEmpty reports a delta the compiled EPA engine cannot
+// observe: only component metadata changed.
 func behaviorallyEmpty(d *sysmodel.Delta) bool {
 	return len(d.Added) == 0 && len(d.Removed) == 0 &&
 		len(d.ChangedBehavior) == 0 && len(d.ConnsChanged) == 0 &&
 		!d.RequirementsChanged
 }
 
-// sameActivations reports whether two candidate sets activate the same
-// faults in the same order — the condition under which the ASP encoding
-// (choice rules over the candidate list) is textually identical and a
-// grounded session can migrate between entries. Likelihoods may differ:
-// they score risk after solving and never enter the encoding.
-func sameActivations(a, b []faults.Mutation) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i].Activation != b[i].Activation {
-			return false
-		}
-	}
-	return true
-}
-
 // sameScoredMutations reports whether two candidate sets are identical
 // in activation, order, and likelihood — the condition under which a
 // parent's finished analysis rows carry the exact risk scores the child
-// run would recompute. Stricter than sameActivations: likelihood changes
-// (a new vulnerability match after a version-attr edit, say) keep the
-// violation vectors valid but invalidate the scoring.
+// run would recompute. Likelihood changes (a new vulnerability match
+// after a version-attr edit, say) keep the violation vectors valid but
+// invalidate the scoring.
 func sameScoredMutations(a, b []faults.Mutation) bool {
 	if len(a) != len(b) {
 		return false

@@ -22,7 +22,6 @@ import (
 	"cpsrisk/internal/mitigation"
 	"cpsrisk/internal/obs"
 	"cpsrisk/internal/optimize"
-	"cpsrisk/internal/solver"
 	"cpsrisk/internal/sysmodel"
 )
 
@@ -111,21 +110,14 @@ type Config struct {
 	// already implied — but this switch forces every scenario through
 	// the engine, e.g. to cross-check the pruner itself.
 	NoPrune bool
-	// ShardIndex / ShardCount split the scenario space by global rank
-	// into ShardCount near-equal contiguous ranges and sweep only range
-	// ShardIndex (0-based). Scenario IDs derive from the global rank, so
-	// the shards' rows together are the whole-space report; a final
-	// whole-space run sweeps the space again. ShardCount <= 1 sweeps the
-	// whole space. Sharding is a native-sweep feature and is rejected
-	// together with UseASP.
-	ShardIndex, ShardCount int
 	// ArtifactCache, when non-nil, memoizes compiled pipeline artifacts
-	// (lowered model, EPA engine, finished analysis, grounded solver
-	// session) across runs in this process. A repeat run of an identical
-	// model+configuration returns the cached analysis without any EPA or
-	// solver work ("warm"); a run whose model differs from a cached one
-	// by at most MaxDeltaTouched components re-executes only the
-	// invalidated scenario ranks ("delta"); anything else runs cold. The
+	// (lowered model, EPA engine, finished analysis) across runs in this
+	// process. A repeat run of an identical model+configuration returns
+	// the cached analysis without any EPA or solver work ("warm"); a run
+	// whose model differs from a cached one by at most MaxDeltaTouched
+	// components re-executes only the invalidated scenario ranks, or
+	// none when the edit is invisible to the analysis ("delta"; see
+	// artifact.go for the ASP path); anything else runs cold. The
 	// resolution taken is stamped into Assessment.Artifact. The cache is
 	// safe for concurrent use and may be shared by many runs; runs with
 	// Faults armed bypass it entirely.
@@ -211,9 +203,6 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 	}
 	if len(cfg.Requirements) == 0 {
 		return nil, fmt.Errorf("core: at least one requirement is required")
-	}
-	if cfg.ShardCount > 1 && cfg.UseASP {
-		return nil, fmt.Errorf("core: sharding is a native-sweep feature; it cannot be combined with the ASP path")
 	}
 	// The fault injector rides the context like the tracing span does, so
 	// every governed stage downstream reaches it through its budget. Its
@@ -407,19 +396,20 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 			parent      *artifact.Entry
 			parentDelta *sysmodel.Delta
 		)
-		if entry != nil && cfg.ShardCount <= 1 {
+		if entry != nil {
 			if p, d := ac.Nearest(key.Cfg, fp); p != nil && d.Touched() <= MaxDeltaTouched {
 				parent, parentDelta = p, d
 			}
 		}
 		var affected map[string]bool
-		if parent != nil && !cfg.UseASP {
+		if parent != nil {
 			affected = affectedComponents(parent.Model, model, parentDelta)
 			if len(affected) == 0 && sameScoredMutations(parent.Analyzed, analyzed) {
 				// Zero-invalidation delta: the edit is invisible to the
-				// engine and the candidate scoring is identical, so the
-				// parent's analysis IS this run's analysis. Re-register it
-				// under the child hash so successive edits keep chaining.
+				// engine and the ASP encoding, and the candidate scoring is
+				// identical, so the parent's analysis IS this run's
+				// analysis on either path. Re-register it under the child
+				// hash so successive edits keep chaining.
 				out.Artifact.Path = "delta"
 				out.Artifact.Touched = parentDelta.Touched()
 				bump(cfg.Metrics, "artifact.delta_reassess")
@@ -444,22 +434,19 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 		// an unopenable directory degrades the run (recorded, sweep
 		// proceeds without a checkpoint) rather than failing an otherwise
 		// sound assessment.
-		sweepCfg := hazard.SweepConfig{
-			Budget: b, Parallelism: cfg.Parallelism,
-			Prune:      !cfg.NoPrune,
-			ShardIndex: cfg.ShardIndex, ShardCount: cfg.ShardCount,
-		}
+		sweepCfg := hazard.SweepConfig{Budget: b, Parallelism: cfg.Parallelism, Prune: !cfg.NoPrune}
 		if cfg.CheckpointDir != "" {
-			ck, kerr := hazard.OpenCheckpointShard(cfg.CheckpointDir, 0, cfg.ShardIndex, cfg.ShardCount)
+			ck, kerr := hazard.OpenCheckpoint(cfg.CheckpointDir, 0)
 			if kerr != nil {
 				out.Degradation.Add("hazard", "checkpoint-unavailable", kerr.Error())
 			} else {
 				sweepCfg.Checkpoint = ck
 			}
 		}
-		// Delta re-assessment (native sweep, whole space): the nearest
-		// complete parent under the same configuration supplies a reuse
-		// oracle, so only scenarios the edit could have changed execute.
+		// Delta re-assessment (native sweep): the nearest complete parent
+		// under the same configuration supplies a reuse oracle, so only
+		// scenarios the edit could have changed execute. Any other ASP
+		// edit runs cold.
 		if parent != nil && !cfg.UseASP {
 			sweepCfg.Reuse = deltaOracle(parent.Analysis, affected)
 			out.Artifact.Path = "delta"
@@ -468,30 +455,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 			bump(cfg.Metrics, "artifact.delta_reassess")
 		}
 		if cfg.UseASP {
-			aspOpts := hazard.ASPOptions{Budget: b}
-			var migrated *solver.Session
-			if entry != nil {
-				// Retain the grounded session in the entry for future
-				// deltas; migrate the parent's session when the edit is
-				// invisible to the encoding (metadata-only diff, identical
-				// candidate activations) — no re-grounding, learning kept.
-				aspOpts.KeepSession = func(s *solver.Session) { entry.Session = s }
-				if parent != nil && behaviorallyEmpty(parentDelta) &&
-					sameActivations(parent.Analyzed, analyzed) {
-					if migrated = parent.TakeSession(); migrated != nil {
-						aspOpts.Session = migrated
-						out.Artifact.Path = "delta"
-						out.Artifact.Touched = parentDelta.Touched()
-						bump(cfg.Metrics, "artifact.delta_reassess")
-					}
-				}
-			}
-			out.Analysis, err = hazard.AnalyzeASPOpts(eng, analyzed, cfg.MaxCardinality, cfg.Requirements, aspOpts)
-			if migrated != nil && (entry == nil || entry.Session != migrated) {
-				// The analysis did not retain the migrated session (error
-				// or budget fallback below): it is ours to close.
-				migrated.Close()
-			}
+			out.Analysis, err = hazard.AnalyzeASPOpts(eng, analyzed, cfg.MaxCardinality, cfg.Requirements, hazard.ASPOptions{Budget: b})
 			if ex, ok := budget.Exhausted(err); ok {
 				t := budget.Truncation{Stage: "hazard-asp", Reason: ex.Reason,
 					Detail: "ASP identification aborted; falling back to the native fixpoint engine"}
@@ -521,7 +485,7 @@ func RunCtx(ctx context.Context, cfg Config) (*Assessment, error) {
 	// Step 5: CEGAR-styled validation. The oracle judges the findings of
 	// out.Analysis, the analysis step 4 produced and the report shows, as
 	// one level named "assessment"; nothing is swept again, so warm, delta,
-	// ASP, capped and sharded runs validate exactly what they report.
+	// ASP and capped runs validate exactly what they report.
 	// Multi-level refinement is driven via the cegar package directly.
 	// Skipped entirely when the budget is already spent — validating
 	// against a concrete oracle is the most expensive stage and partial

@@ -202,10 +202,10 @@ func TestRefinementASPMatchesNative(t *testing.T) {
 
 // The validate stage judges the analysis the report holds, not a second
 // sweep of its own: on Fig. 1 over the full mutation surface with the
-// plant oracle, under a scenario cap on both hazard paths and on one
-// shard of a sharded sweep, Refinement.Findings are exactly the reported
-// analysis's violations in Hazards() order, and no truncation of a
-// re-analysis inside validation is recorded.
+// plant oracle, under a scenario cap on both hazard paths,
+// Refinement.Findings are exactly the reported analysis's violations in
+// Hazards() order, and no truncation of a re-analysis inside validation
+// is recorded.
 func TestRefinementJudgesTheReport(t *testing.T) {
 	for _, arm := range []struct {
 		name string
@@ -213,7 +213,6 @@ func TestRefinementJudgesTheReport(t *testing.T) {
 	}{
 		{"native-capped", func(c *Config) { c.Resources = budget.Limits{MaxScenarios: 40} }},
 		{"asp-capped", func(c *Config) { c.UseASP = true; c.Resources = budget.Limits{MaxScenarios: 40} }},
-		{"native-shard", func(c *Config) { c.ShardIndex, c.ShardCount = 0, 2 }},
 	} {
 		t.Run(arm.name, func(t *testing.T) {
 			cfg := caseStudyConfig()

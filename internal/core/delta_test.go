@@ -10,6 +10,7 @@ import (
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
 	"cpsrisk/internal/hazard"
+	"cpsrisk/internal/obs"
 	"cpsrisk/internal/qual"
 	"cpsrisk/internal/sysmodel"
 )
@@ -273,7 +274,6 @@ func TestDeltaCorpus(t *testing.T) {
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
 			ac := artifact.New(4)
-			defer ac.Close()
 			parentCfg := f.config(f.model())
 			parentCfg.ArtifactCache = ac
 			if _, err := Run(parentCfg); err != nil {
@@ -315,7 +315,6 @@ func TestDeltaCorpus(t *testing.T) {
 func TestArtifactWarmHit(t *testing.T) {
 	f := newDeltaFixture()
 	ac := artifact.New(4)
-	defer ac.Close()
 
 	cfg := f.config(f.model())
 	cfg.ArtifactCache = ac
@@ -345,14 +344,13 @@ func TestArtifactWarmHit(t *testing.T) {
 	}
 }
 
-// TestArtifactASPSessionMigration: on the ASP path a metadata-only edit
-// migrates the parent's grounded solver session instead of re-grounding,
-// and still reports byte-identically to a cold ASP run.
-func TestArtifactASPSessionMigration(t *testing.T) {
-	f := newDeltaFixture()
+// aspDeltaRuns assesses the base model on the ASP path into a fresh
+// cache, then the edited model against that cache (with a metrics
+// registry) and cold. It fails unless the two reports match, and
+// returns the run against the cache.
+func aspDeltaRuns(t *testing.T, f *deltaFixture, edit func(*sysmodel.Model)) *Assessment {
+	t.Helper()
 	ac := artifact.New(4)
-	defer ac.Close()
-
 	parentCfg := f.config(f.model())
 	parentCfg.UseASP = true
 	parentCfg.ArtifactCache = ac
@@ -361,28 +359,61 @@ func TestArtifactASPSessionMigration(t *testing.T) {
 	}
 
 	edited := f.model()
-	setAttr(edited, "s0", "note", "midnight calibration")
-	warmCfg := f.config(edited)
-	warmCfg.UseASP = true
-	warmCfg.ArtifactCache = ac
-	warm, err := Run(warmCfg)
+	edit(edited)
+	cachedCfg := f.config(edited)
+	cachedCfg.UseASP = true
+	cachedCfg.ArtifactCache = ac
+	cachedCfg.Metrics = obs.NewRegistry()
+	cached, err := Run(cachedCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if warm.Artifact == nil || warm.Artifact.Path != "delta" {
-		t.Fatalf("artifact = %+v, want delta (migrated session)", warm.Artifact)
-	}
 
 	coldModel := f.model()
-	setAttr(coldModel, "s0", "note", "midnight calibration")
+	edit(coldModel)
 	coldCfg := f.config(coldModel)
 	coldCfg.UseASP = true
 	cold, err := Run(coldCfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if canonical(t, warm) != canonical(t, cold) {
-		t.Fatal("ASP session-migration report diverged from cold run")
+	if canonical(t, cached) != canonical(t, cold) {
+		t.Fatalf("ASP report against the cache diverged from a cold run\ncached: %s\ncold:   %s",
+			canonical(t, cached), canonical(t, cold))
+	}
+	return cached
+}
+
+// TestArtifactASPZeroInvalidation: on the ASP path a metadata-only edit
+// with identical candidate scoring resolves delta and returns the
+// parent's analysis without grounding or solving anything, and reports
+// byte-identically to a cold ASP run.
+func TestArtifactASPZeroInvalidation(t *testing.T) {
+	cached := aspDeltaRuns(t, newDeltaFixture(), func(m *sysmodel.Model) {
+		setAttr(m, "s0", "note", "midnight calibration")
+	})
+	if cached.Artifact == nil || cached.Artifact.Path != "delta" {
+		t.Fatalf("artifact = %+v, want delta", cached.Artifact)
+	}
+	for _, name := range []string{"solver.queries", "solver.sessions"} {
+		if v, ok := cached.Metrics.Counters[name]; ok {
+			t.Errorf("zero-invalidation ASP delta ran the solver: %s = %d", name, v)
+		}
+	}
+}
+
+// TestArtifactASPBehavioralEditRunsCold: the ASP path has no reuse
+// oracle, so an edit the analysis can observe (a retype) resolves cold
+// against a cached parent and reports byte-identically to a cold run.
+func TestArtifactASPBehavioralEditRunsCold(t *testing.T) {
+	cached := aspDeltaRuns(t, newDeltaFixture(), func(m *sysmodel.Model) {
+		retype(m, "s0", "sensorB")
+	})
+	if cached.Artifact == nil || cached.Artifact.Path != "cold" {
+		t.Fatalf("artifact = %+v, want cold", cached.Artifact)
+	}
+	if cached.Metrics.Counters["solver.queries"] == 0 {
+		t.Fatal("a cold ASP run queried no solver")
 	}
 }
 
@@ -391,7 +422,6 @@ func TestArtifactASPSessionMigration(t *testing.T) {
 func TestArtifactFaultsBypass(t *testing.T) {
 	f := newDeltaFixture()
 	ac := artifact.New(4)
-	defer ac.Close()
 
 	cfg := f.config(f.model())
 	cfg.ArtifactCache = ac

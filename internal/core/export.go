@@ -69,9 +69,6 @@ type SweepSummary struct {
 	// cached parent analysis instead of executing (absent outside delta
 	// re-assessment).
 	Reused int64 `json:"reused,omitempty"`
-	// Shard is "index/count" when the sweep covered one rank-range shard
-	// of the space (absent for whole-space sweeps).
-	Shard string `json:"shard,omitempty"`
 }
 
 // ArtifactSummary is the artifact-cache resolution of the run.
@@ -197,7 +194,6 @@ func (a *Assessment) Summarize() *Summary {
 			OrbitHits:    sw.OrbitHits,
 			OrbitClasses: sw.OrbitClasses,
 			Reused:       sw.Reused,
-			Shard:        sw.Shard,
 		}
 		if a.Analysis.Resume != nil {
 			out.Sweep.ResumedFromRank = a.Analysis.Resume.FromRank

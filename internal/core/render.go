@@ -53,9 +53,6 @@ func (a *Assessment) Render() string {
 	}
 	if sw := a.Analysis.Sweep; sw != nil {
 		fmt.Fprintf(&sb, "  sweep: %d worker(s), %.0f scenarios/s", sw.Workers, sw.Throughput())
-		if sw.Shard != "" {
-			fmt.Fprintf(&sb, ", shard %s", sw.Shard)
-		}
 		if sw.Pruned+sw.OrbitHits > 0 {
 			fmt.Fprintf(&sb, ", %d executed, %d dominance-pruned, %d orbit-replicated (%d symmetry classes)",
 				sw.Executed, sw.Pruned, sw.OrbitHits, sw.OrbitClasses)

@@ -202,99 +202,34 @@ func SpaceSize(n, maxCard int) (int64, bool) {
 	return total, true
 }
 
-// Enumerate yields every scenario (combination of candidate activations)
-// with cardinality at most maxCard (negative = unbounded), in
-// deterministic order: by cardinality, then lexicographically by candidate
-// index. The empty scenario comes first — the paper's Table II includes
-// the fault-free row S1.
+// EnumerateIndex yields every scenario over n candidates with at most
+// maxCard activations (negative = unbounded), each as its strictly
+// increasing candidate-index combination, in deterministic order: by
+// cardinality, then lexicographically by candidate index. The empty
+// scenario comes first — the paper's Table II includes the fault-free
+// row S1. yield stops the walk by returning false, which is what keeps
+// an unbounded-cardinality analysis interruptible: 2^n scenarios never
+// exist in memory at once.
 //
-// The full list is materialized; for large spaces prefer EnumerateStream,
-// which produces the same order lazily and can be stopped early.
-func Enumerate(muts []Mutation, maxCard int) []epa.Scenario {
-	var out []epa.Scenario
-	EnumerateStream(muts, maxCard, func(sc epa.Scenario) bool {
-		out = append(out, sc)
-		return true
-	})
-	return out
-}
-
-// EnumerateStream yields the same scenarios as Enumerate, in the same
-// order (cardinality ascending, then lexicographic candidate order), but
-// one at a time without materializing the space: resource-governed
-// consumers can stop at any point by returning false from yield. This is
-// what keeps an unbounded-cardinality analysis interruptible — 2^n
-// scenarios never exist in memory at once.
-func EnumerateStream(muts []Mutation, maxCard int, yield func(epa.Scenario) bool) {
-	n := len(muts)
+// idx is reused between calls: yield must copy what it keeps. The walk
+// is successor-based and allocates nothing per scenario.
+func EnumerateIndex(n, maxCard int, yield func(idx []int) bool) {
 	if maxCard < 0 || maxCard > n {
 		maxCard = n
 	}
 	idx := make([]int, 0, maxCard)
-	stopped := false
-	// Per-cardinality streaming: combinations of each size in
-	// lexicographic index order reproduce Enumerate's sorted order.
-	for card := 0; card <= maxCard && !stopped; card++ {
-		idx = idx[:0]
-		var combo func(start, remaining int)
-		combo = func(start, remaining int) {
-			if stopped {
-				return
-			}
-			if remaining == 0 {
-				sc := make(epa.Scenario, len(idx))
-				for i, j := range idx {
-					sc[i] = muts[j].Activation
-				}
-				if !yield(sc) {
-					stopped = true
-				}
-				return
-			}
-			for j := start; j <= n-remaining && !stopped; j++ {
-				idx = append(idx, j)
-				combo(j+1, remaining-1)
-				idx = idx[:len(idx)-1]
-			}
+	for card := 0; card <= maxCard; card++ {
+		idx = idx[:card]
+		for i := range idx {
+			idx[i] = i
 		}
-		combo(0, card)
-	}
-}
-
-// comboRank returns the lexicographic rank of a strictly increasing
-// index combination idx over [0, n). It is the inverse of comboUnrank.
-func comboRank(n int, idx []int) int64 {
-	k := len(idx)
-	var rank int64
-	prev := -1
-	for i, v := range idx {
-		for j := prev + 1; j < v; j++ {
-			c, ok := Binomial64(n-1-j, k-1-i)
-			if !ok {
-				return math.MaxInt64
-			}
-			rank += c
-		}
-		prev = v
-	}
-	return rank
-}
-
-// comboUnrank writes the k-combination of [0, n) with the given
-// lexicographic rank into idx (which must have length k). rank must be
-// in [0, C(n, k)).
-func comboUnrank(n, k int, rank int64, idx []int) {
-	j := 0
-	for i := 0; i < k; i++ {
 		for {
-			c, _ := Binomial64(n-1-j, k-1-i)
-			if rank < c {
-				idx[i] = j
-				j++
+			if !yield(idx) {
+				return
+			}
+			if !nextCombo(n, idx) {
 				break
 			}
-			rank -= c
-			j++
 		}
 	}
 }
@@ -315,84 +250,6 @@ func nextCombo(n int, idx []int) bool {
 		idx[j] = idx[j-1] + 1
 	}
 	return true
-}
-
-// EnumerateRange yields exactly the scenarios whose global stream rank —
-// the 0-based position in EnumerateStream's order (cardinality
-// ascending, lexicographic within a cardinality) — falls in [lo, hi).
-// hi < 0 means "to the end of the space". The first scenario yielded has
-// rank lo: shard i of m sweeps EnumerateRange over its slice of the
-// space and still sees globally consistent ranks, which is what keeps
-// scenario IDs and checkpoint frontiers shard-mergeable. yield may stop
-// the stream early by returning false.
-func EnumerateRange(muts []Mutation, maxCard int, lo, hi int64, yield func(sc epa.Scenario) bool) {
-	EnumerateRangeIndex(len(muts), maxCard, lo, hi, func(idx []int) bool {
-		return yield(ScenarioOf(muts, idx))
-	})
-}
-
-// ScenarioOf builds the scenario that activates the candidates at the
-// given indices, in index order.
-func ScenarioOf(muts []Mutation, idx []int) epa.Scenario {
-	sc := make(epa.Scenario, len(idx))
-	for i, j := range idx {
-		sc[i] = muts[j].Activation
-	}
-	return sc
-}
-
-// EnumerateRangeIndex is EnumerateRange over n candidates, yielding each
-// scenario as its strictly increasing candidate-index combination. idx
-// is reused between calls: yield must copy what it keeps.
-//
-// Seeking costs one combinatorial unrank per cardinality level touched;
-// iteration within the range is successor-based and allocation-free.
-func EnumerateRangeIndex(n, maxCard int, lo, hi int64, yield func(idx []int) bool) {
-	if maxCard < 0 || maxCard > n {
-		maxCard = n
-	}
-	if hi < 0 {
-		hi = math.MaxInt64
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	var base int64
-	idx := make([]int, 0, maxCard)
-	for card := 0; card <= maxCard; card++ {
-		size, ok := Binomial64(n, card)
-		if !ok {
-			// A level too large to count is too large to finish sweeping;
-			// the caller's budget will stop the walk long before then.
-			size = math.MaxInt64 - base
-		}
-		if base >= hi {
-			return
-		}
-		if lo >= base+size {
-			base += size
-			continue
-		}
-		localLo := int64(0)
-		if lo > base {
-			localLo = lo - base
-		}
-		localHi := size
-		if hi-base < localHi {
-			localHi = hi - base
-		}
-		idx = idx[:card]
-		comboUnrank(n, card, localLo, idx)
-		for r := localLo; r < localHi; r++ {
-			if !yield(idx) {
-				return
-			}
-			if r+1 < localHi && !nextCombo(n, idx) {
-				return // defensive: size said more ranks remain
-			}
-		}
-		base += size
-	}
 }
 
 // EncodeChoice adds the scenario space to an ASP program as candidate

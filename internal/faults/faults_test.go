@@ -176,7 +176,15 @@ func TestEnumerateMatchesSpaceSize(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, maxCard := range []int{0, 1, 2, -1} {
-		scenarios := Enumerate(muts, maxCard)
+		var scenarios []epa.Scenario
+		EnumerateIndex(len(muts), maxCard, func(idx []int) bool {
+			sc := make(epa.Scenario, len(idx))
+			for i, j := range idx {
+				sc[i] = muts[j].Activation
+			}
+			scenarios = append(scenarios, sc)
+			return true
+		})
 		want, _ := SpaceSize(len(muts), maxCard)
 		if int64(len(scenarios)) != want {
 			t.Errorf("maxCard=%d: enumerated %d, want %d", maxCard, len(scenarios), want)
@@ -236,16 +244,16 @@ func TestEncodeChoiceEnumeratesSpace(t *testing.T) {
 }
 
 func BenchmarkEnumerate(b *testing.B) {
-	muts := make([]Mutation, 16)
-	for i := range muts {
-		muts[i] = Mutation{Activation: epa.Activation{
-			Component: fmt.Sprintf("c%d", i), Fault: "f"}}
-	}
 	for _, card := range []int{2, 3} {
 		b.Run(fmt.Sprintf("n=16,k=%d", card), func(b *testing.B) {
 			want, _ := SpaceSize(16, card)
 			for i := 0; i < b.N; i++ {
-				if got := Enumerate(muts, card); int64(len(got)) != want {
+				var got int64
+				EnumerateIndex(16, card, func([]int) bool {
+					got++
+					return true
+				})
+				if got != want {
 					b.Fatal("size mismatch")
 				}
 			}

@@ -85,7 +85,7 @@ func BenchmarkSweepRow(b *testing.B) {
 	maskLen := (len(muts) + 7) / 8
 	var idxs [][]int
 	var masks [][]byte
-	faults.EnumerateRangeIndex(len(muts), starMaxCard, 0, -1, func(idx []int) bool {
+	faults.EnumerateIndex(len(muts), starMaxCard, func(idx []int) bool {
 		idxs = append(idxs, append([]int(nil), idx...))
 		masks = append(masks, appendMask(nil, idx, maskLen))
 		return true
@@ -104,13 +104,13 @@ func BenchmarkSweepRow(b *testing.B) {
 		b.ReportAllocs()
 		var slab []epa.Activation
 		for n := 0; n < b.N; {
-			faults.EnumerateRangeIndex(len(muts), starMaxCard, 0, int64(min(b.N-n, rows)), func(idx []int) bool {
+			faults.EnumerateIndex(len(muts), starMaxCard, func(idx []int) bool {
 				if n%sweepChunkSize == 0 {
 					slab = make([]epa.Activation, 0, sweepChunkSize*max(len(idx), 1))
 				}
 				slab, sinkScenario = appendScenario(slab, muts, idx)
 				n++
-				return true
+				return n < b.N
 			})
 		}
 	})

@@ -57,11 +57,6 @@ type ckptState struct {
 	Ranges []CardRange `json:"ranges,omitempty"`
 	// Complete marks a sweep that finished its whole space.
 	Complete bool `json:"complete"`
-	// Shard tags the rank range this frontier belongs to, as
-	// "index/count" ("" = whole space). A shard checkpoint also lives in
-	// its own file, but the embedded tag keeps a renamed file from
-	// resuming the wrong range.
-	Shard string `json:"shard,omitempty"`
 }
 
 // CardRange describes the completed slice of one cardinality level.
@@ -77,46 +72,32 @@ type CardRange struct {
 // Checkpoint manages the durable frontier of one sweep directory.
 type Checkpoint struct {
 	dir   string
-	file  string
-	shard string
 	every int
 	inj   *faultinject.Injector
 
 	loaded *ckptState // state found on disk at Open (nil = fresh)
 }
 
-// OpenCheckpointShard loads (or prepares) the checkpoint in dir. every
-// is the number of newly completed scenarios between persisted frontier
+// OpenCheckpoint loads (or prepares) the checkpoint in dir. every is
+// the number of newly completed scenarios between persisted frontier
 // updates (0 = DefaultCheckpointEvery). A corrupt checkpoint file is
 // quarantined — moved to <file>.quarantined — and the sweep starts
 // fresh; only an unusable directory is an error.
-//
-// Each shard of a sharded sweep owns its own frontier file
-// (sweep.<index>of<count>.ckpt) in the shared directory, so m
-// cooperating processes checkpoint independently. shardCount <= 1 is
-// the plain whole-space checkpoint.
-func OpenCheckpointShard(dir string, every, shardIndex, shardCount int) (*Checkpoint, error) {
+func OpenCheckpoint(dir string, every int) (*Checkpoint, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("hazard: checkpoint: %w", err)
 	}
 	if every <= 0 {
 		every = DefaultCheckpointEvery
 	}
-	ck := &Checkpoint{dir: dir, file: ckptFile, every: every}
-	if shardCount > 1 {
-		if shardIndex < 0 || shardIndex >= shardCount {
-			return nil, fmt.Errorf("hazard: checkpoint: shard index %d outside [0,%d)", shardIndex, shardCount)
-		}
-		ck.file = fmt.Sprintf("sweep.%dof%d.ckpt", shardIndex, shardCount)
-		ck.shard = fmt.Sprintf("%d/%d", shardIndex, shardCount)
-	}
+	ck := &Checkpoint{dir: dir, every: every}
 	// Janitor: a crash mid-write leaves unpublished temp files behind.
 	if tmps, err := filepath.Glob(filepath.Join(dir, "*.tmp")); err == nil {
 		for _, t := range tmps {
 			os.Remove(t)
 		}
 	}
-	path := filepath.Join(dir, ck.file)
+	path := filepath.Join(dir, ckptFile)
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
 		return ck, nil
@@ -156,8 +137,7 @@ func (ck *Checkpoint) Resume(engHash, mutsHash, reqsHash uint64, maxCard int) in
 		st.EngineHash != fmt.Sprintf("%016x", engHash) ||
 		st.MutsHash != fmt.Sprintf("%016x", mutsHash) ||
 		st.ReqsHash != fmt.Sprintf("%016x", reqsHash) ||
-		st.MaxCard != maxCard ||
-		st.Shard != ck.shard {
+		st.MaxCard != maxCard {
 		return 0
 	}
 	return st.Frontier
@@ -170,8 +150,7 @@ func (ck *Checkpoint) save(st ckptState) error {
 	if ck == nil {
 		return nil
 	}
-	st.Shard = ck.shard
-	path := filepath.Join(ck.dir, ck.file)
+	path := filepath.Join(ck.dir, ckptFile)
 	data := encodeCheckpoint(st)
 	if ck.inj != nil {
 		if err := ck.inj.Fire(faultinject.SiteCheckpointWrite); err != nil {

@@ -13,6 +13,7 @@ import (
 	"cpsrisk/internal/epa"
 	"cpsrisk/internal/faultinject"
 	"cpsrisk/internal/faults"
+	"cpsrisk/internal/obs"
 	"cpsrisk/internal/qual"
 	"cpsrisk/internal/sysmodel"
 )
@@ -134,7 +135,7 @@ func TestCrashMatrix(t *testing.T) {
 		t.Run(spec, func(t *testing.T) {
 			dir := t.TempDir()
 			sweep := func(spec string) (*Analysis, error) {
-				ck, err := OpenCheckpointShard(dir, 8, 0, 1)
+				ck, err := OpenCheckpoint(dir, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -204,7 +205,7 @@ func TestBudgetTruncatedSweepMakesProgress(t *testing.T) {
 	var a *Analysis
 	runs := 0
 	for ; runs < 10; runs++ {
-		ck, err := OpenCheckpointShard(dir, 4, 0, 1)
+		ck, err := OpenCheckpoint(dir, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -236,8 +237,8 @@ func TestBudgetTruncatedSweepMakesProgress(t *testing.T) {
 	if got := projection(a); got != want {
 		t.Fatalf("converged report diverged:\n--- got ---\n%s\n--- want ---\n%s", got, want)
 	}
-	if a.Sweep.Restored == 0 {
-		t.Fatalf("final run should resume from the checkpoint: %+v", a.Sweep)
+	if a.Resume == nil {
+		t.Fatal("final run should resume from the checkpoint")
 	}
 }
 
@@ -253,7 +254,7 @@ func TestResumeSweepsLikeAFreshRun(t *testing.T) {
 	}
 	dir := t.TempDir()
 	for run := 0; run < 2; run++ {
-		ck, err := OpenCheckpointShard(dir, 0, 0, 1)
+		ck, err := OpenCheckpoint(dir, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -265,6 +266,8 @@ func TestResumeSweepsLikeAFreshRun(t *testing.T) {
 			frontier = ck.loaded.Frontier
 		}
 		cfg.Checkpoint = ck
+		reg := obs.NewRegistry()
+		cfg.Budget = budget.New(obs.ContextWithRegistry(context.Background(), reg), budget.Limits{})
 		a, err := AnalyzeSweep(eng, muts, starMaxCard, reqs, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -272,11 +275,18 @@ func TestResumeSweepsLikeAFreshRun(t *testing.T) {
 		if got, want := projection(a), projection(fresh); got != want {
 			t.Fatalf("run %d: report diverged from a fresh pruned sweep", run)
 		}
+		if got := reg.Counter("sweep.restored").Value(); got != int64(frontier) {
+			t.Errorf("run %d: sweep.restored = %d, want the frontier %d", run, got, frontier)
+		}
 		if a.Sweep.Executed != fresh.Sweep.Executed {
 			t.Errorf("run %d executed %d scenarios, a fresh pruned sweep %d", run, a.Sweep.Executed, fresh.Sweep.Executed)
 		}
-		if a.Sweep.Restored != frontier {
-			t.Errorf("run %d: Sweep.Restored = %d, want the frontier %d", run, a.Sweep.Restored, frontier)
+		got := 0
+		if a.Resume != nil {
+			got = a.Resume.FromRank
+		}
+		if got != frontier {
+			t.Errorf("run %d: resumed from rank %d, want the frontier %d", run, got, frontier)
 		}
 	}
 }
@@ -288,7 +298,7 @@ func TestResumeKeepsFrontierWhenCutShort(t *testing.T) {
 	eng, muts, reqs := setupWide(t, 6) // 64 scenarios, 2 chunks
 	dir := t.TempDir()
 	sweep := func(spec string) (*Analysis, error) {
-		ck, err := OpenCheckpointShard(dir, 4, 0, 1)
+		ck, err := OpenCheckpoint(dir, 4)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -302,7 +312,7 @@ func TestResumeKeepsFrontierWhenCutShort(t *testing.T) {
 	if _, err := sweep(faultinject.SiteSweepChunk + "=err@1"); err == nil {
 		t.Fatal("the injected chunk fault did not fail the resumed run")
 	}
-	ck, err := OpenCheckpointShard(dir, 4, 0, 1)
+	ck, err := OpenCheckpoint(dir, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -333,7 +343,7 @@ func TestCheckpointRoundtrip(t *testing.T) {
 
 func TestCheckpointCorruptionQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := OpenCheckpointShard(dir, 1, 0, 1)
+	ck, err := OpenCheckpoint(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -358,7 +368,7 @@ func TestCheckpointCorruptionQuarantined(t *testing.T) {
 			if err := os.WriteFile(path, tc.mutate(append([]byte(nil), data...)), 0o644); err != nil {
 				t.Fatal(err)
 			}
-			ck2, err := OpenCheckpointShard(dir, 1, 0, 1)
+			ck2, err := OpenCheckpoint(dir, 1)
 			if err != nil {
 				t.Fatalf("corrupt checkpoint must not fail open: %v", err)
 			}
@@ -375,7 +385,7 @@ func TestCheckpointCorruptionQuarantined(t *testing.T) {
 
 func TestResumeRejectsMismatchedSweep(t *testing.T) {
 	dir := t.TempDir()
-	ck, err := OpenCheckpointShard(dir, 1, 0, 1)
+	ck, err := OpenCheckpoint(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -389,7 +399,7 @@ func TestResumeRejectsMismatchedSweep(t *testing.T) {
 	if err := ck.save(st); err != nil {
 		t.Fatal(err)
 	}
-	ck2, err := OpenCheckpointShard(dir, 1, 0, 1)
+	ck2, err := OpenCheckpoint(dir, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -97,9 +97,6 @@ type SweepStats struct {
 	// Retries counts transient per-scenario failures recovered by the
 	// retry-with-backoff path.
 	Retries int64
-	// Restored is the checkpoint frontier the sweep resumed from
-	// (0 = fresh sweep).
-	Restored int
 	// Executed counts scenarios evaluated by an EPA engine run. With
 	// neither pruning nor reuse and no truncation it equals Scenarios.
 	Executed int64
@@ -118,9 +115,6 @@ type SweepStats struct {
 	// (SweepConfig.Reuse): the violated set was carried over from a
 	// cached parent analysis without an EPA run.
 	Reused int64
-	// Shard labels the rank range this sweep covered, as
-	// "index/count" ("" = the whole space).
-	Shard string
 }
 
 // Throughput returns scenarios per second (0 for an instant sweep).
@@ -131,9 +125,10 @@ func (s *SweepStats) Throughput() float64 {
 	return float64(s.Scenarios) / s.Duration.Seconds()
 }
 
-// publishSweep files one sweep's effort onto the metrics registry
-// (no-op without a registry).
-func publishSweep(reg *obs.Registry, sw *SweepStats, epaRuns int) {
+// publishSweep files one sweep's effort and its resume provenance (nil
+// for a fresh sweep) onto the metrics registry (no-op without a
+// registry).
+func publishSweep(reg *obs.Registry, sw *SweepStats, resume *ResumeInfo, epaRuns int) {
 	if reg == nil {
 		return
 	}
@@ -144,8 +139,8 @@ func publishSweep(reg *obs.Registry, sw *SweepStats, epaRuns int) {
 	if sw.Retries > 0 {
 		reg.Counter("sweep.retries").Add(sw.Retries)
 	}
-	if sw.Restored > 0 {
-		reg.Counter("sweep.restored").Add(int64(sw.Restored))
+	if resume != nil {
+		reg.Counter("sweep.restored").Add(int64(resume.FromRank))
 	}
 	if sw.Executed > 0 {
 		reg.Counter("sweep.executed").Add(sw.Executed)
@@ -364,20 +359,6 @@ type ASPOptions struct {
 	Budget *budget.Budget
 	// Deprecated: ignored; a session is one engine.
 	SolverWorkers int
-	// Session, when non-nil, is a live multi-shot session already
-	// grounded for exactly this engine + mutation set + requirement
-	// encoding (an artifact-cache holdover — the caller must guarantee
-	// the match, which the cache key's model and config hashes do). The
-	// analysis then skips encoding and grounding entirely and queries
-	// the session directly. Ownership stays with the caller unless
-	// KeepSession also fires.
-	Session *solver.Session
-	// KeepSession, when non-nil, receives the session the analysis used
-	// (freshly grounded or passed in) on success, instead of the session
-	// being closed on return — the artifact cache retains it, learning
-	// and all, for the next warm query. On error a session the analysis
-	// created is closed as usual.
-	KeepSession func(*solver.Session)
 }
 
 // AnalyzeASPOpts performs the same exhaustive analysis as AnalyzeSweep
@@ -414,33 +395,21 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 	if aspSpan != nil {
 		abud = budget.New(obsCtx, bud.Limits())
 	}
-	sess := o.Session
-	if sess == nil {
-		prog, err := eng.EncodeASP()
-		if err != nil {
-			return nil, err
-		}
-		faults.EncodeChoice(prog, muts, -1)
-		for _, r := range reqs {
-			if err := EncodeViolation(prog, r.ID, r.Condition); err != nil {
-				return nil, err
-			}
-		}
-		sess, err = solver.NewSession(prog, solver.Options{Budget: abud})
-		if err != nil {
+	prog, err := eng.EncodeASP()
+	if err != nil {
+		return nil, err
+	}
+	faults.EncodeChoice(prog, muts, -1)
+	for _, r := range reqs {
+		if err := EncodeViolation(prog, r.ID, r.Condition); err != nil {
 			return nil, err
 		}
 	}
-	// Session lifetime: on success KeepSession (when set) takes
-	// ownership — the session outlives this analysis, warm for the next
-	// query stream. Otherwise a session this analysis grounded is closed
-	// here, and a caller-provided one is left alone.
-	kept := false
-	defer func() {
-		if !kept && o.Session == nil {
-			sess.Close()
-		}
-	}()
+	sess, err := solver.NewSession(prog, solver.Options{Budget: abud})
+	if err != nil {
+		return nil, err
+	}
+	defer sess.Close()
 
 	kmax := maxCard
 	if kmax < 0 || kmax > len(muts) {
@@ -515,10 +484,6 @@ func AnalyzeASPOpts(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs [
 	st.Duration = time.Since(start)
 	out.SolverStats = &st
 	solver.PublishStats(obs.RegistryFromContext(obsCtx), &st)
-	if o.KeepSession != nil {
-		kept = true
-		o.KeepSession(sess)
-	}
 	return out, nil
 }
 

@@ -186,9 +186,9 @@ func TestOrbitKeyMatchesReference(t *testing.T) {
 			refToKey, keyToRef := map[string]string{}, map[string]string{}
 			var ks orbitScratch
 			scenarios := 0
-			faults.EnumerateRangeIndex(len(muts), 4, 0, -1, func(idx []int) bool {
+			faults.EnumerateIndex(len(muts), 4, func(idx []int) bool {
 				scenarios++
-				sc := faults.ScenarioOf(muts, idx)
+				sc := scenarioOf(muts, idx)
 				ref, refOK := refOrbitKey(classOf, sc)
 				key := p.orbitKey(appendMask(nil, idx, maskLen), &ks)
 				if (key != nil) != refOK {

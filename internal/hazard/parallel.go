@@ -47,7 +47,7 @@ import (
 const sweepChunkSize = 32
 
 // maxPresizedRows bounds the rows a sweep allocates for up front from
-// the size of its range; a larger range grows the row slice by append,
+// the size of its space; a larger space grows the row slice by append,
 // so a sweep a budget stops early never holds a slice sized for the
 // whole space.
 const maxPresizedRows = 1 << 16
@@ -70,12 +70,6 @@ type SweepConfig struct {
 	// (see prune.go). The reported Analysis is byte-identical with or
 	// without pruning; only the executed-scenario count changes.
 	Prune bool
-	// ShardIndex/ShardCount split the rank space into ShardCount
-	// contiguous balanced ranges; this sweep covers range ShardIndex
-	// (0-based). ShardCount <= 1 sweeps the whole space. Scenario IDs
-	// derive from the global rank, so the shards' rows together are the
-	// whole-space report; a final whole-space run sweeps them again.
-	ShardIndex, ShardCount int
 	// Reuse, when set, is the delta re-assessment oracle (see
 	// internal/artifact and core's delta path): it returns the known
 	// violated-requirement set, sorted, for a scenario whose outcome is
@@ -126,7 +120,7 @@ type producerOutcome struct {
 // negative = unbounded) and evaluates every requirement on every scenario
 // with the native EPA engine, scoring scenario risk from the mutation
 // likelihoods and requirement severities. SweepConfig{Parallelism: 1}
-// (one worker, no budget, pruning or sharding) is the exhaustive
+// (one worker, no budget or pruning) is the exhaustive
 // reference.
 //
 // It is the native sweep engine: a pool of cfg.Parallelism
@@ -152,26 +146,6 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	if err := validateReqs(reqs); err != nil {
 		return nil, err
 	}
-	// Shard range: absolute stream ranks, balanced split. Scenario IDs
-	// derive from the global rank, so shard reports merge coherently.
-	shardLo, shardHi := 0, math.MaxInt
-	sharded := cfg.ShardCount > 1
-	if sharded {
-		if cfg.ShardIndex < 0 || cfg.ShardIndex >= cfg.ShardCount {
-			return nil, fmt.Errorf("hazard: shard index %d outside [0,%d)", cfg.ShardIndex, cfg.ShardCount)
-		}
-		total, ok := faults.SpaceSize(len(muts), maxCard)
-		if !ok {
-			return nil, fmt.Errorf("hazard: scenario space overflows int64; cannot shard")
-		}
-		m, i := int64(cfg.ShardCount), int64(cfg.ShardIndex)
-		lo := i*(total/m) + min(i, total%m)
-		size := total / m
-		if i < total%m {
-			size++
-		}
-		shardLo, shardHi = int(lo), int(lo+size)
-	}
 	// Workers beyond the first draw launch slots from the run-wide
 	// worker-pool governor when the budget carries one, so a sweep racing
 	// other parallel stages (CEGAR validation) shares one machine-sized
@@ -187,15 +161,14 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 
 	// Resume: a checkpoint whose hashes match this exact sweep yields the
 	// frontier rank below which scenarios are already paid for — they are
-	// swept again but exempt from the MaxScenarios cap.
-	// A shard's floor is its range start, checkpoint or not. The hashes
-	// are only computed when a checkpoint will compare or save them.
-	resumeFrom := shardLo
+	// swept again but exempt from the MaxScenarios cap. The hashes are
+	// only computed when a checkpoint will compare or save them.
+	resumeFrom := 0
 	var engHash, mutsHash, reqsHash uint64
 	if cfg.Checkpoint != nil {
 		cfg.Checkpoint.SetInjector(inj)
 		engHash, mutsHash, reqsHash = eng.Hash(), hashMuts(muts), hashReqs(reqs)
-		resumeFrom = max(cfg.Checkpoint.Resume(engHash, mutsHash, reqsHash, maxCard), shardLo)
+		resumeFrom = cfg.Checkpoint.Resume(engHash, mutsHash, reqsHash, maxCard)
 	}
 
 	// Each row carries a bitmask over the candidate-set index: the key
@@ -262,7 +235,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	// emitted (the report needs their rows) but not charged to the cap.
 	go func() {
 		defer close(jobs)
-		seq := shardLo
+		seq := 0
 		var trunc *budget.Truncation
 		chunk := sweepChunk{}
 		var slab []epa.Activation
@@ -272,7 +245,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 				chunk = sweepChunk{}
 			}
 		}
-		faults.EnumerateRangeIndex(len(muts), maxCard, int64(shardLo), int64(shardHi), func(idx []int) bool {
+		faults.EnumerateIndex(len(muts), maxCard, func(idx []int) bool {
 			if acct == nil {
 				charged := seq - resumeFrom
 				if limits.MaxScenarios > 0 && charged >= limits.MaxScenarios {
@@ -463,16 +436,16 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	chunks := map[int]sweepOutcome{}
 	var rows []ScenarioResult
 	if size, ok := faults.SpaceSize(len(muts), maxCard); ok {
-		if n := min(size, int64(shardHi)) - int64(shardLo); n <= maxPresizedRows {
-			rows = make([]ScenarioResult, 0, n)
+		if size <= maxPresizedRows {
+			rows = make([]ScenarioResult, 0, size)
 		}
 	}
-	frontier := shardLo
+	frontier := 0
 	// A resumed run sweeps the ranks below its resume frontier again;
 	// saving a frontier below it would undo the progress an earlier run
 	// made, so saves start above it.
 	lastSaved := -1
-	if resumeFrom > shardLo {
+	if resumeFrom > 0 {
 		lastSaved = resumeFrom
 	}
 	saveFrontier := func(complete bool) {
@@ -542,7 +515,7 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 			badTrunc, badErr = o.trunc, o.err
 		}
 		advance()
-		if every > 0 && frontier-max(lastSaved, shardLo) >= every {
+		if every > 0 && frontier-max(lastSaved, 0) >= every {
 			saveFrontier(false)
 		}
 	}
@@ -575,32 +548,16 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 	}
 	// The rows end at the frontier: the merge appended exactly the
 	// contiguous completed prefix, and the frontier is clipped to the cut.
-	out := &Analysis{Requirements: reqs, Scenarios: rows[:max(frontier-shardLo, 0)]}
-	if resumeFrom > shardLo {
+	out := &Analysis{Requirements: reqs, Scenarios: rows[:frontier]}
+	if resumeFrom > 0 {
 		out.Resume = &ResumeInfo{FromRank: resumeFrom}
 	}
 	if trunc != nil {
 		out.Truncation = trunc
-		if sharded {
-			// A shard covers an arbitrary rank slice, so the
-			// completed-cardinality policy does not apply; the contiguous
-			// completed prefix of the range is the answer.
-			out.Truncation.Detail = fmt.Sprintf("shard %d/%d analyzed %d scenarios of range [%d,%d)",
-				cfg.ShardIndex, cfg.ShardCount, len(out.Scenarios), shardLo, shardHi)
-		} else {
-			out.truncateToCompletedCardinality(muts, maxCard)
-		}
-		if resumeFrom > shardLo {
+		out.truncateToCompletedCardinality(muts, maxCard)
+		if resumeFrom > 0 {
 			out.Truncation.Detail += fmt.Sprintf("; resumed from checkpoint at rank %d", resumeFrom)
 		}
-	}
-	restored := 0
-	if resumeFrom > shardLo {
-		restored = resumeFrom
-	}
-	shardTag := ""
-	if sharded {
-		shardTag = fmt.Sprintf("%d/%d", cfg.ShardIndex, cfg.ShardCount)
 	}
 	orbitClasses := 0
 	if pr != nil {
@@ -611,23 +568,21 @@ func AnalyzeSweep(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []R
 		Scenarios:    len(out.Scenarios),
 		Duration:     time.Since(start),
 		Retries:      retries.Load(),
-		Restored:     restored,
 		Executed:     executed.Load(),
 		Pruned:       prunedCnt.Load(),
 		OrbitHits:    orbitHits.Load(),
 		OrbitClasses: orbitClasses,
 		Reused:       reused.Load(),
-		Shard:        shardTag,
 	}
-	publishSweep(reg, out.Sweep, prod.emitted-shardLo)
+	publishSweep(reg, out.Sweep, out.Resume, prod.emitted)
 	return out, nil
 }
 
 // appendScenario appends the activations of the candidates at the given
 // indices to slab and returns the grown slab and the scenario: a
 // capacity-clipped window of it, so an append to the scenario cannot
-// write into the next one. Like faults.ScenarioOf it never returns a nil
-// scenario when slab is non-nil.
+// write into the next one. It never returns a nil scenario when slab is
+// non-nil.
 func appendScenario(slab []epa.Activation, muts []faults.Mutation, idx []int) ([]epa.Activation, epa.Scenario) {
 	lo := len(slab)
 	for _, j := range idx {

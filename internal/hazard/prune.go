@@ -429,11 +429,11 @@ func isSubsetMask(sub string, super []byte) bool {
 
 // maxViolatingMasks caps the per-requirement minimal-mask index. The
 // antichain stays tiny when small cut sets exist (they subsume their
-// supersets on insert), but a sweep that only ever sees high-cardinality
-// violations — a rank-range shard starting mid-space, say — would
-// otherwise accumulate thousands of incomparable masks and turn every
-// index scan quadratic. Dominance is an optimization: dropping masks
-// beyond the cap costs prune reach, never correctness.
+// supersets on insert), but a requirement whose minimal cut sets all
+// have k members — a k-of-n voting redundancy — has C(n, k) pairwise
+// incomparable ones (1,820 at n=16, k=4), and every lookup scans the
+// index. Dominance is an optimization: dropping masks beyond the cap
+// costs prune reach, never correctness.
 const maxViolatingMasks = 512
 
 // insertMinimalMask keeps the index antichain-minimal: a new mask with

@@ -1,9 +1,7 @@
 package hazard
 
 import (
-	"context"
 	"fmt"
-	"strings"
 	"testing"
 
 	"cpsrisk/internal/budget"
@@ -265,8 +263,8 @@ func TestMonotonicityContract(t *testing.T) {
 		t.Fatal("wide chain must be monotone")
 	}
 	var scs []epa.Scenario
-	faults.EnumerateStream(muts, 2, func(sc epa.Scenario) bool {
-		scs = append(scs, sc)
+	faults.EnumerateIndex(len(muts), 2, func(idx []int) bool {
+		scs = append(scs, scenarioOf(muts, idx))
 		return true
 	})
 	for _, sub := range scs {
@@ -318,7 +316,7 @@ func TestCrashResumeWithPruning(t *testing.T) {
 		t.Run(spec, func(t *testing.T) {
 			dir := t.TempDir()
 			sweep := func(spec string) (*Analysis, error) {
-				ck, err := OpenCheckpointShard(dir, 8, 0, 1)
+				ck, err := OpenCheckpoint(dir, 8)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -342,153 +340,6 @@ func TestCrashResumeWithPruning(t *testing.T) {
 			}
 			assertNoStrayTmp(t, dir)
 		})
-	}
-}
-
-// TestShardedSweepPartitionsAndMerges: m shard runs cover the space
-// exactly once with globally consistent IDs, and a follow-up
-// whole-space run, which sweeps the space again, reports their union.
-func TestShardedSweepPartitionsAndMerges(t *testing.T) {
-	eng, muts, reqs := setupWide(t, 6) // 64 scenarios
-	baselineA, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var baseRows []string
-	for _, s := range baselineA.Scenarios {
-		baseRows = append(baseRows, fmt.Sprintf("%s|%s|%v|%+v", s.ID, s.Scenario.Key(), s.Violated, s.Risk))
-	}
-
-	const shards = 3
-	var gotRows []string
-	for i := 0; i < shards; i++ {
-		a, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{
-			Parallelism: 2, ShardIndex: i, ShardCount: shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := fmt.Sprintf("%d/%d", i, shards); a.Sweep.Shard != want {
-			t.Fatalf("shard tag = %q, want %q", a.Sweep.Shard, want)
-		}
-		for _, s := range a.Scenarios {
-			gotRows = append(gotRows, fmt.Sprintf("%s|%s|%v|%+v", s.ID, s.Scenario.Key(), s.Violated, s.Risk))
-		}
-	}
-	if strings.Join(gotRows, "\n") != strings.Join(baseRows, "\n") {
-		t.Fatalf("shard union diverged:\n--- got ---\n%s\n--- want ---\n%s",
-			strings.Join(gotRows, "\n"), strings.Join(baseRows, "\n"))
-	}
-
-	// Merge: a pruned whole-space run reports the shards' union
-	// byte-identically.
-	merged, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2, Prune: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if projection(merged) != projection(baselineA) {
-		t.Fatal("merged report diverged from baseline")
-	}
-}
-
-// TestShardedPrunedSweep: sharding composes with pruning — each pruned
-// shard reports exactly its slice of the exhaustive report.
-func TestShardedPrunedSweep(t *testing.T) {
-	eng, muts, reqs := setupSymmetric(t, 4)
-	baseline, err := AnalyzeSweep(eng, muts, 2, reqs, SweepConfig{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got []ScenarioResult
-	for i := 0; i < 2; i++ {
-		a, err := AnalyzeSweep(eng, muts, 2, reqs, SweepConfig{
-			Parallelism: 2, Prune: true, ShardIndex: i, ShardCount: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		got = append(got, a.Scenarios...)
-	}
-	if len(got) != len(baseline.Scenarios) {
-		t.Fatalf("shard union has %d rows, want %d", len(got), len(baseline.Scenarios))
-	}
-	for i := range got {
-		want := baseline.Scenarios[i]
-		if fmt.Sprintf("%+v", got[i]) != fmt.Sprintf("%+v", want) {
-			t.Fatalf("row %d diverged: %+v != %+v", i, got[i], want)
-		}
-	}
-}
-
-// TestShardCheckpointResume: a budget-capped shard resumes from its own
-// per-shard checkpoint file and converges on its slice.
-func TestShardCheckpointResume(t *testing.T) {
-	eng, muts, reqs := setupWide(t, 6) // 64 scenarios; shard 1/2 = ranks [32,64)
-	baseline, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{Parallelism: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	var a *Analysis
-	runs := 0
-	for ; runs < 10; runs++ {
-		ck, err := OpenCheckpointShard(dir, 4, 1, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		a, err = AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{
-			Budget:      budget.New(context.Background(), budget.Limits{MaxScenarios: 10}),
-			Parallelism: 2, Checkpoint: ck,
-			ShardIndex: 1, ShardCount: 2,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Truncation == nil {
-			break
-		}
-		if !strings.Contains(a.Truncation.Detail, "shard 1/2") {
-			t.Fatalf("run %d: truncation detail lacks shard provenance: %q", runs, a.Truncation.Detail)
-		}
-	}
-	if a.Truncation != nil {
-		t.Fatalf("shard never converged in %d runs: %v", runs, a.Truncation)
-	}
-	if runs == 0 {
-		t.Fatal("first capped run should have truncated")
-	}
-	if a.Resume == nil || a.Resume.FromRank <= 32 {
-		t.Fatalf("final run should resume above the shard floor: %+v", a.Resume)
-	}
-	want := baseline.Scenarios[32:]
-	if len(a.Scenarios) != len(want) {
-		t.Fatalf("shard rows = %d, want %d", len(a.Scenarios), len(want))
-	}
-	for i := range want {
-		if fmt.Sprintf("%+v", a.Scenarios[i]) != fmt.Sprintf("%+v", want[i]) {
-			t.Fatalf("row %d diverged: %+v != %+v", i, a.Scenarios[i], want[i])
-		}
-	}
-	// The whole-space checkpoint file name stays free for a whole-space
-	// sweep; the shard used its own.
-	whole, err := OpenCheckpointShard(dir, 4, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if whole.loaded != nil {
-		t.Fatalf("the shard wrote the whole-space checkpoint: %+v", whole.loaded)
-	}
-}
-
-// TestShardValidation: a bad shard index is an error, not a silent
-// empty report.
-func TestShardValidation(t *testing.T) {
-	eng, muts, reqs := setupWide(t, 4)
-	if _, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{ShardIndex: 2, ShardCount: 2}); err == nil {
-		t.Error("out-of-range shard index must fail")
-	}
-	if _, err := AnalyzeSweep(eng, muts, -1, reqs, SweepConfig{ShardIndex: -1, ShardCount: 3}); err == nil {
-		t.Error("negative shard index must fail")
 	}
 }
 

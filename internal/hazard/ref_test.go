@@ -23,7 +23,7 @@ func refAnalyze(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Req
 	var trunc *budget.Truncation
 	var runErr error
 	processed := 0
-	faults.EnumerateRangeIndex(len(muts), maxCard, 0, -1, func(idx []int) bool {
+	faults.EnumerateIndex(len(muts), maxCard, func(idx []int) bool {
 		if limits.MaxScenarios > 0 && processed >= limits.MaxScenarios {
 			trunc = &budget.Truncation{Stage: "hazard", Reason: budget.ReasonScenarios}
 			return false
@@ -33,7 +33,7 @@ func refAnalyze(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Req
 			trunc = &budget.Truncation{Stage: "hazard", Reason: ex.Reason}
 			return false
 		}
-		sc := faults.ScenarioOf(muts, idx)
+		sc := scenarioOf(muts, idx)
 		res, err := eng.RunBudget(sc, bud)
 		if err != nil {
 			if ex, ok := budget.Exhausted(err); ok {
@@ -58,4 +58,11 @@ func refAnalyze(eng *epa.Engine, muts []faults.Mutation, maxCard int, reqs []Req
 		out.truncateToCompletedCardinality(muts, maxCard)
 	}
 	return out, nil
+}
+
+// scenarioOf builds the scenario that activates the candidates at the
+// given indices, in index order (never nil).
+func scenarioOf(muts []faults.Mutation, idx []int) epa.Scenario {
+	_, sc := appendScenario(make([]epa.Activation, 0, len(idx)), muts, idx)
+	return sc
 }

@@ -174,8 +174,8 @@ func (s *Server) Registry() *obs.Registry { return s.reg }
 func (s *Server) SLO() *SLOMonitor { return s.slo }
 
 // Drain stops accepting submissions, lets in-flight and queued jobs
-// finish until ctx expires, then cancels whatever is still running and
-// releases the artifact cache. Safe to call once.
+// finish until ctx expires, then cancels whatever is still running.
+// Safe to call once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	s.jobMu.Lock()
@@ -198,7 +198,6 @@ func (s *Server) Drain(ctx context.Context) error {
 		err = ctx.Err()
 	}
 	s.baseStop()
-	s.cache.Close()
 	s.log.LogAttrs(context.Background(), slog.LevelInfo, "drained",
 		slog.Int64("uptimeMs", time.Since(s.start).Milliseconds()))
 	return err

@@ -35,7 +35,7 @@ go build ./...
 echo "== go test -race =="
 go test -race ./...
 
-# The engine, the sweep, the rank/unrank enumerator,
+# The engine, the sweep, the scenario enumerator,
 # the CEGAR oracle pool and the service are documented safe for
 # concurrent use, and a solver session panics on concurrent use; hammer
 # them under the race detector at both ends of the parallelism range.
@@ -57,7 +57,7 @@ go test -run '^$' -bench 'SweepRow|Summarize' -benchtime 1x ./internal/hazard ./
 
 # Differential corpus for delta re-assessment: ~20 scripted model edits,
 # each asserting the incremental report is byte-identical to a cold run
-# of the edited model, plus warm-hit and ASP session-migration checks.
+# of the edited model, plus warm-hit and ASP delta checks.
 echo "== go test -race -cpu=1,4 -run TestDelta|TestArtifact (core) =="
 go test -race -cpu=1,4 -count=1 -run 'TestDelta|TestArtifact' ./internal/core
 

@@ -13,7 +13,6 @@ go test -run='^$' -fuzz=FuzzParse -fuzztime="$fuzztime" ./internal/logic
 go test -run='^$' -fuzz=FuzzParseFormula -fuzztime="$fuzztime" ./internal/temporal
 go test -run='^$' -fuzz=FuzzReadJSON -fuzztime="$fuzztime" ./internal/sysmodel
 go test -run='^$' -fuzz=FuzzCheckpoint -fuzztime="$fuzztime" ./internal/hazard
-go test -run='^$' -fuzz=FuzzRankUnrank -fuzztime="$fuzztime" ./internal/faults
 go test -run='^$' -fuzz=FuzzOptimalVsBruteForce -fuzztime="$fuzztime" ./internal/optimize
 go test -run='^$' -fuzz=FuzzSimulateMatchesReference -fuzztime="$fuzztime" ./internal/plant
 go test -run='^$' -fuzz=FuzzEnumerateVsBruteForce -fuzztime="$fuzztime" ./internal/solver
